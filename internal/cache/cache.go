@@ -15,6 +15,7 @@ type line struct {
 	valid    bool
 	prefetch bool // P bit: filled by a prefetch, not yet touched by a demand
 	fillHit  bool // the DRAM access that filled it was a row hit
+	marked   bool // owner-defined tag set by Mark, cleared with the P bit
 	lru      uint64
 }
 
@@ -93,10 +94,12 @@ type HitInfo struct {
 	Hit         bool
 	WasPrefetch bool // line had its P bit set (first demand use of a prefetch)
 	FillRowHit  bool // the fill that brought it in was a DRAM row hit
+	Marked      bool // line carried its owner's Mark
 }
 
 // Access performs a demand lookup for lineAddr, updating LRU and clearing
 // the P bit on a hit (the PADC accuracy counters are the caller's job).
+// A hit that consumes the P bit consumes the line's mark with it.
 func (c *Cache) Access(lineAddr uint64) HitInfo {
 	c.tick++
 	c.Accesses++
@@ -105,9 +108,10 @@ func (c *Cache) Access(lineAddr uint64) HitInfo {
 	for i := range s {
 		if s[i].valid && s[i].tag == tag {
 			s[i].lru = c.tick
-			info := HitInfo{Hit: true, WasPrefetch: s[i].prefetch, FillRowHit: s[i].fillHit}
+			info := HitInfo{Hit: true, WasPrefetch: s[i].prefetch, FillRowHit: s[i].fillHit, Marked: s[i].marked}
 			if s[i].prefetch {
 				s[i].prefetch = false
+				s[i].marked = false
 				c.PrefHits++
 			}
 			return info
@@ -136,6 +140,7 @@ type Eviction struct {
 	Valid       bool
 	LineAddr    uint64
 	WasPrefetch bool // evicted line still carried its P bit (unused prefetch)
+	Marked      bool // evicted line still carried its owner's Mark
 }
 
 // Fill inserts lineAddr, evicting LRU. prefetch marks the line's P bit;
@@ -173,6 +178,7 @@ func (c *Cache) Fill(lineAddr uint64, prefetch, fillRowHit bool) Eviction {
 			Valid:       true,
 			LineAddr:    s[victim].tag<<c.tagShift | lineAddr&c.setMask,
 			WasPrefetch: s[victim].prefetch,
+			Marked:      s[victim].marked,
 		}
 	}
 	s[victim] = line{tag: tag, valid: true, prefetch: prefetch, fillHit: fillRowHit, lru: c.tick}
@@ -180,6 +186,21 @@ func (c *Cache) Fill(lineAddr uint64, prefetch, fillRowHit bool) Eviction {
 		c.PrefFills++
 	}
 	return ev
+}
+
+// Mark tags a present lineAddr with the owner's flag, which the line
+// keeps until a demand hit consumes its P bit (HitInfo.Marked) or it is
+// evicted (Eviction.Marked). The simulator marks memory-side prefetch
+// fills this way. It is a no-op if the line is absent.
+func (c *Cache) Mark(lineAddr uint64) {
+	tag := lineAddr >> c.tagShift
+	s := c.set(lineAddr)
+	for i := range s {
+		if s[i].valid && s[i].tag == tag {
+			s[i].marked = true
+			return
+		}
+	}
 }
 
 // Invalidate drops lineAddr if present. It returns whether the line was

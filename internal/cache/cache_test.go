@@ -179,6 +179,45 @@ func TestMSHR(t *testing.T) {
 	if len(m.Lookup(300).Waiters) != 1 {
 		t.Fatal("waiters lost")
 	}
+	// A released entry is reused with its waiters cleared, not leaked
+	// into the next miss.
+	m.Release(300)
+	e3 := m.Allocate(400, true)
+	if e3 != e2 || len(e3.Waiters) != 0 || e3.LineAddr != 400 || !e3.Prefetch {
+		t.Fatalf("reused entry = %+v (same object %v), want a fresh prefetch entry for 400", *e3, e3 == e2)
+	}
+}
+
+// TestMarkLifetime pins the owner mark the simulator tags memory-side
+// fills with: the demand hit that consumes a line's P bit consumes the
+// mark too, a hit on a line without its P bit leaves the mark, and the
+// eviction of a still-marked line reports it.
+func TestMarkLifetime(t *testing.T) {
+	c := New(smallConfig()) // 16 sets of 4 ways: lines 0, 16, 32, ... share set 0
+	c.Fill(0, true, false)
+	c.Mark(0)
+	if info := c.Access(0); !info.WasPrefetch || !info.Marked {
+		t.Fatalf("first demand hit on a marked prefetch = %+v", info)
+	}
+	if c.Access(0).Marked {
+		t.Fatal("the P-bit hit did not consume the mark")
+	}
+
+	c.Fill(16, false, false)
+	c.Mark(16)
+	if !c.Access(16).Marked || !c.Access(16).Marked {
+		t.Fatal("a hit without a P bit consumed the mark")
+	}
+	c.Mark(99) // absent line: no-op
+
+	c.Fill(32, false, false)
+	c.Fill(48, false, false)
+	if ev := c.Fill(64, false, false); ev.LineAddr != 0 || ev.Marked {
+		t.Fatalf("evicting the consumed line = %+v", ev)
+	}
+	if ev := c.Fill(80, false, false); ev.LineAddr != 16 || !ev.Marked {
+		t.Fatalf("evicting the marked line = %+v", ev)
+	}
 }
 
 func TestMSHRFullStallSplit(t *testing.T) {

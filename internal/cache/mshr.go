@@ -6,9 +6,14 @@ package cache
 // model. Prefetches also allocate entries (the PADC paper drops a prefetch
 // by invalidating its MSHR entry before removing it from the memory
 // request buffer).
+//
+// The file is as bounded as the hardware: all capacity entries are built
+// up front and Release returns an entry to a free list, keeping its
+// Waiters backing array, so steady-state allocation is free.
 type MSHR struct {
 	capacity int
 	entries  map[uint64]*MSHREntry
+	free     []*MSHREntry
 
 	// Stats.
 	Allocs           uint64
@@ -18,7 +23,8 @@ type MSHR struct {
 	HighWater        int    // peak simultaneous outstanding misses
 }
 
-// MSHREntry tracks one outstanding miss.
+// MSHREntry tracks one outstanding miss. An entry is valid until its line
+// is Released; the file then reuses it for a later Allocate.
 type MSHREntry struct {
 	LineAddr uint64
 	Prefetch bool // still a pure prefetch (no demand has merged into it)
@@ -35,8 +41,28 @@ type Waiter struct {
 
 // NewMSHR builds an MSHR file with the given number of entries.
 func NewMSHR(capacity int) *MSHR {
-	return &MSHR{capacity: capacity, entries: make(map[uint64]*MSHREntry, capacity)}
+	capacity = max(capacity, 0)
+	m := &MSHR{
+		capacity: capacity,
+		entries:  make(map[uint64]*MSHREntry, 2*capacity),
+		free:     make([]*MSHREntry, capacity),
+	}
+	// The entry map is sized well past capacity so insert/delete churn
+	// seldom forces it to grow. Each entry's waiter slots cover all but the
+	// deepest merges onto one line; a deeper merge grows that entry's
+	// array once, and Release keeps it.
+	slab := make([]MSHREntry, capacity)
+	waiters := make([]Waiter, capacity*waiterSlots)
+	for i := range slab {
+		lo := i * waiterSlots
+		slab[i].Waiters = waiters[lo:lo:(lo + waiterSlots)]
+		m.free[i] = &slab[i]
+	}
+	return m
 }
+
+// waiterSlots is the waiter capacity each entry starts with.
+const waiterSlots = 32
 
 // Capacity returns the entry count the file was built with.
 func (m *MSHR) Capacity() int { return m.capacity }
@@ -50,8 +76,9 @@ func (m *MSHR) Full() bool { return len(m.entries) >= m.capacity }
 // Lookup returns the outstanding entry for lineAddr, or nil.
 func (m *MSHR) Lookup(lineAddr uint64) *MSHREntry { return m.entries[lineAddr] }
 
-// Allocate creates an entry for lineAddr. It returns nil if the file is
-// full or the line is already outstanding (callers merge via Lookup).
+// Allocate creates an entry for lineAddr with no waiters. It returns nil
+// if the file is full or the line is already outstanding (callers merge
+// via Lookup).
 func (m *MSHR) Allocate(lineAddr uint64, prefetch bool) *MSHREntry {
 	if m.Full() {
 		m.NoteFullStall(prefetch)
@@ -60,7 +87,9 @@ func (m *MSHR) Allocate(lineAddr uint64, prefetch bool) *MSHREntry {
 	if _, ok := m.entries[lineAddr]; ok {
 		return nil
 	}
-	e := &MSHREntry{LineAddr: lineAddr, Prefetch: prefetch}
+	e := m.free[len(m.free)-1]
+	m.free = m.free[:len(m.free)-1]
+	e.LineAddr, e.Prefetch = lineAddr, prefetch
 	m.entries[lineAddr] = e
 	m.Allocs++
 	if len(m.entries) > m.HighWater {
@@ -82,5 +111,14 @@ func (m *MSHR) NoteFullStall(prefetch bool) {
 }
 
 // Release removes the entry for lineAddr (fill completed or prefetch
-// dropped). It is a no-op if the line is not outstanding.
-func (m *MSHR) Release(lineAddr uint64) { delete(m.entries, lineAddr) }
+// dropped) and returns it to the free list with its waiters cleared. It
+// is a no-op if the line is not outstanding.
+func (m *MSHR) Release(lineAddr uint64) {
+	e, ok := m.entries[lineAddr]
+	if !ok {
+		return
+	}
+	delete(m.entries, lineAddr)
+	e.Waiters = e.Waiters[:0]
+	m.free = append(m.free, e)
+}

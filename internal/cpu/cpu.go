@@ -209,7 +209,7 @@ func New(id int, cfg Config, gen trace.Gen, mem Memory) *Core {
 	if cfg.Width == 0 {
 		cfg.Width = def.Width
 	}
-	return &Core{ID: id, cfg: cfg, gen: gen, mem: mem, buf: make([]robEntry, cfg.ROB)}
+	return &Core{ID: id, cfg: cfg, gen: gen, mem: mem, buf: make([]robEntry, cfg.ROB), deferred: make([]uint64, 0, cfg.ROB)}
 }
 
 func (c *Core) at(pos int) *robEntry { return &c.buf[(c.head+pos)%len(c.buf)] }

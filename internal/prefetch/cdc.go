@@ -30,6 +30,7 @@ type CDC struct {
 	cfg   CDCConfig
 	zones []cdcZone
 	clock uint64
+	out   []uint64 // candidate buffer Observe returns
 }
 
 // NewCDC builds a C/DC prefetcher; zero fields fall back to defaults.
@@ -47,7 +48,15 @@ func NewCDC(cfg CDCConfig) *CDC {
 	if cfg.Degree == 0 {
 		cfg.Degree = def.Degree
 	}
-	return &CDC{cfg: cfg, zones: make([]cdcZone, cfg.Zones)}
+	c := &CDC{cfg: cfg, zones: make([]cdcZone, cfg.Zones), out: make([]uint64, 0, cfg.Degree)}
+	// Each zone's delta history is a fixed window of one slab; a replaced
+	// zone reuses its predecessor's window.
+	hd := cfg.HistoryDepth
+	slab := make([]int64, cfg.Zones*hd)
+	for i := range c.zones {
+		c.zones[i].deltas = slab[i*hd : i*hd : (i+1)*hd]
+	}
+	return c
 }
 
 // Name implements Prefetcher.
@@ -80,7 +89,7 @@ func (c *CDC) zone(id uint64) *cdcZone {
 		zoneID:   id,
 		valid:    true,
 		lastUsed: c.clock,
-		deltas:   make([]int64, 0, c.cfg.HistoryDepth),
+		deltas:   c.zones[victim].deltas[:0],
 	}
 	return &c.zones[victim]
 }
@@ -131,7 +140,7 @@ func (c *CDC) Observe(ev AccessEvent, budget int) []uint64 {
 	if deg <= 0 {
 		return nil
 	}
-	out := make([]uint64, 0, deg)
+	out := c.out[:0]
 	next := int64(ev.LineAddr)
 	for i := match + 1; i < n && len(out) < deg; i++ {
 		next += z.deltas[i]
@@ -149,5 +158,6 @@ func (c *CDC) Observe(ev AccessEvent, budget int) []uint64 {
 		}
 		out = append(out, uint64(next))
 	}
+	c.out = out
 	return out
 }

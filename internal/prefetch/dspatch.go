@@ -91,6 +91,7 @@ type DSPatch struct {
 	spt     []sptEntry
 	sptMask uint64
 	clock   uint64
+	out     []uint64 // candidate buffer Observe returns
 
 	headroom float64 // latest bandwidth-headroom sample (1 = idle)
 
@@ -137,6 +138,7 @@ func NewDSPatch(cfg DSPatchConfig) *DSPatch {
 		pageIdx:  make(map[uint64]int, cfg.Pages),
 		spt:      make([]sptEntry, cfg.SPTEntries),
 		sptMask:  uint64(cfg.SPTEntries - 1),
+		out:      make([]uint64, 0, RegionLines),
 		headroom: 1,
 	}
 }
@@ -277,7 +279,7 @@ func (d *DSPatch) Observe(ev AccessEvent, budget int) []uint64 {
 	if budget <= 0 {
 		return nil
 	}
-	var out []uint64
+	out := d.out[:0]
 	base := region * RegionLines
 	counted := false
 	for rest := abs &^ (1 << off); rest != 0 && len(out) < budget; rest &= rest - 1 {
@@ -293,5 +295,6 @@ func (d *DSPatch) Observe(ev AccessEvent, budget int) []uint64 {
 		}
 		d.Issued += uint64(len(out))
 	}
+	d.out = out
 	return out
 }

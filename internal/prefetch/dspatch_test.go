@@ -2,6 +2,7 @@ package prefetch
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -11,9 +12,10 @@ func dsEv(line, pc uint64) AccessEvent {
 }
 
 // trainRegion walks DSPatch through one region's footprint: the first
-// offset is the trigger, the rest accumulate.
+// offset is the trigger, the rest accumulate. It returns a copy of the
+// trigger's candidates, since later Observe calls reuse the buffer.
 func trainRegion(d *DSPatch, base, pc uint64, offs []uint64) []uint64 {
-	out := d.Observe(dsEv(base+offs[0], pc), 64)
+	out := slices.Clone(d.Observe(dsEv(base+offs[0], pc), 64))
 	for _, o := range offs[1:] {
 		d.Observe(dsEv(base+o, pc), 64)
 	}

@@ -28,6 +28,7 @@ type Markov struct {
 	table    []markovEntry
 	lastMiss uint64
 	haveLast bool
+	out      []uint64 // candidate buffer Observe returns
 }
 
 // NewMarkov builds a Markov prefetcher; zero fields fall back to defaults.
@@ -39,7 +40,15 @@ func NewMarkov(cfg MarkovConfig) *Markov {
 	if cfg.Successors == 0 {
 		cfg.Successors = def.Successors
 	}
-	return &Markov{cfg: cfg, table: make([]markovEntry, cfg.TableEntries)}
+	m := &Markov{cfg: cfg, table: make([]markovEntry, cfg.TableEntries), out: make([]uint64, 0, cfg.Successors)}
+	// Each entry's successor list is a fixed window of one slab, reused
+	// when the entry is replaced.
+	n := cfg.Successors
+	slab := make([]uint64, cfg.TableEntries*n)
+	for i := range m.table {
+		m.table[i].succ = slab[i*n : i*n : (i+1)*n]
+	}
+	return m
 }
 
 // Name implements Prefetcher.
@@ -58,7 +67,7 @@ func (m *Markov) Observe(ev AccessEvent, budget int) []uint64 {
 	if m.haveLast {
 		e := m.slot(m.lastMiss)
 		if !e.valid || e.tag != m.lastMiss {
-			*e = markovEntry{tag: m.lastMiss, valid: true, succ: make([]uint64, 0, m.cfg.Successors)}
+			*e = markovEntry{tag: m.lastMiss, valid: true, succ: e.succ[:0]}
 		}
 		seen := false
 		for _, s := range e.succ {
@@ -89,7 +98,7 @@ func (m *Markov) Observe(ev AccessEvent, budget int) []uint64 {
 	if n <= 0 {
 		return nil
 	}
-	out := make([]uint64, n)
-	copy(out, e.succ[:n])
-	return out
+	// Copy out: wrappers such as DDPF filter the returned slice in place.
+	m.out = append(m.out[:0], e.succ[:n]...)
+	return m.out
 }

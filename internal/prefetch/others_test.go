@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -34,10 +35,11 @@ func TestStrideRejectsIrregular(t *testing.T) {
 
 func TestStrideSeparatesPCs(t *testing.T) {
 	s := NewStride(StrideConfig{})
-	// Interleave two PCs with different strides; both should confirm.
+	// Interleave two PCs with different strides; both should confirm. The
+	// second Observe reuses the buffer the first returned, so keep a copy.
 	var gotA, gotB []uint64
 	for i := uint64(0); i < 5; i++ {
-		gotA = s.Observe(AccessEvent{LineAddr: 10 + 2*i, PC: 1, Miss: true}, 64)
+		gotA = slices.Clone(s.Observe(AccessEvent{LineAddr: 10 + 2*i, PC: 1, Miss: true}, 64))
 		gotB = s.Observe(AccessEvent{LineAddr: 1000 + 5*i, PC: 2, Miss: true}, 64)
 	}
 	if len(gotA) == 0 || len(gotB) == 0 {
@@ -223,6 +225,23 @@ func TestBudgetNeverExceeded(t *testing.T) {
 	}
 }
 
+// zoo is every prefetch engine the simulator can build, wrappers
+// included.
+var zoo = []struct {
+	name string
+	mk   func() Prefetcher
+}{
+	{"stream", func() Prefetcher { return NewStream(StreamConfig{}) }},
+	{"stride", func() Prefetcher { return NewStride(StrideConfig{}) }},
+	{"cdc", func() Prefetcher { return NewCDC(CDCConfig{}) }},
+	{"markov", func() Prefetcher { return NewMarkov(MarkovConfig{}) }},
+	{"ddpf", func() Prefetcher { return NewDDPF(NewStream(StreamConfig{}), DDPFConfig{}) }},
+	{"fdp", func() Prefetcher { return NewFDP(NewStream(StreamConfig{}), FDPConfig{}) }},
+	// A 4-entry page buffer so regular multi-stream traffic actually
+	// evicts regions: eviction is what trains DSPatch's signature table.
+	{"dspatch", func() Prefetcher { return NewDSPatch(DSPatchConfig{Pages: 4}) }},
+}
+
 // TestZooEdgeCases sweeps every prefetcher in the zoo through the shared
 // edge cases: a full prefetch queue (budget 0), a single free slot, the
 // degree/budget cap under a large budget, and the zero line address. The
@@ -230,20 +249,6 @@ func TestBudgetNeverExceeded(t *testing.T) {
 // budget, a full queue emits nothing, one Observe never proposes
 // duplicates, and the trigger line is never its own prefetch.
 func TestZooEdgeCases(t *testing.T) {
-	zoo := []struct {
-		name string
-		mk   func() Prefetcher
-	}{
-		{"stream", func() Prefetcher { return NewStream(StreamConfig{}) }},
-		{"stride", func() Prefetcher { return NewStride(StrideConfig{}) }},
-		{"cdc", func() Prefetcher { return NewCDC(CDCConfig{}) }},
-		{"markov", func() Prefetcher { return NewMarkov(MarkovConfig{}) }},
-		{"ddpf", func() Prefetcher { return NewDDPF(NewStream(StreamConfig{}), DDPFConfig{}) }},
-		{"fdp", func() Prefetcher { return NewFDP(NewStream(StreamConfig{}), FDPConfig{}) }},
-		// A 4-entry page buffer so the 3-stream drill below actually evicts
-		// regions: eviction is what trains DSPatch's signature table.
-		{"dspatch", func() Prefetcher { return NewDSPatch(DSPatchConfig{Pages: 4}) }},
-	}
 	// Enough regular traffic to confirm any engine's pattern detector:
 	// three interleaved unit-stride streams, each crossing four 64-line
 	// regions, replayed twice (Markov needs recurring successors; DSPatch
@@ -314,6 +319,52 @@ func TestZooEdgeCases(t *testing.T) {
 				if len(got) > 8 {
 					t.Fatalf("budget 8 exceeded at line 0: %v", got)
 				}
+			}
+		})
+	}
+}
+
+// TestObserveSteadyStateAllocs pins the Observe buffer contract: once
+// warm, no engine allocates per access. Candidates go into the engine's
+// reused buffer, and history tables (CDC delta windows, Markov successor
+// lists) are carved from slabs at construction, so replacing an entry
+// costs nothing either.
+func TestObserveSteadyStateAllocs(t *testing.T) {
+	// Three recurring unit-stride loops confirm every pattern detector and
+	// give Markov repeating successors; every fourth access is a sweeping
+	// walk one CZone apart, so table entries, zones, stream slots and
+	// DSPatch regions keep being replaced.
+	ev := func(i uint64) AccessEvent {
+		s := i % 4
+		if s == 3 {
+			return AccessEvent{LineAddr: 1<<30 + (i/4)*1031, PC: 0x99, Miss: true}
+		}
+		return AccessEvent{LineAddr: s*16384 + (i/4)%512, PC: 0x40 + s, Miss: true}
+	}
+	for _, z := range zoo {
+		t.Run(z.name, func(t *testing.T) {
+			p := z.mk()
+			var i uint64
+			emitted := 0
+			step := func() {
+				i++
+				emitted += len(p.Observe(ev(i), 8))
+			}
+			for k := 0; k < 20_000; k++ {
+				step()
+			}
+			before := emitted
+			// One run of many steps: AllocsPerRun truncates its per-run
+			// average, which would hide an allocation every few calls.
+			if n := testing.AllocsPerRun(1, func() {
+				for k := 0; k < 4_000; k++ {
+					step()
+				}
+			}); n != 0 {
+				t.Errorf("%v allocations over 4000 steady-state Observe calls, want 0", n)
+			}
+			if emitted == before {
+				t.Fatal("the engine emitted nothing during the measured window")
 			}
 		})
 	}

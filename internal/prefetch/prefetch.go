@@ -27,6 +27,12 @@ type AccessEvent struct {
 // prefetchers use the budget as backpressure: the stream prefetcher does
 // not advance its prefetch pointer past lines it could not emit, so a full
 // memory system makes prefetches late rather than silently skipped.
+//
+// The returned slice belongs to the prefetcher and is valid only until
+// the next Observe call: engines emit into one reused buffer so the
+// steady-state observe path allocates nothing. Callers that keep
+// candidates across calls must copy them; wrappers may filter the slice
+// in place (DDPF does).
 type Prefetcher interface {
 	Name() string
 	Observe(ev AccessEvent, budget int) []uint64

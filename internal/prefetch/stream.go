@@ -46,6 +46,7 @@ type Stream struct {
 	cfg     StreamConfig
 	entries []streamEntry
 	clock   uint64
+	out     []uint64 // candidate buffer Observe returns
 
 	// Issued counts every candidate returned; callers use it to reason
 	// about dedup rates.
@@ -71,7 +72,7 @@ func NewStream(cfg StreamConfig) *Stream {
 	if cfg.TrainHits == 0 {
 		cfg.TrainHits = def.TrainHits
 	}
-	return &Stream{cfg: cfg, entries: make([]streamEntry, cfg.Streams)}
+	return &Stream{cfg: cfg, entries: make([]streamEntry, cfg.Streams), out: make([]uint64, 0, cfg.Degree)}
 }
 
 // Name implements Prefetcher.
@@ -111,7 +112,7 @@ func (s *Stream) emit(e *streamEntry, budget int) []uint64 {
 	if n <= 0 {
 		return nil
 	}
-	out := make([]uint64, 0, n)
+	out := s.out[:0]
 	for k := 0; k < n; k++ {
 		if (e.next-e.last)*e.dir > int64(s.cfg.Distance) || e.next < 0 {
 			break
@@ -119,6 +120,7 @@ func (s *Stream) emit(e *streamEntry, budget int) []uint64 {
 		out = append(out, uint64(e.next))
 		e.next += e.dir
 	}
+	s.out = out
 	s.Issued += uint64(len(out))
 	return out
 }

@@ -1,6 +1,9 @@
 package prefetch
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func observeAll(p Prefetcher, addr uint64, miss bool) []uint64 {
 	return p.Observe(AccessEvent{LineAddr: addr, Miss: miss}, 1<<20)
@@ -74,7 +77,8 @@ func TestStreamBudgetBackpressure(t *testing.T) {
 	s := NewStream(StreamConfig{})
 	observeAll(s, 10, true)
 	observeAll(s, 11, true) // one confirm
-	got := s.Observe(AccessEvent{LineAddr: 12, Miss: true}, 2)
+	// Copy: the next Observe reuses the returned buffer.
+	got := slices.Clone(s.Observe(AccessEvent{LineAddr: 12, Miss: true}, 2))
 	if len(got) != 2 {
 		t.Fatalf("budget 2 should emit 2, got %v", got)
 	}

@@ -25,6 +25,7 @@ type strideEntry struct {
 type Stride struct {
 	cfg   StrideConfig
 	table []strideEntry
+	out   []uint64 // candidate buffer Observe returns
 }
 
 // NewStride builds a stride prefetcher; zero fields fall back to defaults.
@@ -39,7 +40,7 @@ func NewStride(cfg StrideConfig) *Stride {
 	if cfg.MinConfirm == 0 {
 		cfg.MinConfirm = def.MinConfirm
 	}
-	return &Stride{cfg: cfg, table: make([]strideEntry, cfg.TableEntries)}
+	return &Stride{cfg: cfg, table: make([]strideEntry, cfg.TableEntries), out: make([]uint64, 0, cfg.Degree)}
 }
 
 // Name implements Prefetcher.
@@ -82,7 +83,7 @@ func (s *Stride) Observe(ev AccessEvent, budget int) []uint64 {
 	if budget < n {
 		n = budget
 	}
-	out := make([]uint64, 0, max(n, 0))
+	out := s.out[:0]
 	next := int64(ev.LineAddr)
 	for k := 0; k < n; k++ {
 		next += stride
@@ -91,5 +92,6 @@ func (s *Stride) Observe(ev AccessEvent, budget int) []uint64 {
 		}
 		out = append(out, uint64(next))
 	}
+	s.out = out
 	return out
 }

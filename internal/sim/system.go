@@ -40,8 +40,8 @@ type coreCtx struct {
 	mshr *cache.MSHR  // ditto
 
 	pf      prefetch.Prefetcher
-	fdp     *prefetch.FDP    // non-nil when Filter == FilterFDP
-	ddpf    *prefetch.DDPF   // non-nil when Filter == FilterDDPF
+	fdp     *prefetch.FDP     // non-nil when Filter == FilterFDP
+	ddpf    *prefetch.DDPF    // non-nil when Filter == FilterDDPF
 	dspatch *prefetch.DSPatch // non-nil when Prefetcher == PFDSPatch
 
 	// Running counters (snapshotted into frozen when the core reaches its
@@ -91,13 +91,12 @@ type System struct {
 	ctrlLink  []uint64
 	domThresh []func(r *memctrl.Request) uint64 // APD threshold bound per domain
 
-	// Memory-side prefetch bookkeeping (nil map when the path is off):
-	// lines a memory-side prefetch filled, awaiting their first demand
-	// use, keyed by global line address with the filling domain as value.
-	memsideLines map[uint64]int
-	msServiced   uint64
-	msUsed       uint64
-	msDropped    uint64
+	// Memory-side prefetch bookkeeping. Lines a memory-side prefetch
+	// filled carry the L2's Mark until their first demand use or their
+	// eviction; the filling domain is the line's own steering domain.
+	msServiced uint64
+	msUsed     uint64
+	msDropped  uint64
 
 	// Bandwidth-headroom tracking, enabled with dspatch or memside: per
 	// global channel, 1 - bus-busy fraction over the last accuracy
@@ -302,7 +301,6 @@ func New(cfg Config) (*System, error) {
 		// accuracy, the filter dedupes against the originating core's
 		// cache and outstanding misses.
 		s.padc.TrackMemSide()
-		s.memsideLines = make(map[uint64]int)
 		for gi, ctrl := range s.ctrls {
 			d := s.ctrlDom[gi]
 			eng := memsidepf.New(memsidepf.Config{}, s.domCfg[d].LinesPerRow())
@@ -371,7 +369,7 @@ func (s *System) instrument(tel *telemetry.Telemetry) {
 			tel.GaugeFunc(fmt.Sprintf("memctrl%d/bw_headroom", i), func() float64 { return s.headroom[i] })
 		}
 	}
-	if s.memsideLines != nil {
+	if s.cfg.MemSide {
 		tel.CounterFunc("sim/memside_serviced", func() uint64 { return s.msServiced })
 		tel.CounterFunc("sim/memside_used", func() uint64 { return s.msUsed })
 		tel.CounterFunc("sim/memside_dropped", func() uint64 { return s.msDropped })
@@ -490,12 +488,12 @@ func (s *System) Load(coreID int, seq, line, pc uint64, runahead bool, now uint6
 			cs.l2Demand++
 		}
 		if info.WasPrefetch {
-			// A memory-side fill's consumption credits the tier's meter,
-			// not any core's: the controller sent it, not a core engine.
-			if d, ok := s.memsideLines[g]; ok {
-				delete(s.memsideLines, g)
+			// A memory-side fill (marked in the L2) credits the meter of the
+			// tier the line steers to, not any core's: the controller sent
+			// it, not a core engine.
+			if info.Marked {
 				s.msUsed++
-				s.padc.NoteMemSideUsed(d)
+				s.padc.NoteMemSideUsed(s.domainOfLine(g))
 			} else {
 				s.noteUseful(cs, g, info.FillRowHit, false)
 			}
@@ -553,11 +551,14 @@ func (s *System) Load(coreID int, seq, line, pc uint64, runahead bool, now uint6
 		return cpu.LoadResult{Retry: true}
 	}
 	addr := s.mapLine(g)
-	req := &memctrl.Request{
+	ctrl := s.ctrlFor(addr)
+	req := ctrl.NewRequest()
+	*req = memctrl.Request{
 		Core: coreID, Line: g, Addr: addr,
 		Runahead: runahead, Arrival: now,
 	}
-	if !s.ctrlFor(addr).Enqueue(req) {
+	if !ctrl.Enqueue(req) {
+		ctrl.Recycle(req)
 		return cpu.LoadResult{Retry: true}
 	}
 	e := cs.mshr.Allocate(g, false)
@@ -636,11 +637,13 @@ func (s *System) observe(cs *coreCtx, ev prefetch.AccessEvent, now uint64) {
 		}
 		addr := s.mapLine(cand)
 		ctrl := s.ctrlFor(addr)
-		req := &memctrl.Request{
+		req := ctrl.NewRequest()
+		*req = memctrl.Request{
 			Core: cs.id, Line: cand, Addr: addr,
 			Prefetch: true, WasPref: true, Arrival: now,
 		}
 		if !ctrl.Enqueue(req) {
+			ctrl.Recycle(req)
 			cs.pfqDropped++
 			continue
 		}
@@ -696,7 +699,8 @@ func (s *System) span(r *memctrl.Request, class lifecycle.Class) lifecycle.Span 
 	}
 }
 
-// complete retires one serviced DRAM request back into the hierarchy.
+// complete retires one serviced DRAM request back into the hierarchy. It
+// makes the request's last read; the run loop recycles it right after.
 func (s *System) complete(r *memctrl.Request, now uint64) {
 	if r.MemSide {
 		s.completeMemSide(r)
@@ -758,26 +762,7 @@ func (s *System) complete(r *memctrl.Request, now uint64) {
 		}
 	}
 
-	ev := cs.l2.Fill(r.Line, r.Prefetch, r.IssueHit)
-	if ev.Valid {
-		if _, ms := s.memsideLines[ev.LineAddr]; ms {
-			// An unused memory-side fill aged out of the cache: no core
-			// engine issued it, so no core-side feedback fires.
-			delete(s.memsideLines, ev.LineAddr)
-		} else if ev.WasPrefetch {
-			if cs.ddpf != nil {
-				cs.ddpf.Feedback(ev.LineAddr, false)
-			}
-			if s.pendingUse != nil {
-				if t, ok := s.pendingUse[ev.LineAddr]; ok {
-					s.histUseless[histBucket(t)]++
-					delete(s.pendingUse, ev.LineAddr)
-				}
-			}
-		} else if r.Prefetch && cs.fdp != nil {
-			cs.fdp.NoteEviction(ev.LineAddr)
-		}
-	}
+	s.evicted(cs, cs.l2.Fill(r.Line, r.Prefetch, r.IssueHit), r.Prefetch)
 
 	if e := cs.mshr.Lookup(r.Line); e != nil {
 		if len(e.Waiters) > 0 && cs.l1 != nil {
@@ -787,6 +772,29 @@ func (s *System) complete(r *memctrl.Request, now uint64) {
 			s.cores[w.Core].core.Complete(w.Seq, r.FinishAt)
 		}
 		cs.mshr.Release(r.Line)
+	}
+}
+
+// evicted books the line an L2 fill displaced. An unused memory-side fill
+// ages out silently: no core engine issued it, so no core-side feedback
+// fires. An unused core-side prefetch trains DDPF and resolves as useless
+// in the service histogram. A demand line pushed out by a core-side
+// prefetch fill is FDP pollution.
+func (s *System) evicted(cs *coreCtx, ev cache.Eviction, byCorePrefetch bool) {
+	switch {
+	case !ev.Valid, ev.Marked: // nothing evicted, or a memory-side fill
+	case ev.WasPrefetch:
+		if cs.ddpf != nil {
+			cs.ddpf.Feedback(ev.LineAddr, false)
+		}
+		if s.pendingUse != nil {
+			if t, ok := s.pendingUse[ev.LineAddr]; ok {
+				s.histUseless[histBucket(t)]++
+				delete(s.pendingUse, ev.LineAddr)
+			}
+		}
+	case byCorePrefetch && cs.fdp != nil:
+		cs.fdp.NoteEviction(ev.LineAddr)
 	}
 }
 
@@ -819,23 +827,9 @@ func (s *System) completeMemSide(r *memctrl.Request) {
 		s.lc.Record(s.span(r, lifecycle.ClassPrefPure))
 	}
 
-	ev := cs.l2.Fill(r.Line, true, r.IssueHit)
-	if ev.Valid {
-		if _, ms := s.memsideLines[ev.LineAddr]; ms {
-			delete(s.memsideLines, ev.LineAddr)
-		} else if ev.WasPrefetch {
-			if cs.ddpf != nil {
-				cs.ddpf.Feedback(ev.LineAddr, false)
-			}
-			if s.pendingUse != nil {
-				if t, ok := s.pendingUse[ev.LineAddr]; ok {
-					s.histUseless[histBucket(t)]++
-					delete(s.pendingUse, ev.LineAddr)
-				}
-			}
-		}
-	}
-	s.memsideLines[r.Line] = d
+	// No FDP pollution note: no core-side engine issued this fill.
+	s.evicted(cs, cs.l2.Fill(r.Line, true, r.IssueHit), false)
+	cs.l2.Mark(r.Line)
 
 	// A demand already waiting on this line is satisfied by the fill; a
 	// core-side prefetch entry keeps its own accounting and is left alone
@@ -852,7 +846,8 @@ func (s *System) completeMemSide(r *memctrl.Request) {
 }
 
 // dropExpired runs the APD scan over every controller, each judged by its
-// own domain's drop thresholds.
+// own domain's drop thresholds, and recycles every dropped request once
+// its MSHR entry, counters and span are settled.
 func (s *System) dropExpired(now uint64) {
 	for i, ctrl := range s.ctrls {
 		if ctrl.Pending() == 0 {
@@ -878,6 +873,7 @@ func (s *System) dropExpired(now uint64) {
 					Core: int16(r.Core), Chan: int16(r.Addr.Channel), Bank: int16(r.Addr.Bank),
 				})
 			}
+			ctrl.Recycle(r)
 		}
 	}
 }
@@ -972,6 +968,7 @@ func (s *System) Run() (stats.Results, error) {
 				}
 				for _, r := range ctrl.Tick(now, cfg.Cores) {
 					s.complete(r, now)
+					ctrl.Recycle(r)
 				}
 			}
 		}
@@ -1210,7 +1207,7 @@ func (s *System) results() stats.Results {
 			r.Domains[d] = ds
 		}
 	}
-	if s.memsideLines != nil {
+	if s.cfg.MemSide {
 		ms := &stats.MemSideStats{Serviced: s.msServiced, Used: s.msUsed, Dropped: s.msDropped}
 		for _, ctrl := range s.ctrls {
 			if eng := ctrl.MemSide(); eng != nil {
