@@ -65,11 +65,13 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"sort"
 	"strings"
 
 	"padc"
+	"padc/internal/dram"
+	"padc/internal/dram/refresh"
 	"padc/internal/exp"
+	"padc/internal/sim"
 	"padc/internal/sweepd"
 	"padc/internal/telemetry"
 	"padc/internal/telemetry/flight"
@@ -82,17 +84,17 @@ func main() {
 		expID   = flag.String("exp", "", "experiment id (fig1, fig16, tab8, ...) or 'all'")
 		full    = flag.Bool("full", false, "paper-scale workload counts (slow)")
 		bench   = flag.String("bench", "", "comma-separated benchmark names, one per core")
-		policy  = flag.String("policy", "padc", "no-pref|demand-first|equal|prefetch-first|aps|padc|padc-rank, or rules:<list> (e.g. rules:critical,rowhit,urgent,fcfs)")
-		pf      = flag.String("prefetcher", "stream", strings.Join(prefetcherNames(), "|"))
+		policy  = flag.String("policy", "padc", "scheduling policy: "+strings.Join(sim.PolicyNames(), "|")+", or rules:<list> (e.g. rules:critical,rowhit,urgent,fcfs)")
+		pf      = flag.String("prefetcher", "stream", strings.Join(sim.PrefetcherNames(), "|"))
 		memside = flag.Bool("memside", false, "enable the DRAM-side prefetch path (controller-generated row-hit prefetches, PADC-gated)")
 		insts   = flag.Uint64("insts", 0, "instructions per core (0 = default)")
 		cores   = flag.Int("cores", 0, "cores to provision (0 = number of benchmarks)")
 		verbose = flag.Bool("v", false, "per-core details")
 
-		refreshMode = flag.String("refresh", "off", "DRAM refresh mode: off|per-bank|all-bank")
-		pagePolicy  = flag.String("page", "open", "row-buffer management: open|closed|adaptive")
+		refreshMode = flag.String("refresh", "off", "DRAM refresh mode: "+strings.Join(refresh.ModeNames(), "|"))
+		pagePolicy  = flag.String("page", "open", "row-buffer management: "+strings.Join(dram.PagePolicyNames(), "|"))
 		topoSpec    = flag.String("topology", "", "memory topology: a preset name ("+strings.Join(padc.TopologyNames(), "|")+"), a JSON topology file, or inline JSON")
-		kernel      = flag.String("kernel", "events", "simulation kernel: events (cycle-skipping, default) or stepped (cycle-by-cycle reference)")
+		kernel      = flag.String("kernel", "events", "simulation kernel: "+strings.Join(sim.KernelNames(), "|")+" (events skips inert cycles; stepped is the cycle-by-cycle reference)")
 		dumpConfig  = flag.Bool("dump-config", false, "print the resolved machine configuration as JSON and exit")
 
 		metricsOut = flag.String("metrics", "", "write the epoch metric time series as CSV to this file")
@@ -327,7 +329,8 @@ func runSweepRemote(server, path string, jobs int, verify bool, csvOut, jsonOut 
 
 // buildConfig assembles the machine the simulation flags describe and
 // returns it with the benchmark list. With no -bench and no -cores it
-// provisions a single core, which is enough for -dump-config.
+// provisions a single core, which is enough for -dump-config. Names are
+// checked when the config is lowered (Describe or Run).
 func buildConfig(bench, policy, pf, refreshMode, page, topo, kernel string, memside bool, insts uint64, cores int) (padc.SystemConfig, []string, error) {
 	var names []string
 	if bench != "" {
@@ -344,12 +347,8 @@ func buildConfig(bench, policy, pf, refreshMode, page, topo, kernel string, mems
 	if insts > 0 {
 		cfg.TargetInsts = insts
 	}
-	if err := applyPolicy(&cfg, policy); err != nil {
-		return cfg, nil, err
-	}
-	if err := applyPrefetcher(&cfg, pf); err != nil {
-		return cfg, nil, err
-	}
+	cfg.Policy = policy
+	cfg.Prefetcher = pf
 	cfg.RefreshMode = refreshMode
 	cfg.PagePolicy = page
 	topo, err := resolveTopologyFlag(topo)
@@ -395,64 +394,6 @@ func writeResolvedConfig(w io.Writer, cfg padc.SystemConfig, workloads []string)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
-}
-
-func applyPolicy(cfg *padc.SystemConfig, s string) error {
-	switch s {
-	case "no-pref":
-		cfg.Prefetcher = padc.NoPrefetcher
-	case "demand-first":
-		cfg.Policy, cfg.APD = padc.DemandFirst, false
-	case "equal":
-		cfg.Policy, cfg.APD = padc.DemandPrefEqual, false
-	case "prefetch-first":
-		cfg.Policy, cfg.APD = padc.PrefetchFirst, false
-	case "aps":
-		cfg.Policy, cfg.APD = padc.APS, false
-	case "padc":
-		cfg.Policy, cfg.APD = padc.APS, true
-	case "padc-rank":
-		cfg.Policy, cfg.APD = padc.APSRank, true
-	default:
-		// Explicit rule stacks: -policy rules:critical,rowhit,urgent,fcfs
-		// schedules with exactly that priority order (APD off, like the
-		// other scheduling-only policies).
-		if strings.HasPrefix(s, "rules:") {
-			cfg.Rules, cfg.APD = s, false
-			return nil
-		}
-		return fmt.Errorf("unknown policy %q", s)
-	}
-	return nil
-}
-
-// prefetcherFlags maps the -prefetcher vocabulary onto the public enum.
-var prefetcherFlags = map[string]padc.Prefetcher{
-	"none":    padc.NoPrefetcher,
-	"stream":  padc.Stream,
-	"stride":  padc.Stride,
-	"cdc":     padc.CDC,
-	"markov":  padc.Markov,
-	"dspatch": padc.DSPatch,
-}
-
-// prefetcherNames returns the accepted -prefetcher spellings, sorted.
-func prefetcherNames() []string {
-	names := make([]string, 0, len(prefetcherFlags))
-	for k := range prefetcherFlags {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func applyPrefetcher(cfg *padc.SystemConfig, s string) error {
-	kind, ok := prefetcherFlags[s]
-	if !ok {
-		return fmt.Errorf("unknown prefetcher %q (valid: %s)", s, strings.Join(prefetcherNames(), ", "))
-	}
-	cfg.Prefetcher = kind
-	return nil
 }
 
 func report(res padc.Result, verbose bool) {

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,11 +12,23 @@ import (
 	"testing"
 
 	"padc"
+	"padc/internal/sim"
 )
 
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+// describeFlags resolves the machine -dump-config prints for the given
+// -policy and -prefetcher values, all other flags at their defaults.
+func describeFlags(policy, pf string) (padc.ResolvedConfig, error) {
+	cfg, _, err := buildConfig("", policy, pf, "off", "open", "", "events", false, 0, 0)
+	if err != nil {
+		return padc.ResolvedConfig{}, err
+	}
+	return cfg.Describe()
+}
+
 func TestApplyPolicyRejectsUnknown(t *testing.T) {
-	cfg := padc.DefaultSystem(1)
-	err := applyPolicy(&cfg, "frfcfs-typo")
+	_, err := describeFlags("frfcfs-typo", "stream")
 	if err == nil {
 		t.Fatal("unknown policy accepted")
 	}
@@ -24,34 +38,55 @@ func TestApplyPolicyRejectsUnknown(t *testing.T) {
 }
 
 func TestApplyPolicyKnownValues(t *testing.T) {
-	for _, s := range []string{"no-pref", "demand-first", "equal", "prefetch-first", "aps", "padc", "padc-rank"} {
-		cfg := padc.DefaultSystem(1)
-		if err := applyPolicy(&cfg, s); err != nil {
+	for _, s := range append(sim.PolicyNames(), "rules:critical,rowhit,urgent,fcfs") {
+		if _, err := describeFlags(s, "stream"); err != nil {
 			t.Errorf("policy %q rejected: %v", s, err)
 		}
 	}
 	// The padc spelling must enable dropping; the rigid ones must not.
-	cfg := padc.DefaultSystem(1)
-	applyPolicy(&cfg, "padc")
-	if !cfg.APD {
+	if rc, _ := describeFlags("padc", "stream"); !rc.APD {
 		t.Error("padc policy should enable APD")
 	}
-	applyPolicy(&cfg, "demand-first")
-	if cfg.APD {
+	if rc, _ := describeFlags("demand-first", "stream"); rc.APD {
 		t.Error("demand-first policy should disable APD")
 	}
 }
 
+// TestNoPrefPolicyDisablesPrefetching pins -policy no-pref to the sweep's
+// meaning: no prefetcher, demand-first, APD off, whatever -prefetcher
+// says (its default is stream).
+func TestNoPrefPolicyDisablesPrefetching(t *testing.T) {
+	rc, err := describeFlags("no-pref", "stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	demandFirst, _ := describeFlags("demand-first", "stream")
+	if rc.Prefetcher != "none" || rc.APD || rc.RuleStack != demandFirst.RuleStack {
+		t.Fatalf("no-pref resolved to prefetcher=%q apd=%v stack=%q; want none, false, %q",
+			rc.Prefetcher, rc.APD, rc.RuleStack, demandFirst.RuleStack)
+	}
+	cfg, names, err := buildConfig("swim,art", "no-pref", "stream", "off", "open", "", "events", false, 20_000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := padc.Run(cfg, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BusUseful != 0 || res.BusUseless != 0 {
+		t.Fatalf("no-pref moved prefetch traffic: useful=%d useless=%d", res.BusUseful, res.BusUseless)
+	}
+}
+
 func TestApplyPrefetcherRejectsUnknown(t *testing.T) {
-	cfg := padc.DefaultSystem(1)
-	err := applyPrefetcher(&cfg, "ghb")
+	_, err := describeFlags("padc", "ghb")
 	if err == nil {
 		t.Fatal("unknown prefetcher accepted")
 	}
 	if !strings.Contains(err.Error(), "ghb") {
 		t.Fatalf("error should name the bad value: %v", err)
 	}
-	for _, valid := range prefetcherNames() {
+	for _, valid := range sim.PrefetcherNames() {
 		if !strings.Contains(err.Error(), valid) {
 			t.Fatalf("error should list valid name %q: %v", valid, err)
 		}
@@ -59,17 +94,45 @@ func TestApplyPrefetcherRejectsUnknown(t *testing.T) {
 }
 
 func TestApplyPrefetcherKnownValues(t *testing.T) {
-	want := map[string]padc.Prefetcher{
-		"none": padc.NoPrefetcher, "stream": padc.Stream, "stride": padc.Stride,
-		"cdc": padc.CDC, "markov": padc.Markov, "dspatch": padc.DSPatch,
-	}
-	for s, pf := range want {
-		cfg := padc.DefaultSystem(1)
-		if err := applyPrefetcher(&cfg, s); err != nil {
+	for _, s := range sim.PrefetcherNames() {
+		rc, err := describeFlags("padc", s)
+		if err != nil {
 			t.Errorf("prefetcher %q rejected: %v", s, err)
-		} else if cfg.Prefetcher != pf {
-			t.Errorf("prefetcher %q mapped to %v, want %v", s, cfg.Prefetcher, pf)
+		} else if rc.Prefetcher != s {
+			t.Errorf("prefetcher %q resolved to %q", s, rc.Prefetcher)
 		}
+	}
+}
+
+// TestDumpConfigGolden pins the -dump-config bytes for every -policy ×
+// -prefetcher name (regenerate with go test ./cmd/padcsim -run
+// DumpConfigGolden -update).
+func TestDumpConfigGolden(t *testing.T) {
+	var buf bytes.Buffer
+	for _, pol := range append(sim.PolicyNames(), "rules:critical,rowhit,urgent,fcfs") {
+		for _, pf := range sim.PrefetcherNames() {
+			cfg, names, err := buildConfig("", pol, pf, "off", "open", "", "events", false, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&buf, "== -policy %s -prefetcher %s ==\n", pol, pf)
+			if err := writeResolvedConfig(&buf, cfg, names); err != nil {
+				t.Fatalf("-policy %s -prefetcher %s: %v", pol, pf, err)
+			}
+		}
+	}
+	path := filepath.Join("testdata", "dump_config.golden")
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("-dump-config output differs from %s (rerun with -update if intended)", path)
 	}
 }
 

@@ -16,22 +16,18 @@ func main() {
 	mix := []string{"omnetpp", "libquantum", "galgel", "GemsFDTD"}
 	const insts = 250_000
 
-	type variant struct {
-		name string
-		mod  func(*padc.SystemConfig)
-	}
-	variants := []variant{
-		{"demand-first", func(c *padc.SystemConfig) { c.Policy, c.APD = padc.DemandFirst, false }},
-		{"demand-pref-equal", func(c *padc.SystemConfig) { c.Policy, c.APD = padc.DemandPrefEqual, false }},
-		{"aps-only", func(c *padc.SystemConfig) { c.Policy, c.APD = padc.APS, false }},
-		{"PADC", func(c *padc.SystemConfig) { c.Policy, c.APD = padc.APS, true }},
+	variants := []struct{ name, policy string }{
+		{"demand-first", "demand-first"},
+		{"demand-pref-equal", "equal"},
+		{"aps-only", "aps"},
+		{"PADC", "padc"},
 	}
 
 	fmt.Printf("4-core mix: %v (%d instructions per core)\n\n", mix, insts)
 	for _, v := range variants {
 		cfg := padc.DefaultSystem(4)
 		cfg.TargetInsts = insts
-		v.mod(&cfg)
+		cfg.Policy = v.policy
 		res, err := padc.Run(cfg, mix)
 		if err != nil {
 			log.Fatal(err)

@@ -14,37 +14,22 @@ func main() {
 	const bench = "leslie3d"
 	const insts = 300_000
 
-	engines := []struct {
-		name string
-		kind padc.Prefetcher
-	}{
-		{"stream", padc.Stream},
-		{"stride", padc.Stride},
-		{"cdc", padc.CDC},
-		{"markov", padc.Markov},
-	}
+	engines := []string{"stream", "stride", "cdc", "markov"}
 
 	fmt.Printf("benchmark %s, single core, %d instructions\n\n", bench, insts)
 	fmt.Printf("%-8s %-14s %8s %8s %8s %10s\n", "engine", "controller", "IPC", "ACC%", "COV%", "bus lines")
 	for _, e := range engines {
-		for _, padcOn := range []bool{false, true} {
+		for _, ctl := range []struct{ name, policy string }{{"demand-first", "demand-first"}, {"PADC", "padc"}} {
 			cfg := padc.DefaultSystem(1)
 			cfg.TargetInsts = insts
-			cfg.Prefetcher = e.kind
-			name := "demand-first"
-			if padcOn {
-				cfg.Policy, cfg.APD = padc.APS, true
-				name = "PADC"
-			} else {
-				cfg.Policy, cfg.APD = padc.DemandFirst, false
-			}
+			cfg.Prefetcher, cfg.Policy = e, ctl.policy
 			res, err := padc.Run(cfg, []string{bench})
 			if err != nil {
 				log.Fatal(err)
 			}
 			c := res.Cores[0]
 			fmt.Printf("%-8s %-14s %8.3f %8.1f %8.1f %10d\n",
-				e.name, name, c.IPC, c.PrefAccuracy*100, c.PrefCoverage*100, res.BusTotal())
+				e, ctl.name, c.IPC, c.PrefAccuracy*100, c.PrefCoverage*100, res.BusTotal())
 		}
 	}
 }

@@ -15,15 +15,11 @@ func main() {
 	const bench = "libquantum"
 	const insts = 400_000
 
-	type variant struct {
-		name string
-		mod  func(*padc.SystemConfig)
-	}
-	variants := []variant{
-		{"no-pref", func(c *padc.SystemConfig) { c.Prefetcher = padc.NoPrefetcher }},
-		{"demand-first", func(c *padc.SystemConfig) { c.Policy, c.APD = padc.DemandFirst, false }},
-		{"demand-pref-equal", func(c *padc.SystemConfig) { c.Policy, c.APD = padc.DemandPrefEqual, false }},
-		{"PADC (APS+APD)", func(c *padc.SystemConfig) { c.Policy, c.APD = padc.APS, true }},
+	variants := []struct{ name, policy string }{
+		{"no-pref", "no-pref"},
+		{"demand-first", "demand-first"},
+		{"demand-pref-equal", "equal"},
+		{"PADC (APS+APD)", "padc"},
 	}
 
 	fmt.Printf("benchmark %s, %d instructions, single-core baseline\n\n", bench, insts)
@@ -32,7 +28,7 @@ func main() {
 	for _, v := range variants {
 		cfg := padc.DefaultSystem(1)
 		cfg.TargetInsts = insts
-		v.mod(&cfg)
+		cfg.Policy = v.policy
 		res, err := padc.Run(cfg, []string{bench})
 		if err != nil {
 			log.Fatal(err)

@@ -22,7 +22,7 @@ func main() {
 
 	cfg := padc.DefaultSystem(4)
 	cfg.TargetInsts = insts
-	cfg.Policy, cfg.APD = padc.APS, true
+	cfg.Policy = "padc"
 	tel := padc.NewTelemetry(epoch)
 	cfg.Telemetry = tel
 

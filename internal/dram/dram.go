@@ -78,13 +78,11 @@ type Config struct {
 	RowBytes    uint64 // row-buffer size per bank
 	LineBytes   uint64 // cache-line (transfer) size
 	Timing      Timing
-	ClosedRow   bool // closed-row policy instead of open-row (alias for Page: ClosedPage)
 	Permutation bool // permutation-based bank index remapping (Zhang et al.)
 	TickEvery   uint64
 
 	// Page selects the row-buffer management policy (open, closed, or the
-	// adaptive per-bank predictor). The legacy ClosedRow flag is honored
-	// when Page is left at its OpenPage zero value.
+	// adaptive per-bank predictor).
 	Page PagePolicy
 
 	// Refresh configures the maintenance engine (off by default); the
@@ -102,18 +100,6 @@ func (c Config) EffectiveTickEvery() uint64 {
 		return 4
 	}
 	return c.TickEvery
-}
-
-// EffectivePage resolves the page policy, folding the legacy ClosedRow
-// flag into the Page field's vocabulary.
-func (c Config) EffectivePage() PagePolicy {
-	if c.Page != OpenPage {
-		return c.Page
-	}
-	if c.ClosedRow {
-		return ClosedPage
-	}
-	return OpenPage
 }
 
 // DefaultConfig is the paper's baseline: one channel, 8 banks, 4KB rows,
@@ -237,7 +223,6 @@ type Observer interface {
 // shared data bus.
 type Channel struct {
 	cfg       Config
-	page      PagePolicy
 	pred      []pagePredictor // per-bank predictors (AdaptivePage only)
 	obs       Observer
 	Banks     []Bank
@@ -260,11 +245,11 @@ type Channel struct {
 
 // NewChannel builds the banks for one channel of cfg.
 func NewChannel(cfg Config) *Channel {
-	ch := &Channel{cfg: cfg, page: cfg.EffectivePage(), Banks: make([]Bank, cfg.Banks)}
+	ch := &Channel{cfg: cfg, Banks: make([]Bank, cfg.Banks)}
 	for i := range ch.Banks {
 		ch.Banks[i].OpenRow = -1
 	}
-	if ch.page == AdaptivePage {
+	if cfg.Page == AdaptivePage {
 		ch.pred = make([]pagePredictor, cfg.Banks)
 		for i := range ch.pred {
 			ch.pred[i] = newPagePredictor()
@@ -324,7 +309,7 @@ func (ch *Channel) Issue(bank int, row, now uint64, keepOpen bool) (finish uint6
 	}
 	ch.BusBusyCycles += ch.cfg.Timing.Burst
 
-	switch ch.page {
+	switch ch.cfg.Page {
 	case ClosedPage:
 		if keepOpen {
 			b.OpenRow = int64(row)

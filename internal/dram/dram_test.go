@@ -109,7 +109,7 @@ func TestBankStateMachine(t *testing.T) {
 
 func TestClosedRowPolicy(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.ClosedRow = true
+	cfg.Page = ClosedPage
 	ch := NewChannel(cfg)
 	fin, _ := ch.Issue(0, 5, 0, false) // no more row work: precharge for free
 	if ch.Banks[0].OpenRow != -1 {

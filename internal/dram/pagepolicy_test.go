@@ -16,21 +16,6 @@ func TestParsePagePolicy(t *testing.T) {
 	}
 }
 
-func TestEffectivePageHonorsLegacyClosedRow(t *testing.T) {
-	c := DefaultConfig()
-	if c.EffectivePage() != OpenPage {
-		t.Fatal("default should be open-page")
-	}
-	c.ClosedRow = true
-	if c.EffectivePage() != ClosedPage {
-		t.Fatal("ClosedRow flag should alias ClosedPage")
-	}
-	c.Page = AdaptivePage
-	if c.EffectivePage() != AdaptivePage {
-		t.Fatal("explicit Page should win over the legacy flag")
-	}
-}
-
 // issueAll drives one bank through the row sequence and returns the
 // observed states.
 func issueAll(ch *Channel, rows []uint64) []RowState {

@@ -125,65 +125,41 @@ type Variant struct {
 	Apply func(*sim.Config)
 }
 
-// NoPref disables prefetching entirely.
-func NoPref() Variant {
-	return Variant{"no-pref", func(c *sim.Config) {
-		c.Prefetcher = sim.PFNone
-		c.PADC.EnableAPD = false
+// policy is the variant labelled label that applies the sim.ApplyPolicy
+// name pol.
+func policy(label, pol string) Variant {
+	return Variant{label, func(c *sim.Config) {
+		if err := sim.ApplyPolicy(c, pol); err != nil {
+			panic(err)
+		}
 	}}
 }
+
+// NoPref disables prefetching entirely.
+func NoPref() Variant { return policy("no-pref", "no-pref") }
 
 // DemandFirst is the paper's baseline rigid policy.
-func DemandFirst() Variant {
-	return Variant{"demand-first", func(c *sim.Config) {
-		c.Policy = memctrl.DemandFirst
-		c.PADC.EnableAPD = false
-	}}
-}
+func DemandFirst() Variant { return policy("demand-first", "demand-first") }
 
 // DemandPrefEqual is plain FR-FCFS.
-func DemandPrefEqual() Variant {
-	return Variant{"demand-pref-equal", func(c *sim.Config) {
-		c.Policy = memctrl.DemandPrefEqual
-		c.PADC.EnableAPD = false
-	}}
-}
+func DemandPrefEqual() Variant { return policy("demand-pref-equal", "equal") }
 
 // PrefetchFirst is the footnote-2 strawman.
-func PrefetchFirst() Variant {
-	return Variant{"prefetch-first", func(c *sim.Config) {
-		c.Policy = memctrl.PrefetchFirst
-		c.PADC.EnableAPD = false
-	}}
-}
+func PrefetchFirst() Variant { return policy("prefetch-first", "prefetch-first") }
 
 // APSOnly enables adaptive scheduling without dropping.
-func APSOnly() Variant {
-	return Variant{"aps-only", func(c *sim.Config) {
-		c.Policy = memctrl.APS
-		c.PADC.EnableAPD = false
-	}}
-}
+func APSOnly() Variant { return policy("aps-only", "aps") }
 
 // PADC is the full mechanism: APS plus APD.
-func PADC() Variant {
-	return Variant{"aps-apd (PADC)", func(c *sim.Config) { c.Policy = memctrl.APS }}
-}
+func PADC() Variant { return policy("aps-apd (PADC)", "padc") }
 
 // PADCRank is PADC with the §6.5 shortest-job ranking.
-func PADCRank() Variant {
-	return Variant{"PADC-rank", func(c *sim.Config) { c.Policy = memctrl.APSRank }}
-}
+func PADCRank() Variant { return policy("PADC-rank", "padc-rank") }
 
 // RuleStack schedules with an explicit priority-rule stack from the
 // sched kernel (e.g. "rules:critical,rowhit,urgent,fcfs"). APD is off so
 // the run isolates the priority order under study.
-func RuleStack(rules string) Variant {
-	return Variant{rules, func(c *sim.Config) {
-		c.Rules = rules
-		c.PADC.EnableAPD = false
-	}}
-}
+func RuleStack(rules string) Variant { return policy(rules, rules) }
 
 // StandardVariants returns the five configurations most figures compare.
 func StandardVariants() []Variant {

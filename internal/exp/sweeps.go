@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"padc/internal/core"
+	"padc/internal/dram"
 	"padc/internal/memctrl"
 	"padc/internal/sim"
 	"padc/internal/workload"
@@ -94,7 +95,7 @@ func Fig24(sc Scale) *Table {
 	closed := func(name string, v Variant) Variant {
 		return Variant{name, func(c *sim.Config) {
 			v.Apply(c)
-			c.DRAM.ClosedRow = true
+			c.DRAM.Page = dram.ClosedPage
 		}}
 	}
 	variants := []Variant{

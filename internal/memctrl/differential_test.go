@@ -299,7 +299,9 @@ func runDifferential(t *testing.T, pol Policy, seed int64, banks int, closedRow 
 	t.Helper()
 	cfg := dram.DefaultConfig()
 	cfg.Banks = banks
-	cfg.ClosedRow = closedRow
+	if closedRow {
+		cfg.Page = dram.ClosedPage
+	}
 
 	state := &flipState{}
 	ref := legacyNew(pol, dram.NewChannel(cfg), 32, state)

@@ -132,7 +132,7 @@ func TestIndexCountConservation(t *testing.T) {
 func TestClosedRowKeepOpenBurst(t *testing.T) {
 	cfg := dram.DefaultConfig()
 	cfg.Banks = 1
-	cfg.ClosedRow = true
+	cfg.Page = dram.ClosedPage
 	c := New(DemandPrefEqual, dram.NewChannel(cfg), 16, nil)
 
 	mk := func(line, row uint64) *Request {

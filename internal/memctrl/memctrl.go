@@ -73,12 +73,13 @@ func (p Policy) Stack() sched.Stack { return sched.MustParse(p.String()) }
 
 // ResolveStack maps the configuration surface onto a scheduling stack:
 // rules, when non-empty, is parsed (legacy aliases or a "rules:" list) and
-// wins; otherwise the enum policy's canonical stack is used.
+// wins; otherwise the enum policy's canonical stack is used. An
+// out-of-range policy is an error.
 func ResolveStack(p Policy, rules string) (sched.Stack, error) {
-	if rules != "" {
-		return sched.Parse(rules)
+	if rules == "" {
+		rules = p.String()
 	}
-	return p.Stack(), nil
+	return sched.Parse(rules)
 }
 
 // Request is one entry of the memory request buffer.

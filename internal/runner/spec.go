@@ -17,14 +17,11 @@ package runner
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 
 	"padc/internal/core"
 	"padc/internal/dram"
 	"padc/internal/dram/refresh"
-	"padc/internal/memctrl"
-	"padc/internal/memctrl/sched"
 	"padc/internal/sim"
 	"padc/internal/topology"
 	"padc/internal/workload"
@@ -48,13 +45,12 @@ type Spec struct {
 	Cores int    `json:"cores,omitempty"` // cores per system (default 4)
 	Insts uint64 `json:"insts,omitempty"` // instructions per core (default 100000)
 
-	// Policies names the scheduling policies to compare; the vocabulary is
-	// the CLI's: no-pref, demand-first, equal, prefetch-first, aps, padc,
-	// padc-rank. Default: demand-first, aps, padc.
+	// Policies names the scheduling policies to compare: sim.PolicyNames
+	// or "rules:<list>" rule stacks. Default: demand-first, aps, padc.
 	Policies []string `json:"policies,omitempty"`
 
-	// Prefetchers names the prefetch engines: none, stream, stride, cdc,
-	// markov, dspatch. Default: stream.
+	// Prefetchers names the prefetch engines (sim.PrefetcherNames).
+	// Default: stream.
 	Prefetchers []string `json:"prefetchers,omitempty"`
 
 	// MemSide optionally sweeps the DRAM-side prefetch path: "off" (or "")
@@ -176,13 +172,13 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("runner: mixes must be 0..%d, got %d", MaxMixes, d.Mixes)
 	}
 	for _, p := range d.Policies {
-		if _, err := policyMutator(p); err != nil {
-			return err
+		if err := sim.ApplyPolicy(&sim.Config{}, p); err != nil {
+			return fmt.Errorf("runner: %v", err)
 		}
 	}
 	for _, p := range d.Prefetchers {
-		if _, err := prefetcherKind(p); err != nil {
-			return err
+		if _, err := sim.ParsePrefetcher(p); err != nil {
+			return fmt.Errorf("runner: %v", err)
 		}
 	}
 	for _, th := range d.PromotionThresholds {
@@ -301,9 +297,8 @@ func (s Spec) Expand() ([]Job, error) {
 
 	var jobs []Job
 	for _, pol := range d.Policies {
-		mutate, _ := policyMutator(pol)
 		for _, pf := range d.Prefetchers {
-			pfKind, _ := prefetcherKind(pf)
+			pfKind, _ := sim.ParsePrefetcher(pf)
 			for _, promo := range d.PromotionThresholds {
 				for _, drop := range d.DropCycles {
 					for _, rf := range d.Refresh {
@@ -318,7 +313,9 @@ func (s Spec) Expand() ([]Job, error) {
 										cfg.TargetInsts = d.Insts
 										cfg.PADC = core.DefaultConfig()
 										cfg.Prefetcher = pfKind
-										mutate(&cfg)
+										if err := sim.ApplyPolicy(&cfg, pol); err != nil {
+											return nil, err
+										}
 										if promo > 0 {
 											cfg.PADC.PromotionThreshold = promo
 										}
@@ -403,78 +400,6 @@ func jobKey(pol, pf string, promo float64, drop uint64, rf, page, topo, ms, mix 
 	return strings.Join(parts, "/")
 }
 
-// policyMutator maps a policy name onto its sim.Config mutation; the
-// vocabulary matches the padcsim CLI.
-func policyMutator(name string) (func(*sim.Config), error) {
-	switch name {
-	case "no-pref":
-		return func(c *sim.Config) {
-			c.Prefetcher = sim.PFNone
-			c.PADC.EnableAPD = false
-		}, nil
-	case "demand-first":
-		return func(c *sim.Config) {
-			c.Policy = memctrl.DemandFirst
-			c.PADC.EnableAPD = false
-		}, nil
-	case "equal":
-		return func(c *sim.Config) {
-			c.Policy = memctrl.DemandPrefEqual
-			c.PADC.EnableAPD = false
-		}, nil
-	case "prefetch-first":
-		return func(c *sim.Config) {
-			c.Policy = memctrl.PrefetchFirst
-			c.PADC.EnableAPD = false
-		}, nil
-	case "aps":
-		return func(c *sim.Config) {
-			c.Policy = memctrl.APS
-			c.PADC.EnableAPD = false
-		}, nil
-	case "padc":
-		return func(c *sim.Config) { c.Policy = memctrl.APS }, nil
-	case "padc-rank":
-		return func(c *sim.Config) { c.Policy = memctrl.APSRank }, nil
-	default:
-		// Explicit rule stacks ("rules:critical,rowhit,fcfs") sweep the
-		// scheduler's priority order directly. Like "aps" and the other
-		// scheduling-only policies, APD is disabled so the grid isolates
-		// the ordering under study.
-		if strings.HasPrefix(name, sched.Prefix) {
-			if _, err := sched.Parse(name); err != nil {
-				return nil, fmt.Errorf("runner: %v", err)
-			}
-			return func(c *sim.Config) {
-				c.Rules = name
-				c.PADC.EnableAPD = false
-			}, nil
-		}
-		return nil, fmt.Errorf("runner: unknown policy %q (known: %s; or %s<list> rule stacks)",
-			name, strings.Join(PolicyNames(), ", "), sched.Prefix)
-	}
-}
-
-// prefetcherKind maps a prefetcher name onto its sim kind.
-func prefetcherKind(name string) (sim.PrefetcherKind, error) {
-	switch name {
-	case "none":
-		return sim.PFNone, nil
-	case "stream":
-		return sim.PFStream, nil
-	case "stride":
-		return sim.PFStride, nil
-	case "cdc":
-		return sim.PFCDC, nil
-	case "markov":
-		return sim.PFMarkov, nil
-	case "dspatch":
-		return sim.PFDSPatch, nil
-	default:
-		return 0, fmt.Errorf("runner: unknown prefetcher %q (known: %s)", name, strings.Join(PrefetcherNames(), ", "))
-	}
-}
-
 // parseMemSide maps a memside axis value onto the config switch.
 func parseMemSide(name string) (bool, error) {
 	switch name {
@@ -485,18 +410,4 @@ func parseMemSide(name string) (bool, error) {
 	default:
 		return false, fmt.Errorf("runner: unknown memside value %q (known: off, on)", name)
 	}
-}
-
-// PolicyNames returns the accepted Spec.Policies vocabulary, sorted.
-func PolicyNames() []string {
-	out := []string{"no-pref", "demand-first", "equal", "prefetch-first", "aps", "padc", "padc-rank"}
-	sort.Strings(out)
-	return out
-}
-
-// PrefetcherNames returns the accepted Spec.Prefetchers vocabulary, sorted.
-func PrefetcherNames() []string {
-	out := []string{"none", "stream", "stride", "cdc", "markov", "dspatch"}
-	sort.Strings(out)
-	return out
 }

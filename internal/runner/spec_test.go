@@ -263,7 +263,7 @@ func TestRefreshAndPageAxes(t *testing.T) {
 		}
 		switch j.Page {
 		case "":
-			if j.Config.DRAM.EffectivePage().String() != "open" {
+			if j.Config.DRAM.Page.String() != "open" {
 				t.Errorf("%s: default page policy not open", j.Key)
 			}
 			if strings.Contains(j.Key, "page=") {

@@ -5,12 +5,15 @@ package sim
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"padc/internal/cache"
 	"padc/internal/core"
 	"padc/internal/cpu"
 	"padc/internal/dram"
 	"padc/internal/memctrl"
+	"padc/internal/memctrl/sched"
 	"padc/internal/telemetry"
 	"padc/internal/telemetry/flight"
 	"padc/internal/telemetry/lifecycle"
@@ -30,24 +33,50 @@ const (
 	PFDSPatch
 )
 
+// prefetcherNames is the PrefetcherKind name table String and
+// ParsePrefetcher share.
+var prefetcherNames = [...]string{
+	PFNone:    "none",
+	PFStream:  "stream",
+	PFStride:  "stride",
+	PFCDC:     "cdc",
+	PFMarkov:  "markov",
+	PFDSPatch: "dspatch",
+}
+
 // String implements fmt.Stringer.
-func (k PrefetcherKind) String() string {
-	switch k {
-	case PFNone:
-		return "none"
-	case PFStream:
-		return "stream"
-	case PFStride:
-		return "stride"
-	case PFCDC:
-		return "cdc"
-	case PFMarkov:
-		return "markov"
-	case PFDSPatch:
-		return "dspatch"
-	default:
-		return fmt.Sprintf("PrefetcherKind(%d)", int(k))
+func (k PrefetcherKind) String() string { return nameOf(prefetcherNames[:], int(k), "PrefetcherKind") }
+
+// ParsePrefetcher maps a PrefetcherNames spelling onto its kind.
+func ParsePrefetcher(s string) (PrefetcherKind, error) {
+	i, err := lookup(prefetcherNames[:], "prefetcher", s)
+	return PrefetcherKind(i), err
+}
+
+// PrefetcherNames returns the accepted ParsePrefetcher vocabulary, sorted.
+func PrefetcherNames() []string {
+	out := append([]string(nil), prefetcherNames[:]...)
+	sort.Strings(out)
+	return out
+}
+
+// nameOf returns entry i of a kind's name table, or kind(i) when i is out
+// of range (which no lookup accepts, so Validate rejects it).
+func nameOf(names []string, i int, kind string) string {
+	if i >= 0 && i < len(names) {
+		return names[i]
 	}
+	return fmt.Sprintf("%s(%d)", kind, i)
+}
+
+// lookup returns the index of s in a kind's name table.
+func lookup(names []string, kind, s string) (int, error) {
+	for i, n := range names {
+		if n == s {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("sim: unknown %s %q (known: %s)", kind, s, strings.Join(names, ", "))
 }
 
 // Kernel selects the main-loop execution strategy. Both kernels simulate
@@ -66,33 +95,24 @@ const (
 	KernelStepped
 )
 
+// kernelNames is the Kernel name table String and ParseKernel share.
+var kernelNames = [...]string{KernelEvents: "events", KernelStepped: "stepped"}
+
 // String implements fmt.Stringer.
-func (k Kernel) String() string {
-	switch k {
-	case KernelEvents:
-		return "events"
-	case KernelStepped:
-		return "stepped"
-	default:
-		return fmt.Sprintf("Kernel(%d)", int(k))
-	}
-}
+func (k Kernel) String() string { return nameOf(kernelNames[:], int(k), "Kernel") }
 
 // ParseKernel maps the configuration-surface spellings onto a Kernel. The
 // empty string is KernelEvents, so zero-valued configs take the fast path.
 func ParseKernel(s string) (Kernel, error) {
-	switch s {
-	case "", "events":
+	if s == "" {
 		return KernelEvents, nil
-	case "stepped":
-		return KernelStepped, nil
-	default:
-		return KernelEvents, fmt.Errorf("sim: unknown kernel %q (events, stepped)", s)
 	}
+	i, err := lookup(kernelNames[:], "kernel", s)
+	return Kernel(i), err
 }
 
 // KernelNames returns the accepted ParseKernel vocabulary.
-func KernelNames() []string { return []string{"events", "stepped"} }
+func KernelNames() []string { return append([]string(nil), kernelNames[:]...) }
 
 // FilterKind optionally wraps the prefetcher with a §6.12 comparison
 // mechanism.
@@ -104,18 +124,84 @@ const (
 	FilterFDP
 )
 
+// filterNames is the FilterKind name table String and ParseFilter share.
+var filterNames = [...]string{
+	FilterNone: "none",
+	FilterDDPF: "ddpf",
+	FilterFDP:  "fdp",
+}
+
 // String implements fmt.Stringer.
-func (k FilterKind) String() string {
-	switch k {
-	case FilterNone:
-		return "none"
-	case FilterDDPF:
-		return "ddpf"
-	case FilterFDP:
-		return "fdp"
-	default:
-		return fmt.Sprintf("FilterKind(%d)", int(k))
+func (k FilterKind) String() string { return nameOf(filterNames[:], int(k), "FilterKind") }
+
+// ParseFilter maps a filter name onto its kind. The empty string is
+// FilterNone, so configs that never mention a filter run without one.
+func ParseFilter(s string) (FilterKind, error) {
+	if s == "" {
+		return FilterNone, nil
 	}
+	i, err := lookup(filterNames[:], "filter", s)
+	return FilterKind(i), err
+}
+
+// policies is the sweep and CLI policy vocabulary: each name's mutation of
+// a baseline config. Every name but padc and padc-rank turns APD off, so a
+// grid isolates the scheduling order under study.
+var policies = map[string]func(*Config){
+	"no-pref": func(c *Config) {
+		c.Prefetcher = PFNone
+		c.PADC.EnableAPD = false
+	},
+	"demand-first": func(c *Config) {
+		c.Policy = memctrl.DemandFirst
+		c.PADC.EnableAPD = false
+	},
+	"equal": func(c *Config) {
+		c.Policy = memctrl.DemandPrefEqual
+		c.PADC.EnableAPD = false
+	},
+	"prefetch-first": func(c *Config) {
+		c.Policy = memctrl.PrefetchFirst
+		c.PADC.EnableAPD = false
+	},
+	"aps": func(c *Config) {
+		c.Policy = memctrl.APS
+		c.PADC.EnableAPD = false
+	},
+	"padc":      func(c *Config) { c.Policy = memctrl.APS },
+	"padc-rank": func(c *Config) { c.Policy = memctrl.APSRank },
+}
+
+// ApplyPolicy applies the named policy to c: one of PolicyNames, or an
+// explicit rule stack such as "rules:critical,rowhit,urgent,fcfs" (APD
+// off, like the other scheduling-only policies). no-pref removes the
+// prefetcher, so choose the prefetcher first.
+func ApplyPolicy(c *Config, name string) error {
+	if apply, ok := policies[name]; ok {
+		apply(c)
+		return nil
+	}
+	if !strings.HasPrefix(name, sched.Prefix) {
+		return fmt.Errorf("sim: unknown policy %q (known: %s; or %s<list> rule stacks)",
+			name, strings.Join(PolicyNames(), ", "), sched.Prefix)
+	}
+	if _, err := sched.Parse(name); err != nil {
+		return err
+	}
+	c.Rules = name
+	c.PADC.EnableAPD = false
+	return nil
+}
+
+// PolicyNames returns the ApplyPolicy vocabulary, sorted; "rules:<list>"
+// stacks are accepted besides.
+func PolicyNames() []string {
+	out := make([]string, 0, len(policies))
+	for name := range policies {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // Config describes one simulated system and run.
@@ -264,11 +350,18 @@ func (c Config) Validate() error {
 	if _, err := memctrl.ResolveStack(c.Policy, c.Rules); err != nil {
 		return err
 	}
+	// An out-of-range kind prints as "Kind(n)", which no name table holds.
+	if _, err := ParsePrefetcher(c.Prefetcher.String()); err != nil {
+		return err
+	}
+	if _, err := ParseFilter(c.Filter.String()); err != nil {
+		return err
+	}
 	if c.TargetInsts == 0 {
 		return fmt.Errorf("sim: TargetInsts must be positive")
 	}
-	if c.Kernel != KernelEvents && c.Kernel != KernelStepped {
-		return fmt.Errorf("sim: unknown kernel %d", int(c.Kernel))
+	if _, err := ParseKernel(c.Kernel.String()); err != nil {
+		return err
 	}
 	return nil
 }

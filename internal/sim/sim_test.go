@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"padc/internal/cpu"
+	"padc/internal/dram"
 	"padc/internal/dram/refresh"
 	"padc/internal/memctrl"
 	"padc/internal/stats"
@@ -47,6 +48,23 @@ func TestValidation(t *testing.T) {
 		mod(&cfg)
 		if _, err := New(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// TestValidateRejectsInvalidKinds: an out-of-range enum is a config
+// error, never a panic or a silent fallback to "none".
+func TestValidateRejectsInvalidKinds(t *testing.T) {
+	for name, mod := range map[string]func(*Config){
+		"policy":              func(c *Config) { c.Policy = memctrl.Policy(99) },
+		"prefetcher":          func(c *Config) { c.Prefetcher = PrefetcherKind(99) },
+		"negative prefetcher": func(c *Config) { c.Prefetcher = PrefetcherKind(-1) },
+		"filter":              func(c *Config) { c.Filter = FilterKind(99) },
+	} {
+		cfg := quickCfg(1, "swim")
+		mod(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: out-of-range kind accepted", name)
 		}
 	}
 }
@@ -227,7 +245,7 @@ func TestIdenticalAppsBehaveSymmetrically(t *testing.T) {
 func TestSystemVariantsRun(t *testing.T) {
 	mods := map[string]func(*Config){
 		"dual-channel": func(c *Config) { c.DRAM.Channels = 2 },
-		"closed-row":   func(c *Config) { c.DRAM.ClosedRow = true },
+		"closed-row":   func(c *Config) { c.DRAM.Page = dram.ClosedPage },
 		"permutation":  func(c *Config) { c.DRAM.Permutation = true },
 		"shared-l2": func(c *Config) {
 			c.SharedL2 = true

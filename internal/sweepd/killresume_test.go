@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -33,8 +34,10 @@ func TestKillDashNineResume(t *testing.T) {
 	}
 	dataDir := filepath.Join(tmp, "data")
 
-	// startServer launches the daemon on a fresh port and waits for the
-	// atomically-written addr file to learn where it bound.
+	// startServer launches the daemon on a fresh port, waits for the
+	// atomically-written addr file to learn where it bound, then waits
+	// for /readyz: the addr file is written before journal replay, and
+	// every other route answers 503 until replay finishes.
 	startServer := func(t *testing.T) (*exec.Cmd, *Client) {
 		t.Helper()
 		addrFile := filepath.Join(tmp, "addr")
@@ -61,7 +64,19 @@ func TestKillDashNineResume(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return cmd, cl
+				for {
+					resp, err := http.Get("http://" + addr + "/readyz")
+					if err == nil {
+						resp.Body.Close()
+						if resp.StatusCode == http.StatusOK {
+							return cmd, cl
+						}
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("server never became ready:\n%s", logs.String())
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
 			}
 			if time.Now().After(deadline) {
 				t.Fatalf("server never wrote %s:\n%s", addrFile, logs.String())

@@ -10,7 +10,16 @@
 //
 //	res, err := padc.Run(padc.DefaultSystem(4), []string{"swim", "art", "libquantum", "milc"})
 //
-// or regenerate any of the paper's figures and tables:
+// SystemConfig names each configuration kind — scheduling policy,
+// prefetcher, filter, page policy, refresh mode, topology, kernel — in
+// the vocabulary padcsim's flags and sweep specs use:
+//
+//	cfg := padc.DefaultSystem(1)
+//	cfg.Policy, cfg.Prefetcher = "demand-first", "stride"
+//
+// Each name is parsed by the package that owns the kind, so an unknown
+// name is an error from Run and Describe. Or regenerate any of the
+// paper's figures and tables:
 //
 //	out, err := padc.Experiment("fig16", false)
 package padc
@@ -20,7 +29,6 @@ import (
 	"sort"
 	"strings"
 
-	"padc/internal/core"
 	"padc/internal/cpu"
 	"padc/internal/dram"
 	"padc/internal/dram/refresh"
@@ -34,63 +42,30 @@ import (
 	"padc/internal/workload"
 )
 
-// Policy selects how the memory controller prioritizes demands versus
-// prefetches.
-type Policy int
-
-const (
-	// DemandPrefEqual treats prefetches like demands (plain FR-FCFS).
-	DemandPrefEqual Policy = iota
-	// DemandFirst always prioritizes demand requests.
-	DemandFirst
-	// PrefetchFirst always prioritizes prefetch requests.
-	PrefetchFirst
-	// APS adapts priority to measured per-core prefetch accuracy; with
-	// SystemConfig.APD enabled this is the full PADC.
-	APS
-	// APSRank adds the shortest-job ranking stage (§6.5) to APS.
-	APSRank
-)
-
-// Prefetcher selects the per-core prefetch engine.
-type Prefetcher int
-
-const (
-	NoPrefetcher Prefetcher = iota
-	Stream                  // POWER4/5-style stream prefetcher (paper baseline)
-	Stride                  // PC-based stride
-	CDC                     // CZone/Delta-Correlation
-	Markov                  // correlation (Markov) prefetcher
-	DSPatch                 // dual-spatial-pattern prefetcher (bandwidth-adaptive bias)
-)
-
-// Filter optionally wraps the prefetcher with one of the §6.12 comparison
-// mechanisms.
-type Filter int
-
-const (
-	NoFilter Filter = iota
-	DDPF            // dynamic data prefetch filtering
-	FDP             // feedback-directed prefetching
-)
-
 // SystemConfig describes a simulated machine. DefaultSystem returns the
 // paper's baseline; zero-valued fields of a hand-built config are invalid.
 type SystemConfig struct {
-	Cores      int
-	Policy     Policy
-	Prefetcher Prefetcher
-	Filter     Filter
+	Cores int
 
-	// Rules, when non-empty, overrides Policy with an explicit scheduling
-	// rule stack — "rules:critical,rowhit,urgent,fcfs" — composed from the
-	// priority rules in internal/memctrl/sched (critical, rowhit, urgent,
-	// demandfirst, prefetchfirst, rank, fcfs). Legacy policy names are
-	// accepted as aliases. This is the knob for §6-style priority-order
-	// ablations.
-	Rules string
+	// Policy names the scheduling policy in padcsim's -policy vocabulary:
+	// "padc" is the paper's APS + APD, "demand-first" its rigid baseline,
+	// and a "rules:" string such as "rules:critical,rowhit,urgent,fcfs"
+	// composes an explicit stack of the priority rules in
+	// internal/memctrl/sched for §6-style priority-order ablations. Only
+	// padc and padc-rank enable adaptive prefetch dropping; no-pref also
+	// removes the prefetcher.
+	Policy string
 
-	APD     bool // adaptive prefetch dropping (with APS this forms PADC)
+	// Prefetcher names the per-core prefetch engine in padcsim's
+	// -prefetcher vocabulary: "stream" (POWER4/5-style) is the paper
+	// baseline, "none" disables prefetching.
+	Prefetcher string
+
+	// Filter optionally wraps the prefetcher with one of the §6.12
+	// comparison mechanisms: "" or "none", "ddpf" (dynamic data prefetch
+	// filtering) or "fdp" (feedback-directed prefetching).
+	Filter string
+
 	Urgency bool // priority rule 3 (boost demands of inaccurate cores)
 
 	// MemSide enables the DROPLET-style memory-side prefetch path: each
@@ -111,7 +86,6 @@ type SystemConfig struct {
 	Topology    string
 	L2KB        uint64 // last-level cache per core (or total when SharedL2)
 	SharedL2    bool
-	ClosedRow   bool
 	Permutation bool // permutation-based bank interleaving
 	Runahead    bool
 
@@ -125,8 +99,7 @@ type SystemConfig struct {
 
 	// PagePolicy selects row-buffer management: "" or "open" (default),
 	// "closed", or "adaptive" (per-bank keep-open/precharge predictor
-	// trained on recent row-buffer outcomes). "closed" is equivalent to
-	// the legacy ClosedRow flag.
+	// trained on recent row-buffer outcomes).
 	PagePolicy string
 
 	TargetInsts uint64 // instructions each core retires before stats freeze
@@ -198,9 +171,8 @@ func DefaultSystem(ncores int) SystemConfig {
 	base := sim.Baseline(ncores)
 	return SystemConfig{
 		Cores:       ncores,
-		Policy:      APS,
-		Prefetcher:  Stream,
-		APD:         true,
+		Policy:      "padc",
+		Prefetcher:  "stream",
 		Urgency:     true,
 		Channels:    1,
 		RowBufferKB: base.DRAM.RowBytes >> 10,
@@ -212,33 +184,20 @@ func DefaultSystem(ncores int) SystemConfig {
 // toSim lowers the public config onto the internal simulator config.
 func (c SystemConfig) toSim() (sim.Config, error) {
 	cfg := sim.Baseline(c.Cores)
-	cfg.Rules = c.Rules
-	cfg.Policy = map[Policy]memctrl.Policy{
-		DemandPrefEqual: memctrl.DemandPrefEqual,
-		DemandFirst:     memctrl.DemandFirst,
-		PrefetchFirst:   memctrl.PrefetchFirst,
-		APS:             memctrl.APS,
-		APSRank:         memctrl.APSRank,
-	}[c.Policy]
-	cfg.Prefetcher = map[Prefetcher]sim.PrefetcherKind{
-		NoPrefetcher: sim.PFNone,
-		Stream:       sim.PFStream,
-		Stride:       sim.PFStride,
-		CDC:          sim.PFCDC,
-		Markov:       sim.PFMarkov,
-		DSPatch:      sim.PFDSPatch,
-	}[c.Prefetcher]
+	pf, err := sim.ParsePrefetcher(c.Prefetcher)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	cfg.Prefetcher = pf
+	// After the prefetcher: no-pref removes it.
+	if err := sim.ApplyPolicy(&cfg, c.Policy); err != nil {
+		return sim.Config{}, err
+	}
+	if cfg.Filter, err = sim.ParseFilter(c.Filter); err != nil {
+		return sim.Config{}, err
+	}
+	cfg.PADC.EnableUrgency = c.Urgency
 	cfg.MemSide = c.MemSide
-	cfg.Filter = map[Filter]sim.FilterKind{
-		NoFilter: sim.FilterNone,
-		DDPF:     sim.FilterDDPF,
-		FDP:      sim.FilterFDP,
-	}[c.Filter]
-
-	pc := core.DefaultConfig()
-	pc.EnableAPD = c.APD
-	pc.EnableUrgency = c.Urgency
-	cfg.PADC = pc
 
 	if c.Channels > 0 {
 		cfg.DRAM.Channels = c.Channels
@@ -254,7 +213,6 @@ func (c SystemConfig) toSim() (sim.Config, error) {
 		cfg.L2.Ways = 4 * c.Cores
 		cfg.MSHR = cfg.BufferSlots
 	}
-	cfg.DRAM.ClosedRow = c.ClosedRow
 	cfg.DRAM.Permutation = c.Permutation
 	mode, err := refresh.ParseMode(c.RefreshMode)
 	if err != nil {
@@ -425,7 +383,7 @@ func (c SystemConfig) Describe() (ResolvedConfig, error) {
 			RowBytes:    cfg.DRAM.RowBytes,
 			LineBytes:   cfg.DRAM.LineBytes,
 			Permutation: cfg.DRAM.Permutation,
-			PagePolicy:  cfg.DRAM.EffectivePage().String(),
+			PagePolicy:  cfg.DRAM.Page.String(),
 			TRP:         cfg.DRAM.Timing.TRP,
 			TRCD:        cfg.DRAM.Timing.TRCD,
 			CL:          cfg.DRAM.Timing.CL,

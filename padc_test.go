@@ -52,19 +52,34 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if _, err := Run(cfg, []string{"not-a-benchmark"}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
+	// Kind names are parsed, never guessed.
+	for _, mod := range []func(*SystemConfig){
+		func(c *SystemConfig) { c.Policy = "frfcfs" },
+		func(c *SystemConfig) { c.Policy = "" },
+		func(c *SystemConfig) { c.Policy = "rules:bogus" },
+		func(c *SystemConfig) { c.Prefetcher = "ghb" },
+		func(c *SystemConfig) { c.Filter = "bloom" },
+	} {
+		bad := cfg
+		mod(&bad)
+		if _, err := Run(bad, []string{"swim"}); err == nil {
+			t.Errorf("policy=%q prefetcher=%q filter=%q accepted", bad.Policy, bad.Prefetcher, bad.Filter)
+		}
+	}
 }
 
 func TestSystemConfigVariantsRun(t *testing.T) {
 	mods := []func(*SystemConfig){
-		func(c *SystemConfig) { c.Policy = DemandFirst },
-		func(c *SystemConfig) { c.Policy = DemandPrefEqual },
-		func(c *SystemConfig) { c.Policy = PrefetchFirst },
-		func(c *SystemConfig) { c.Policy = APSRank },
-		func(c *SystemConfig) { c.Prefetcher = Stride },
-		func(c *SystemConfig) { c.Filter = DDPF },
-		func(c *SystemConfig) { c.Filter = FDP },
+		func(c *SystemConfig) { c.Policy = "demand-first" },
+		func(c *SystemConfig) { c.Policy = "equal" },
+		func(c *SystemConfig) { c.Policy = "prefetch-first" },
+		func(c *SystemConfig) { c.Policy = "padc-rank" },
+		func(c *SystemConfig) { c.Policy = "rules:critical,rowhit,urgent,fcfs" },
+		func(c *SystemConfig) { c.Prefetcher = "stride" },
+		func(c *SystemConfig) { c.Filter = "ddpf" },
+		func(c *SystemConfig) { c.Filter = "fdp" },
 		func(c *SystemConfig) { c.Channels = 2 },
-		func(c *SystemConfig) { c.ClosedRow = true },
+		func(c *SystemConfig) { c.PagePolicy = "closed" },
 		func(c *SystemConfig) { c.Permutation = true },
 		func(c *SystemConfig) { c.Runahead = true },
 		func(c *SystemConfig) { c.SharedL2 = true; c.L2KB = 1024 },
