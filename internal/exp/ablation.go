@@ -236,15 +236,10 @@ func AblationTopology(sc Scale) *Table {
 	}
 	parallel(len(jobs), func(i int) {
 		j := jobs[i]
-		var mutate func(*sim.Config)
-		if topos[j.ti] != "flat" {
-			name := topos[j.ti]
-			mutate = func(c *sim.Config) {
-				t, err := topology.Preset(name, c.DRAM.Channels)
-				if err != nil {
-					panic(err) // preset names above are static
-				}
-				c.Topology = &t
+		mutate := func(c *sim.Config) {
+			var err error
+			if c.Topology, err = topology.Resolve(topos[j.ti], c.DRAM.Channels); err != nil {
+				panic(err) // the names above are static
 			}
 		}
 		alone := NewAloneIPC() // per job: the alone baseline must see the same wiring

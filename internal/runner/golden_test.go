@@ -2,9 +2,12 @@ package runner
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -72,4 +75,52 @@ func compareGolden(t *testing.T, name string, got []byte) {
 		t.Errorf("%s drifted from golden artifact:\n%s\nrerun with -update if the change is intentional",
 			name, firstDiff(string(want), string(got)))
 	}
+}
+
+// expandSpec touches every grid axis with a non-default value: a named
+// policy and a rule stack, two prefetchers, a promotion threshold and a
+// flat drop ladder, refresh, page policy, the far-tier topology, the
+// memory-side path, and one explicit plus one random mix.
+func expandSpec() Spec {
+	return Spec{
+		Name:                "golden-expand",
+		Seed:                41,
+		Cores:               2,
+		Insts:               5_000,
+		Policies:            []string{"padc", "rules:critical,rowhit,urgent,fcfs"},
+		Prefetchers:         []string{"stream", "dspatch"},
+		PromotionThresholds: []float64{0.6},
+		DropCycles:          []uint64{300},
+		Refresh:             []string{"per-bank"},
+		PagePolicies:        []string{"closed"},
+		Topologies:          []string{"far-tier"},
+		MemSide:             []string{"on"},
+		Workloads:           [][]string{{"swim", "art"}},
+		Mixes:               1,
+	}
+}
+
+// TestExpandConfigsGolden pins every expanded job's key and lowered
+// simulator config, so a change to how grid names become machines fails
+// here even for axes the simulated goldens only run at their defaults.
+func TestExpandConfigsGolden(t *testing.T) {
+	jobs, err := expandSpec().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	for _, j := range jobs {
+		cfg := j.Config
+		names := make([]string, len(cfg.Workload))
+		for i, p := range cfg.Workload {
+			names[i] = p.Name
+		}
+		cfg.Workload = nil
+		js, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "%d %d %s workloads=%s\n%s\n", j.Index, j.Seed, j.Key, strings.Join(names, "+"), js)
+	}
+	compareGolden(t, "expand_configs.golden", buf.Bytes())
 }

@@ -161,19 +161,10 @@ type FlightOptions struct {
 // configuration, so the exported artifacts are byte-identical across
 // worker counts.
 type JobResult struct {
-	Index      int      `json:"index"`
-	Key        string   `json:"key"`
-	Seed       uint64   `json:"seed"`
-	Policy     string   `json:"policy"`
-	Prefetcher string   `json:"prefetcher"`
-	Promotion  float64  `json:"promotion,omitempty"`
-	Drop       uint64   `json:"drop,omitempty"`
-	Refresh    string   `json:"refresh,omitempty"`  // "" = off
-	Page       string   `json:"page,omitempty"`     // "" = open
-	Topology   string   `json:"topology,omitempty"` // "" = flat
-	MemSide    string   `json:"memside,omitempty"`  // "" = off
-	Mix        string   `json:"mix"`
-	Workloads  []string `json:"workloads"`
+	Index int    `json:"index"`
+	Key   string `json:"key"`
+	Seed  uint64 `json:"seed"`
+	Point
 
 	// Err is non-empty when the job failed (simulator error, invariant
 	// violation, or recovered panic); the metric fields are then zero.
@@ -421,13 +412,7 @@ func gatherStats(results []JobResult, workers int, wall time.Duration) RunStats 
 // runJob executes one job, converting panics and invariant violations
 // into a failed-row result.
 func runJob(j Job, verify bool, fo FlightOptions) (out JobResult) {
-	out = JobResult{
-		Index: j.Index, Key: j.Key, Seed: j.Seed,
-		Policy: j.Policy, Prefetcher: j.Prefetcher,
-		Promotion: j.Promotion, Drop: j.Drop,
-		Refresh: j.Refresh, Page: j.Page, Topology: j.Topology,
-		MemSide: j.MemSide, Mix: j.Mix, Workloads: j.Workloads,
-	}
+	out = JobResult{Index: j.Index, Key: j.Key, Seed: j.Seed, Point: j.Point}
 	start := time.Now()
 	defer func() {
 		out.wall = time.Since(start)

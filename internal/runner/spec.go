@@ -17,13 +17,11 @@ package runner
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"padc/internal/core"
-	"padc/internal/dram"
-	"padc/internal/dram/refresh"
 	"padc/internal/sim"
-	"padc/internal/topology"
 	"padc/internal/workload"
 )
 
@@ -160,96 +158,66 @@ func normalizeAxis(vals []string, defaultName string) []string {
 	return out
 }
 
-// Validate reports the first problem with the spec: unknown policy or
-// prefetcher names, unknown benchmarks, out-of-range axes, or a grid
-// exceeding MaxJobs.
+// Validate reports the first problem with the spec: unknown names on any
+// machine axis, unknown benchmarks, out-of-range axes, two grid points
+// sharing a key, or a grid exceeding MaxJobs.
 func (s Spec) Validate() error {
-	d := s.withDefaults()
-	if d.Cores < 1 || d.Cores > MaxCores {
-		return fmt.Errorf("runner: cores must be 1..%d, got %d", MaxCores, d.Cores)
-	}
-	if d.Mixes < 0 || d.Mixes > MaxMixes {
-		return fmt.Errorf("runner: mixes must be 0..%d, got %d", MaxMixes, d.Mixes)
-	}
-	for _, p := range d.Policies {
-		if err := sim.ApplyPolicy(&sim.Config{}, p); err != nil {
-			return fmt.Errorf("runner: %v", err)
-		}
-	}
-	for _, p := range d.Prefetchers {
-		if _, err := sim.ParsePrefetcher(p); err != nil {
-			return fmt.Errorf("runner: %v", err)
-		}
-	}
-	for _, th := range d.PromotionThresholds {
-		if th < 0 || th > 1 {
-			return fmt.Errorf("runner: promotion threshold must be in [0,1], got %g", th)
-		}
-	}
-	for _, r := range d.Refresh {
-		if _, err := refresh.ParseMode(r); err != nil {
-			return fmt.Errorf("runner: %v", err)
-		}
-	}
-	for _, p := range d.PagePolicies {
-		if _, err := dram.ParsePagePolicy(p); err != nil {
-			return fmt.Errorf("runner: %v", err)
-		}
-	}
-	for _, t := range d.Topologies {
-		// The channel count only scales the preset; any power of two
-		// exercises the name lookup, which is what validation is about.
-		if _, err := topology.Preset(t, 4); err != nil {
-			return fmt.Errorf("runner: %v", err)
-		}
-	}
-	for _, m := range d.MemSide {
-		if _, err := parseMemSide(m); err != nil {
-			return err
-		}
-	}
-	if _, err := sim.ParseKernel(d.Kernel); err != nil {
-		return fmt.Errorf("runner: %v", err)
-	}
-	for mi, mix := range d.Workloads {
-		if len(mix) == 0 || len(mix) > d.Cores {
-			return fmt.Errorf("runner: workload mix %d needs 1..%d benchmarks, got %d", mi, d.Cores, len(mix))
-		}
-		for _, name := range mix {
-			if _, err := workload.ByName(name); err != nil {
-				return err
-			}
-		}
-	}
-	nmixes := len(d.Workloads) + d.Mixes
-	if nmixes == 0 {
-		return fmt.Errorf("runner: spec yields no workload mixes (set workloads or mixes)")
-	}
-	n := len(d.Policies) * len(d.Prefetchers) * len(d.PromotionThresholds) * len(d.DropCycles) *
-		len(d.Refresh) * len(d.PagePolicies) * len(d.Topologies) * len(d.MemSide) * nmixes
-	if n > MaxJobs {
-		return fmt.Errorf("runner: sweep expands to %d jobs, limit %d", n, MaxJobs)
-	}
-	return nil
+	_, err := s.withDefaults().machines()
+	return err
 }
 
-// Job is one expanded configuration: a stable index and key plus the
-// fully-resolved simulator config.
+// Point is one grid coordinate in the spec's spellings, the explicit
+// defaults normalized to "" (or 0) so they never appear in keys.
+type Point struct {
+	Policy     string   `json:"policy"`
+	Prefetcher string   `json:"prefetcher"`
+	Promotion  float64  `json:"promotion,omitempty"` // 0 = paper default
+	Drop       uint64   `json:"drop,omitempty"`      // 0 = Table 6 ladder
+	Refresh    string   `json:"refresh,omitempty"`   // "" = off
+	Page       string   `json:"page,omitempty"`      // "" = open
+	Topology   string   `json:"topology,omitempty"`  // "" = flat
+	MemSide    string   `json:"memside,omitempty"`   // "" = off
+	Mix        string   `json:"mix"`                 // mix label ("swim+art" or "rnd03")
+	Workloads  []string `json:"workloads"`
+}
+
+// Key renders the canonical "policy=…/pf=…/…/mix=…" coordinates the merge
+// sorts on. Default-valued axes are omitted, so keys (and sort order)
+// from sweeps predating an axis never change.
+func (p Point) Key() string { return p.machineKey() + "/mix=" + p.Mix }
+
+// machineKey is Key without the mix: the coordinates of the machine the
+// point runs on.
+func (p Point) machineKey() string {
+	parts := []string{"policy=" + p.Policy, "pf=" + p.Prefetcher}
+	if p.Promotion > 0 {
+		parts = append(parts, fmt.Sprintf("promo=%.2f", p.Promotion))
+	}
+	if p.Drop > 0 {
+		parts = append(parts, fmt.Sprintf("drop=%d", p.Drop))
+	}
+	if p.Refresh != "" {
+		parts = append(parts, "refresh="+p.Refresh)
+	}
+	if p.Page != "" {
+		parts = append(parts, "page="+p.Page)
+	}
+	if p.Topology != "" {
+		parts = append(parts, "topo="+p.Topology)
+	}
+	if p.MemSide != "" {
+		parts = append(parts, "memside="+p.MemSide)
+	}
+	return strings.Join(parts, "/")
+}
+
+// Job is one expanded configuration: a stable index and key, its grid
+// coordinates, and the fully-resolved simulator config.
 type Job struct {
 	Index int    // position in expansion order (stable given the spec)
-	Key   string // canonical "policy=…/pf=…/…/mix=…" grid coordinates
+	Key   string // Point.Key()
 	Seed  uint64 // per-job seed: splitmix(root seed, Index)
-
-	Policy     string
-	Prefetcher string
-	Promotion  float64 // 0 = paper default
-	Drop       uint64  // 0 = Table 6 ladder
-	Refresh    string  // "" = off
-	Page       string  // "" = open
-	Topology   string  // "" = flat
-	MemSide    string  // "" = off
-	Mix        string  // mix label ("swim+art" or "rnd03")
-	Workloads  []string
+	Point
 
 	Config sim.Config
 }
@@ -265,15 +233,138 @@ func splitmix(seed, x uint64) uint64 {
 	return x ^ x>>31
 }
 
-// Expand materializes the spec's cartesian grid in deterministic order:
-// mixes vary fastest, then drop threshold, promotion threshold,
-// prefetcher, and policy slowest. The spec must have passed Validate.
+// axis is one machine axis of the grid: its length and a setter writing
+// its i-th value into a point.
+type axis struct {
+	n   int
+	set func(p *Point, i int)
+}
+
+// axes lists the machine axes of a defaulted spec in grid order, slowest
+// first; the mix axis varies fastest of all.
+func (d Spec) axes() []axis {
+	return []axis{
+		{len(d.Policies), func(p *Point, i int) { p.Policy = d.Policies[i] }},
+		{len(d.Prefetchers), func(p *Point, i int) { p.Prefetcher = d.Prefetchers[i] }},
+		{len(d.PromotionThresholds), func(p *Point, i int) { p.Promotion = d.PromotionThresholds[i] }},
+		{len(d.DropCycles), func(p *Point, i int) { p.Drop = d.DropCycles[i] }},
+		{len(d.Refresh), func(p *Point, i int) { p.Refresh = d.Refresh[i] }},
+		{len(d.PagePolicies), func(p *Point, i int) { p.Page = d.PagePolicies[i] }},
+		{len(d.Topologies), func(p *Point, i int) { p.Topology = d.Topologies[i] }},
+		{len(d.MemSide), func(p *Point, i int) { p.MemSide = d.MemSide[i] }},
+	}
+}
+
+// machine is one lowered machine point: every coordinate but the mix,
+// and the simulator config each of its jobs copies.
+type machine struct {
+	point Point
+	cfg   sim.Config
+}
+
+// machines validates a defaulted spec and lowers each machine point of
+// its grid once, in grid order. It checks mixes without drawing them.
+func (d Spec) machines() ([]machine, error) {
+	if d.Cores < 1 || d.Cores > MaxCores {
+		return nil, fmt.Errorf("runner: cores must be 1..%d, got %d", MaxCores, d.Cores)
+	}
+	if d.Mixes < 0 || d.Mixes > MaxMixes {
+		return nil, fmt.Errorf("runner: mixes must be 0..%d, got %d", MaxMixes, d.Mixes)
+	}
+	for _, th := range d.PromotionThresholds {
+		if th < 0 || th > 1 {
+			return nil, fmt.Errorf("runner: promotion threshold must be in [0,1], got %g", th)
+		}
+	}
+	for _, t := range d.Topologies {
+		if strings.TrimSpace(t) != t || strings.HasPrefix(t, "{") {
+			return nil, fmt.Errorf("runner: sweep topologies must be preset names, got %q", t)
+		}
+	}
+	for mi, mix := range d.Workloads {
+		if len(mix) == 0 || len(mix) > d.Cores {
+			return nil, fmt.Errorf("runner: workload mix %d needs 1..%d benchmarks, got %d", mi, d.Cores, len(mix))
+		}
+		for _, name := range mix {
+			if _, err := workload.ByName(name); err != nil {
+				return nil, err
+			}
+		}
+	}
+	nmixes := len(d.Workloads) + d.Mixes
+	if nmixes == 0 {
+		return nil, fmt.Errorf("runner: spec yields no workload mixes (set workloads or mixes)")
+	}
+	axes := d.axes()
+	n := nmixes
+	for _, a := range axes {
+		n *= a.n
+	}
+	if n > MaxJobs {
+		return nil, fmt.Errorf("runner: sweep expands to %d jobs, limit %d", n, MaxJobs)
+	}
+
+	points := []Point{{}}
+	for _, a := range axes {
+		crossed := make([]Point, 0, len(points)*a.n)
+		for _, p := range points {
+			for i := 0; i < a.n; i++ {
+				a.set(&p, i)
+				crossed = append(crossed, p)
+			}
+		}
+		points = crossed
+	}
+	out := make([]machine, len(points))
+	seen := make(map[string]bool, len(points))
+	for i, p := range points {
+		key := p.machineKey()
+		if seen[key] {
+			return nil, fmt.Errorf("runner: grid repeats the machine %q", key)
+		}
+		seen[key] = true
+		cfg, err := d.lower(p)
+		if err != nil {
+			return nil, fmt.Errorf("runner: %v", err)
+		}
+		out[i] = machine{point: p, cfg: cfg}
+	}
+	return out, nil
+}
+
+// lower builds one machine point through sim.Machine.Config, then applies
+// the two sweep-only PADC knobs.
+func (d Spec) lower(p Point) (sim.Config, error) {
+	m := sim.DefaultMachine(d.Cores)
+	m.Policy, m.Prefetcher = p.Policy, p.Prefetcher
+	m.RefreshMode, m.PagePolicy, m.Topology = p.Refresh, p.Page, p.Topology
+	m.TargetInsts, m.Kernel = d.Insts, d.Kernel
+	var err error
+	if m.MemSide, err = sim.ParseMemSide(p.MemSide); err != nil {
+		return sim.Config{}, err
+	}
+	cfg, err := m.Config()
+	if err != nil {
+		return sim.Config{}, err
+	}
+	if p.Promotion > 0 {
+		cfg.PADC.PromotionThreshold = p.Promotion
+	}
+	if p.Drop > 0 {
+		cfg.PADC.DropLadder = []core.DropLevel{{AccuracyBelow: 1.01, Cycles: p.Drop}}
+	}
+	return cfg, nil
+}
+
+// Expand materializes the spec's grid in deterministic order: mixes vary
+// fastest, then memside, topology, page policy, refresh, drop threshold,
+// promotion threshold, prefetcher, and policy slowest.
 func (s Spec) Expand() ([]Job, error) {
-	if err := s.Validate(); err != nil {
+	d := s.withDefaults()
+	machines, err := d.machines()
+	if err != nil {
 		return nil, err
 	}
-	d := s.withDefaults()
-	kernel, _ := sim.ParseKernel(d.Kernel)
 
 	type mixEntry struct {
 		label string
@@ -295,119 +386,33 @@ func (s Spec) Expand() ([]Job, error) {
 		mixes = append(mixes, mixEntry{label: fmt.Sprintf("rnd%02d", i), profs: profs})
 	}
 
-	var jobs []Job
-	for _, pol := range d.Policies {
-		for _, pf := range d.Prefetchers {
-			pfKind, _ := sim.ParsePrefetcher(pf)
-			for _, promo := range d.PromotionThresholds {
-				for _, drop := range d.DropCycles {
-					for _, rf := range d.Refresh {
-						rfMode, _ := refresh.ParseMode(rf)
-						for _, page := range d.PagePolicies {
-							pagePol, _ := dram.ParsePagePolicy(page)
-							for _, topo := range d.Topologies {
-								for _, ms := range d.MemSide {
-									msOn, _ := parseMemSide(ms)
-									for _, mx := range mixes {
-										cfg := sim.Baseline(d.Cores)
-										cfg.TargetInsts = d.Insts
-										cfg.PADC = core.DefaultConfig()
-										cfg.Prefetcher = pfKind
-										if err := sim.ApplyPolicy(&cfg, pol); err != nil {
-											return nil, err
-										}
-										if promo > 0 {
-											cfg.PADC.PromotionThreshold = promo
-										}
-										if drop > 0 {
-											cfg.PADC.DropLadder = []core.DropLevel{{AccuracyBelow: 1.01, Cycles: drop}}
-										}
-										cfg.DRAM.Refresh.Mode = rfMode
-										cfg.DRAM.Page = pagePol
-										if topo != "" {
-											// Resolved against the baseline channel
-											// count so the near tier matches flat.
-											t, err := topology.Preset(topo, cfg.DRAM.Channels)
-											if err != nil {
-												return nil, err
-											}
-											cfg.Topology = &t
-										}
-										cfg.MemSide = msOn
-										cfg.Kernel = kernel
-										cfg.Workload = append([]workload.Profile(nil), mx.profs...)
-										idx := len(jobs)
-										jobs = append(jobs, Job{
-											Index:      idx,
-											Key:        jobKey(pol, pf, promo, drop, rf, page, topo, ms, mx.label),
-											Seed:       splitmix(d.Seed, uint64(idx)|1<<32),
-											Policy:     pol,
-											Prefetcher: pf,
-											Promotion:  promo,
-											Drop:       drop,
-											Refresh:    rf,
-											Page:       page,
-											Topology:   topo,
-											MemSide:    ms,
-											Mix:        mx.label,
-											Workloads:  namesOf(mx.profs),
-											Config:     cfg,
-										})
-									}
-								}
-							}
-						}
-					}
-				}
+	jobs := make([]Job, 0, len(machines)*len(mixes))
+	for _, m := range machines {
+		for _, mx := range mixes {
+			p := m.point
+			p.Mix = mx.label
+			p.Workloads = make([]string, len(mx.profs))
+			for i, prof := range mx.profs {
+				p.Workloads[i] = prof.Name
 			}
+			// Each job owns its config's slices and topology.
+			cfg := m.cfg
+			cfg.PADC.DropLadder = slices.Clone(cfg.PADC.DropLadder)
+			if cfg.Topology != nil {
+				t := *cfg.Topology
+				t.Domains = slices.Clone(t.Domains)
+				cfg.Topology = &t
+			}
+			cfg.Workload = slices.Clone(mx.profs)
+			idx := len(jobs)
+			jobs = append(jobs, Job{
+				Index:  idx,
+				Key:    p.Key(),
+				Seed:   splitmix(d.Seed, uint64(idx)|1<<32),
+				Point:  p,
+				Config: cfg,
+			})
 		}
 	}
 	return jobs, nil
-}
-
-func namesOf(profs []workload.Profile) []string {
-	out := make([]string, len(profs))
-	for i, p := range profs {
-		out[i] = p.Name
-	}
-	return out
-}
-
-// jobKey renders the canonical grid coordinates the merge sorts on.
-// Default-valued axes are omitted, so keys (and sort order) from sweeps
-// predating an axis never change.
-func jobKey(pol, pf string, promo float64, drop uint64, rf, page, topo, ms, mix string) string {
-	parts := []string{"policy=" + pol, "pf=" + pf}
-	if promo > 0 {
-		parts = append(parts, fmt.Sprintf("promo=%.2f", promo))
-	}
-	if drop > 0 {
-		parts = append(parts, fmt.Sprintf("drop=%d", drop))
-	}
-	if rf != "" {
-		parts = append(parts, "refresh="+rf)
-	}
-	if page != "" {
-		parts = append(parts, "page="+page)
-	}
-	if topo != "" {
-		parts = append(parts, "topo="+topo)
-	}
-	if ms != "" {
-		parts = append(parts, "memside="+ms)
-	}
-	parts = append(parts, "mix="+mix)
-	return strings.Join(parts, "/")
-}
-
-// parseMemSide maps a memside axis value onto the config switch.
-func parseMemSide(name string) (bool, error) {
-	switch name {
-	case "", "off":
-		return false, nil
-	case "on":
-		return true, nil
-	default:
-		return false, fmt.Errorf("runner: unknown memside value %q (known: off, on)", name)
-	}
 }

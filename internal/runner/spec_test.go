@@ -29,22 +29,37 @@ func TestParseSpecDefaults(t *testing.T) {
 
 func TestParseSpecRejects(t *testing.T) {
 	cases := map[string]string{
-		"bad JSON":           `{"mixes":`,
-		"unknown field":      `{"mixez": 2}`,
-		"unknown policy":     `{"mixes": 1, "policies": ["frfcfs-typo"]}`,
-		"unknown prefetcher": `{"mixes": 1, "prefetchers": ["ghb"]}`,
-		"unknown benchmark":  `{"workloads": [["not-a-bench"]]}`,
-		"no workloads":       `{}`,
-		"cores too high":     `{"mixes": 1, "cores": 99}`,
-		"mix too wide":       `{"cores": 2, "workloads": [["swim","art","milc"]]}`,
-		"negative mixes":     `{"mixes": -1}`,
-		"grid too large":     `{"mixes": 256, "policies": ["padc","aps","equal","demand-first","no-pref"], "prefetchers": ["stream","stride","cdc","markov"]}`,
-		"bad promotion":      `{"mixes": 1, "promotion_thresholds": [1.5]}`,
+		"bad JSON":            `{"mixes":`,
+		"unknown field":       `{"mixez": 2}`,
+		"unknown policy":      `{"mixes": 1, "policies": ["frfcfs-typo"]}`,
+		"unknown prefetcher":  `{"mixes": 1, "prefetchers": ["ghb"]}`,
+		"unknown benchmark":   `{"workloads": [["not-a-bench"]]}`,
+		"no workloads":        `{}`,
+		"cores too high":      `{"mixes": 1, "cores": 99}`,
+		"mix too wide":        `{"cores": 2, "workloads": [["swim","art","milc"]]}`,
+		"negative mixes":      `{"mixes": -1}`,
+		"grid too large":      `{"mixes": 256, "policies": ["padc","aps","equal","demand-first","no-pref"], "prefetchers": ["stream","stride","cdc","markov"]}`,
+		"bad promotion":       `{"mixes": 1, "promotion_thresholds": [1.5]}`,
+		"repeated policy":     `{"mixes": 1, "policies": ["padc","padc"]}`,
+		"repeated refresh":    `{"mixes": 1, "refresh": ["off",""]}`,
+		"promotion collision": `{"mixes": 1, "promotion_thresholds": [0.851, 0.849]}`,
+		"padded topology":     `{"mixes": 1, "topologies": [" far-tier"]}`,
+		"inline topology":     `{"mixes": 1, "topologies": ["{\"name\":\"x\",\"domains\":[{\"name\":\"a\",\"channels\":1}]}"]}`,
 	}
 	for name, in := range cases {
 		if _, err := ParseSpec([]byte(in)); err == nil {
 			t.Errorf("%s: spec accepted: %s", name, in)
 		}
+	}
+	// A repeated machine names the key its rows would share.
+	_, err := ParseSpec([]byte(cases["promotion collision"]))
+	if err == nil || !strings.Contains(err.Error(), "promo=0.85") {
+		t.Errorf("collision error does not name the key: %v", err)
+	}
+	// Repeated workload mixes stay accepted: they run on the same machine
+	// and their rows keep apart by index.
+	if _, err := ParseSpec([]byte(`{"workloads": [["swim","art"],["swim","art"]]}`)); err != nil {
+		t.Errorf("repeated mix rejected: %v", err)
 	}
 }
 
@@ -178,6 +193,9 @@ func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"name":"x","seed":9,"cores":2,"insts":1000,"policies":["padc"],"workloads":[["swim","art"]]}`))
 	f.Add([]byte(`{"mixes": 1, "drop_cycles": [100, 0], "promotion_thresholds": [0.25]}`))
 	f.Add([]byte(`{"policies": ["no-pref","prefetch-first"], "prefetchers": ["markov"], "mixes": 3}`))
+	f.Add([]byte(`{"mixes": 1, "policies": ["padc","padc"]}`))
+	f.Add([]byte(`{"mixes": 1, "refresh": ["off",""]}`))
+	f.Add([]byte(`{"mixes": 1, "promotion_thresholds": [0.851, 0.849]}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"cores": -1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

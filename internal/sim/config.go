@@ -144,6 +144,20 @@ func ParseFilter(s string) (FilterKind, error) {
 	return FilterKind(i), err
 }
 
+// memSideNames is the memory-side prefetch switch's name table: entry 1
+// turns Config.MemSide on.
+var memSideNames = [...]string{"off", "on"}
+
+// ParseMemSide maps a memory-side switch spelling onto Config.MemSide.
+// The empty string is off, so sweeps that never mention it run without.
+func ParseMemSide(s string) (bool, error) {
+	if s == "" {
+		return false, nil
+	}
+	i, err := lookup(memSideNames[:], "memside value", s)
+	return i == 1, err
+}
+
 // policies is the sweep and CLI policy vocabulary: each name's mutation of
 // a baseline config. Every name but padc and padc-rank turns APD off, so a
 // grid isolates the scheduling order under study.

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 
 	"padc/internal/dram"
 )
@@ -103,6 +104,26 @@ func Preset(name string, channels int) (Topology, error) {
 		return Topology{}, fmt.Errorf("unknown topology %q (presets: %v)", name, Names())
 	}
 	return f(channels), nil
+}
+
+// Resolve lowers a topology name as configs spell it: "" and "flat" give
+// nil (the flat machine), a leading "{" parses as an inline JSON spec,
+// and anything else is a preset resolved against the base channel count.
+func Resolve(spec string, channels int) (*Topology, error) {
+	var t Topology
+	var err error
+	switch {
+	case spec == "" || spec == "flat":
+		return nil, nil
+	case strings.HasPrefix(spec, "{"):
+		t, err = FromJSON([]byte(spec))
+	default:
+		t, err = Preset(spec, channels)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &t, nil
 }
 
 // FromJSON parses and validates a topology spec.

@@ -187,6 +187,28 @@ func TestFromJSON(t *testing.T) {
 	}
 }
 
+func TestResolve(t *testing.T) {
+	for _, flat := range []string{"", "flat"} {
+		if topo, err := Resolve(flat, 2); err != nil || topo != nil {
+			t.Errorf("Resolve(%q) = %+v, %v; want the nil flat machine", flat, topo, err)
+		}
+	}
+	ft, err := Resolve("far-tier", 2)
+	if err != nil || ft.Name != "far-tier" || ft.Domains[0].Channels != 2 {
+		t.Fatalf("preset not resolved against the channel count: %+v, %v", ft, err)
+	}
+	in, err := Resolve(`{"name":"pooled","domains":[{"name":"a","channels":1,"timing":{"trp":90,"trcd":90,"cl":90,"burst":12}}]}`, 2)
+	if err != nil || in.Name != "pooled" {
+		t.Fatalf("inline spec not parsed: %+v, %v", in, err)
+	}
+	for _, bad := range []string{"no-such", "{", `{"name":"x","domains":[]}`} {
+		if _, err := Resolve(bad, 2); err == nil {
+			t.Errorf("Resolve(%q) accepted", bad)
+		}
+	}
+
+}
+
 // FuzzSteer fuzzes topology shape and address together: any generated
 // (shape, line) pair must steer into range and round-trip exactly,
 // mirroring the dram FuzzMapUnmap harness.

@@ -59,11 +59,15 @@ func TestRunRejectsBadInput(t *testing.T) {
 		func(c *SystemConfig) { c.Policy = "rules:bogus" },
 		func(c *SystemConfig) { c.Prefetcher = "ghb" },
 		func(c *SystemConfig) { c.Filter = "bloom" },
+		func(c *SystemConfig) { *c = SystemConfig{Policy: "padc", Prefetcher: "stream"} },
 	} {
 		bad := cfg
 		mod(&bad)
 		if _, err := Run(bad, []string{"swim"}); err == nil {
-			t.Errorf("policy=%q prefetcher=%q filter=%q accepted", bad.Policy, bad.Prefetcher, bad.Filter)
+			t.Errorf("cores=%d policy=%q prefetcher=%q filter=%q accepted", bad.Cores, bad.Policy, bad.Prefetcher, bad.Filter)
+		}
+		if _, err := bad.Describe(); err == nil {
+			t.Errorf("cores=%d policy=%q prefetcher=%q filter=%q described", bad.Cores, bad.Policy, bad.Prefetcher, bad.Filter)
 		}
 	}
 }
