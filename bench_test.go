@@ -25,14 +25,14 @@ func benchTables(b *testing.B, run func(sc exp.Scale) []*exp.Table) {
 	}
 }
 
-func one(t *exp.Table) []*exp.Table { return []*exp.Table{t} }
+func one(s exp.Sweep) []*exp.Table { return []*exp.Table{s.Run()} }
 
 func BenchmarkFig01RigidPolicies(b *testing.B) {
 	benchTables(b, func(sc exp.Scale) []*exp.Table { return one(exp.Fig1(sc)) })
 }
 
 func BenchmarkFig02Concept(b *testing.B) {
-	benchTables(b, func(exp.Scale) []*exp.Table { return one(exp.Fig2()) })
+	benchTables(b, func(exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig2()} })
 }
 
 func BenchmarkFig04MilcBehavior(b *testing.B) {
@@ -84,7 +84,7 @@ func BenchmarkTable08Urgency(b *testing.B) {
 
 func BenchmarkTable09Identical(b *testing.B) {
 	benchTables(b, func(sc exp.Scale) []*exp.Table {
-		return []*exp.Table{exp.Table9("libquantum", sc), exp.Table9("milc", sc)}
+		return []*exp.Table{exp.Table9("libquantum", sc).Run(), exp.Table9("milc", sc).Run()}
 	})
 }
 
@@ -149,7 +149,7 @@ func BenchmarkFig32Runahead(b *testing.B) {
 }
 
 func BenchmarkTable01HardwareCost(b *testing.B) {
-	benchTables(b, func(exp.Scale) []*exp.Table { return one(exp.Table1()) })
+	benchTables(b, func(exp.Scale) []*exp.Table { return []*exp.Table{exp.Table1()} })
 }
 
 func BenchmarkAblationDropThreshold(b *testing.B) {

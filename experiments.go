@@ -8,54 +8,64 @@ import (
 	"padc/internal/runner"
 )
 
-// experimentRegistry maps experiment ids (the paper's figure/table
-// numbers) to their runners. See DESIGN.md for the per-experiment index.
-var experimentRegistry = map[string]func(sc exp.Scale) []*exp.Table{
-	"fig1": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig1(sc)} },
-	"fig2": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig2()} },
-	"fig4": func(sc exp.Scale) []*exp.Table {
-		h, tr := exp.Fig4(sc)
-		return []*exp.Table{h, tr}
-	},
-	"fig6":  func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig6(sc, sc.Insts >= 400_000)} },
-	"fig7":  func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig7(sc)} },
-	"fig8":  func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig8(sc)} },
-	"tab5":  func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Table5(sc, sc.Insts >= 400_000)} },
-	"tab7":  func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Table7(sc)} },
-	"fig9":  func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig9(sc)} },
-	"fig10": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig10(sc)} },
-	"fig12": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig12(sc)} },
-	"fig14": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig14(sc)} },
-	"tab8":  func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Table8(sc)} },
-	"tab9":  func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Table9("libquantum", sc)} },
-	"tab10": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Table9("milc", sc)} },
-	"fig16": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig16(sc)} },
-	"fig17": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig17(sc)} },
-	"fig19": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig19(4, sc)} },
-	"fig20": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig19(8, sc)} },
-	"fig21": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig21(4, sc)} },
-	"fig22": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig21(8, sc)} },
-	"fig23": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig23(sc)} },
-	"fig24": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig24(sc)} },
-	"fig25": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig25(sc)} },
-	"fig26": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig26(4, sc)} },
-	"fig27": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig26(8, sc)} },
-	"fig28": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig28(sc)} },
-	"fig29": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig29(sc)} },
-	"fig31": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig31(sc)} },
-	"fig32": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig32(sc)} },
-	"tab1":  func(exp.Scale) []*exp.Table { return []*exp.Table{exp.Table1()} },
+// sweeps maps the simulated experiment ids (the paper's figure/table
+// numbers) to their sweeps; see DESIGN.md for the per-experiment index.
+var sweeps = map[string]func(sc exp.Scale) exp.Sweep{
+	"fig1":  exp.Fig1,
+	"fig6":  func(sc exp.Scale) exp.Sweep { return exp.Fig6(sc, sc.Insts >= 400_000) },
+	"fig7":  exp.Fig7,
+	"fig8":  exp.Fig8,
+	"tab5":  func(sc exp.Scale) exp.Sweep { return exp.Table5(sc, sc.Insts >= 400_000) },
+	"tab7":  exp.Table7,
+	"fig9":  exp.Fig9,
+	"fig10": exp.Fig10,
+	"fig12": exp.Fig12,
+	"fig14": exp.Fig14,
+	"tab8":  exp.Table8,
+	"tab9":  func(sc exp.Scale) exp.Sweep { return exp.Table9("libquantum", sc) },
+	"tab10": func(sc exp.Scale) exp.Sweep { return exp.Table9("milc", sc) },
+	"fig16": exp.Fig16,
+	"fig17": exp.Fig17,
+	"fig19": func(sc exp.Scale) exp.Sweep { return exp.Fig19(4, sc) },
+	"fig20": func(sc exp.Scale) exp.Sweep { return exp.Fig19(8, sc) },
+	"fig21": func(sc exp.Scale) exp.Sweep { return exp.Fig21(4, sc) },
+	"fig22": func(sc exp.Scale) exp.Sweep { return exp.Fig21(8, sc) },
+	"fig23": exp.Fig23,
+	"fig24": exp.Fig24,
+	"fig25": exp.Fig25,
+	"fig26": func(sc exp.Scale) exp.Sweep { return exp.Fig26(4, sc) },
+	"fig27": func(sc exp.Scale) exp.Sweep { return exp.Fig26(8, sc) },
+	"fig28": exp.Fig28,
+	"fig29": exp.Fig29,
+	"fig31": exp.Fig31,
+	"fig32": exp.Fig32,
 	// Ablations beyond the paper: design-choice studies DESIGN.md calls out.
-	"abl-drop":    func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.AblationDropThreshold(sc)} },
-	"abl-prom":    func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.AblationPromotionThreshold(sc)} },
-	"abl-map":     func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.AblationAddressMapping(sc)} },
-	"abl-rules":   func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.AblationRuleOrder(sc)} },
-	"abl-refresh": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.AblationRefresh(sc)} },
-	"abl-topology": func(sc exp.Scale) []*exp.Table {
-		return []*exp.Table{exp.AblationTopology(sc)}
-	},
-	"abl-memside": func(sc exp.Scale) []*exp.Table { return []*exp.Table{exp.AblationMemSide(sc)} },
+	"abl-drop":     exp.AblationDropThreshold,
+	"abl-prom":     exp.AblationPromotionThreshold,
+	"abl-map":      exp.AblationAddressMapping,
+	"abl-rules":    exp.AblationRuleOrder,
+	"abl-refresh":  exp.AblationRefresh,
+	"abl-topology": exp.AblationTopology,
+	"abl-memside":  exp.AblationMemSide,
 }
+
+// experimentRegistry maps every experiment id to its runner: the sweeps,
+// plus the three experiments that are no sweep — fig2 and tab1 simulate
+// nothing, and fig4 reads per-run traces no sweep row carries.
+var experimentRegistry = func() map[string]func(sc exp.Scale) []*exp.Table {
+	reg := map[string]func(sc exp.Scale) []*exp.Table{
+		"fig2": func(exp.Scale) []*exp.Table { return []*exp.Table{exp.Fig2()} },
+		"fig4": func(sc exp.Scale) []*exp.Table {
+			h, tr := exp.Fig4(sc)
+			return []*exp.Table{h, tr}
+		},
+		"tab1": func(exp.Scale) []*exp.Table { return []*exp.Table{exp.Table1()} },
+	}
+	for id, sweep := range sweeps {
+		reg[id] = func(sc exp.Scale) []*exp.Table { return []*exp.Table{sweep(sc).Run()} }
+	}
+	return reg
+}()
 
 // ExperimentIDs lists every reproducible figure/table id.
 func ExperimentIDs() []string { return sortedKeys(experimentRegistry) }
@@ -121,5 +131,5 @@ func RenderSweep(r *SweepResult) string {
 }
 
 // SetJobs bounds the process-wide worker pool used by Sweep and by the
-// experiment runners; n <= 0 restores the GOMAXPROCS default.
+// experiments' sweeps; n <= 0 restores the GOMAXPROCS default.
 func SetJobs(n int) { runner.SetDefaultWorkers(n) }

@@ -1,16 +1,11 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
 
-	"padc/internal/core"
-	"padc/internal/dram"
-	"padc/internal/dram/refresh"
-	"padc/internal/memctrl"
-	"padc/internal/sim"
-	"padc/internal/stats"
+	"padc/internal/runner"
 	"padc/internal/topology"
-	"padc/internal/workload"
 )
 
 // AblationDropThreshold compares APD's dynamic 4-level drop-threshold
@@ -19,88 +14,55 @@ import (
 // phases (too low) or retains useless ones too long (too high); the
 // dynamic ladder should match or beat every static point on both WS and
 // traffic.
-func AblationDropThreshold(sc Scale) *Table {
-	mk := func(name string, ladder []core.DropLevel) Variant {
-		return Variant{name, func(c *sim.Config) {
-			c.Policy = memctrl.APS
-			c.PADC.EnableAPD = true
-			if ladder != nil {
-				c.PADC.DropLadder = ladder
+func AblationDropThreshold(sc Scale) Sweep {
+	spec := multi("abl-drop", 4, sc, []string{"demand-first", "aps", "padc"}, mixNames(Mixes(4, sc.Mixes4)))
+	spec.DropCycles = []uint64{0, 100, 1_500, 50_000, 100_000}
+	// Machine 5·policy + drop; the fixed thresholds matter only with APD.
+	picks := []pick{
+		{"demand-first", []int{0}},
+		{label("aps"), []int{5}},
+		{"apd-fixed-100", []int{11}},
+		{"apd-fixed-1500", []int{12}},
+		{"apd-fixed-50K", []int{13}},
+		{"apd-fixed-100K", []int{14}},
+		{"apd-dynamic (PADC)", []int{10}},
+	}
+	return Sweep{
+		Spec: spec,
+		Reduce: func(res *runner.SweepResult) *Table {
+			g := machines(res)
+			t := &Table{
+				Title:  "Ablation: APD drop-threshold ladder vs fixed thresholds (4-core)",
+				Header: []string{"policy", "WS", "bus(K)", "dropped"},
 			}
-		}}
+			for _, p := range picks {
+				rows := g[p.machines[0]]
+				var drop uint64
+				for _, j := range rows {
+					drop += j.PrefDropped
+				}
+				t.Add(p.label, fmt.Sprintf("%.3f", mean(rows, ws)), fmt.Sprintf("%.1f", mean(rows, bus)/1000),
+					fmt.Sprintf("%d", drop/uint64(len(rows))))
+			}
+			return t
+		},
 	}
-	fixed := func(cycles uint64) []core.DropLevel {
-		return []core.DropLevel{{AccuracyBelow: 1.01, Cycles: cycles}}
-	}
-	variants := []Variant{
-		DemandFirst(),
-		APSOnly(),
-		mk("apd-fixed-100", fixed(100)),
-		mk("apd-fixed-1500", fixed(1_500)),
-		mk("apd-fixed-50K", fixed(50_000)),
-		mk("apd-fixed-100K", fixed(100_000)),
-		mk("apd-dynamic (PADC)", nil),
-	}
-	mixes := Mixes(4, sc.Mixes4)
-	t := &Table{
-		Title:  "Ablation: APD drop-threshold ladder vs fixed thresholds (4-core)",
-		Header: []string{"policy", "WS", "bus(K)", "dropped"},
-	}
-	alone := NewAloneIPC()
-	type acc struct {
-		ws, bus float64
-		drop    uint64
-	}
-	grid := make([][]acc, len(variants))
-	for vi := range grid {
-		grid[vi] = make([]acc, len(mixes))
-	}
-	type job struct{ vi, mi int }
-	var jobs []job
-	for vi := range variants {
-		for mi := range mixes {
-			jobs = append(jobs, job{vi, mi})
-		}
-	}
-	parallel(len(jobs), func(i int) {
-		j := jobs[i]
-		r := RunMix(mixes[j.mi], 4, sc, variants[j.vi], alone, nil)
-		grid[j.vi][j.mi] = acc{r.WS, float64(r.Bus.Total()), r.Dropped}
-	})
-	for vi, v := range variants {
-		var a acc
-		for mi := range mixes {
-			a.ws += grid[vi][mi].ws
-			a.bus += grid[vi][mi].bus
-			a.drop += grid[vi][mi].drop
-		}
-		n := float64(len(mixes))
-		t.Add(v.Name, fmt.Sprintf("%.3f", a.ws/n), fmt.Sprintf("%.1f", a.bus/n/1000),
-			fmt.Sprintf("%d", a.drop/uint64(len(mixes))))
-	}
-	return t
 }
 
 // AblationPromotionThreshold sweeps APS's promotion threshold around the
 // paper's 85%: too low promotes junk to demand priority, too high never
-// promotes and degenerates to demand-first.
-func AblationPromotionThreshold(sc Scale) *Table {
-	var variants []Variant
-	variants = append(variants, DemandFirst(), DemandPrefEqual())
-	for _, th := range []float64{0.25, 0.50, 0.75, 0.85, 0.95} {
-		th := th
-		variants = append(variants, Variant{
-			Name: fmt.Sprintf("aps@%.0f%%", th*100),
-			Apply: func(c *sim.Config) {
-				c.Policy = memctrl.APS
-				c.PADC.PromotionThreshold = th
-				c.PADC.EnableAPD = false
-			},
-		})
+// promotes and degenerates to demand-first. The rigid policies are read
+// at the paper's 85%.
+func AblationPromotionThreshold(sc Scale) Sweep {
+	thresholds := []float64{0.25, 0.50, 0.75, 0.85, 0.95}
+	spec := multi("abl-prom", 4, sc, []string{"demand-first", "equal", "aps"}, mixNames(Mixes(4, sc.Mixes4)))
+	spec.PromotionThresholds = thresholds
+	// Machine 5·policy + threshold.
+	picks := []pick{{"demand-first", []int{3}}, {label("equal"), []int{8}}}
+	for i, th := range thresholds {
+		picks = append(picks, pick{fmt.Sprintf("aps@%.0f%%", th*100), []int{10 + i}})
 	}
-	points := []sweepPoint{{Label: "WS", Mutate: nil}}
-	return sweepVariantsOverMixesOn(Mixes(4, sc.Mixes4),
-		"Ablation: APS promotion threshold sweep (4-core)", sc, variants, points)
+	return Sweep{spec, wsTable("Ablation: APS promotion threshold sweep (4-core)", []string{"policy", "WS"}, picks)}
 }
 
 // AblationRuleOrder ablates the scheduler's priority-rule ordering itself
@@ -109,18 +71,17 @@ func AblationPromotionThreshold(sc Scale) *Table {
 // rules reordered or removed, the §6.5 ranking appended, and plain
 // FR-FCFS as the floor. The APS order (criticality above row locality,
 // urgency below it) should dominate its permutations.
-func AblationRuleOrder(sc Scale) *Table {
-	variants := []Variant{
-		RuleStack("rules:rowhit,fcfs"),                      // FR-FCFS floor
-		RuleStack("rules:critical,rowhit,urgent,fcfs"),      // APS (§5.1 order)
-		RuleStack("rules:rowhit,critical,urgent,fcfs"),      // locality above criticality
-		RuleStack("rules:critical,urgent,rowhit,fcfs"),      // urgency above locality
-		RuleStack("rules:critical,rowhit,fcfs"),             // APS minus urgency
-		RuleStack("rules:critical,rowhit,urgent,rank,fcfs"), // APS + §6.5 ranking
+func AblationRuleOrder(sc Scale) Sweep {
+	stacks := []string{
+		"rules:rowhit,fcfs",                      // FR-FCFS floor
+		"rules:critical,rowhit,urgent,fcfs",      // APS (§5.1 order)
+		"rules:rowhit,critical,urgent,fcfs",      // locality above criticality
+		"rules:critical,urgent,rowhit,fcfs",      // urgency above locality
+		"rules:critical,rowhit,fcfs",             // APS minus urgency
+		"rules:critical,rowhit,urgent,rank,fcfs", // APS + §6.5 ranking
 	}
-	points := []sweepPoint{{Label: "WS", Mutate: nil}}
-	return sweepVariantsOverMixesOn(Mixes(4, sc.Mixes4),
-		"Ablation: scheduler priority-rule order (4-core WS)", sc, variants, points)
+	spec := multi("abl-rules", 4, sc, stacks, mixNames(Mixes(4, sc.Mixes4)))
+	return Sweep{spec, wsTable("Ablation: scheduler priority-rule order (4-core WS)", []string{"policy", "WS"}, crossPicks(stacks, 1))}
 }
 
 // AblationRefresh charges the simulator with DRAM maintenance (a cost the
@@ -130,74 +91,55 @@ func AblationRuleOrder(sc Scale) *Table {
 // tRFC, and the JEDEC postpone/pull-in window decides when the obligation
 // is paid. The page-policy variants show whether the adaptive per-bank
 // predictor claws back any of the locality the refresh-induced precharges
-// destroy. WS and the maintenance counters are averaged over the mixes.
-func AblationRefresh(sc Scale) *Table {
-	withPage := func(name string, v Variant, p dram.PagePolicy) Variant {
-		return Variant{name, func(c *sim.Config) {
-			v.Apply(c)
-			c.DRAM.Page = p
-		}}
+// destroy. WS and the maintenance counters are averaged over the mixes; the
+// baselines keep the refresh mode and the open page.
+func AblationRefresh(sc Scale) Sweep {
+	modes := []string{"off", "per-bank", "all-bank"}
+	pages := []string{"open", "closed", "adaptive"}
+	spec := multi("abl-refresh", 4, sc, []string{"demand-first", "padc"}, mixNames(Mixes(4, sc.Mixes4)))
+	spec.Refresh, spec.PagePolicies = modes, pages
+	spec.Alone = json.RawMessage(`{"policy":"demand-first","page_policy":"open"}`)
+	variants := []struct {
+		label        string
+		policy, page int
+	}{
+		{"demand-first", 0, 0},
+		{label("padc"), 1, 0},
+		{"PADC-closed-page", 1, 1},
+		{"PADC-adaptive-page", 1, 2},
 	}
-	variants := []Variant{
-		DemandFirst(),
-		PADC(),
-		withPage("PADC-closed-page", PADC(), dram.ClosedPage),
-		withPage("PADC-adaptive-page", PADC(), dram.AdaptivePage),
+	return Sweep{
+		Spec: spec,
+		Reduce: func(res *runner.SweepResult) *Table {
+			g := machines(res)
+			t := &Table{
+				Title:  "Ablation: DRAM refresh mode x page policy (4-core)",
+				Header: []string{"policy", "refresh", "WS", "refreshes", "postponed", "pulled-in", "forced", "blocked(K)"},
+			}
+			for _, v := range variants {
+				for mi, mode := range modes {
+					rows := g[(v.policy*len(modes)+mi)*len(pages)+v.page]
+					var issued, postponed, pulledIn, forced, blocked uint64
+					for _, j := range rows {
+						issued += tel(j, "refreshes_issued")
+						postponed += tel(j, "refreshes_postponed")
+						pulledIn += tel(j, "refreshes_pulled_in")
+						forced += tel(j, "refreshes_forced")
+						blocked += tel(j, "refresh_blocked_cycles")
+					}
+					n := uint64(len(rows))
+					t.Add(v.label, mode,
+						fmt.Sprintf("%.3f", mean(rows, ws)),
+						fmt.Sprintf("%d", issued/n),
+						fmt.Sprintf("%d", postponed/n),
+						fmt.Sprintf("%d", pulledIn/n),
+						fmt.Sprintf("%d", forced/n),
+						fmt.Sprintf("%.1f", float64(blocked)/float64(n)/1000))
+				}
+			}
+			return t
+		},
 	}
-	modes := []refresh.Mode{refresh.Off, refresh.PerBank, refresh.AllBank}
-	mixes := Mixes(4, sc.Mixes4)
-
-	type acc struct {
-		ws float64
-		rf stats.RefreshStats
-	}
-	grid := make([][]acc, len(variants))
-	for vi := range grid {
-		grid[vi] = make([]acc, len(modes))
-	}
-	type job struct{ vi, pi int }
-	var jobs []job
-	for vi := range variants {
-		for pi := range modes {
-			jobs = append(jobs, job{vi, pi})
-		}
-	}
-	parallel(len(jobs), func(i int) {
-		j := jobs[i]
-		mode := modes[j.pi]
-		mutate := func(c *sim.Config) { c.DRAM.Refresh.Mode = mode }
-		alone := NewAloneIPC() // per job: the alone baseline must see the same refresh mode
-		a := acc{}
-		for _, mix := range mixes {
-			r := RunMix(mix, 4, sc, variants[j.vi], alone, mutate)
-			a.ws += r.WS
-			a.rf.Issued += r.Res.Refresh.Issued
-			a.rf.Postponed += r.Res.Refresh.Postponed
-			a.rf.PulledIn += r.Res.Refresh.PulledIn
-			a.rf.Forced += r.Res.Refresh.Forced
-			a.rf.BlockedCycles += r.Res.Refresh.BlockedCycles
-		}
-		grid[j.vi][j.pi] = a
-	})
-
-	t := &Table{
-		Title:  "Ablation: DRAM refresh mode x page policy (4-core)",
-		Header: []string{"policy", "refresh", "WS", "refreshes", "postponed", "pulled-in", "forced", "blocked(K)"},
-	}
-	n := uint64(len(mixes))
-	for vi, v := range variants {
-		for pi, mode := range modes {
-			a := grid[vi][pi]
-			t.Add(v.Name, mode.String(),
-				fmt.Sprintf("%.3f", a.ws/float64(n)),
-				fmt.Sprintf("%d", a.rf.Issued/n),
-				fmt.Sprintf("%d", a.rf.Postponed/n),
-				fmt.Sprintf("%d", a.rf.PulledIn/n),
-				fmt.Sprintf("%d", a.rf.Forced/n),
-				fmt.Sprintf("%.1f", float64(a.rf.BlockedCycles)/float64(n)/1000))
-		}
-	}
-	return t
 }
 
 // AblationTopology compares the flat single-domain layout against the
@@ -209,79 +151,56 @@ func AblationRefresh(sc Scale) *Table {
 // WS is averaged over the mixes; the far-tier columns report the slow
 // tier's share of serviced requests and its measured prefetch accuracy
 // ("-" on the flat rows, which have no domain breakdown).
-func AblationTopology(sc Scale) *Table {
-	variants := []Variant{
-		DemandFirst(),
-		APSOnly(),
-		PADC(),
-	}
+func AblationTopology(sc Scale) Sweep {
+	policies := []string{"demand-first", "aps", "padc"}
 	topos := []string{"flat", "far-tier"}
-	mixes := Mixes(4, sc.Mixes4)
-
-	type acc struct {
-		ws, bus                        float64
-		serviced, farServiced, farSent float64
-		farUsed                        float64
-	}
-	grid := make([][]acc, len(variants))
-	for vi := range grid {
-		grid[vi] = make([]acc, len(topos))
-	}
-	type job struct{ vi, ti int }
-	var jobs []job
-	for vi := range variants {
-		for ti := range topos {
-			jobs = append(jobs, job{vi, ti})
-		}
-	}
-	parallel(len(jobs), func(i int) {
-		j := jobs[i]
-		mutate := func(c *sim.Config) {
-			var err error
-			if c.Topology, err = topology.Resolve(topos[j.ti], c.DRAM.Channels); err != nil {
-				panic(err) // the names above are static
+	spec := multi("abl-topology", 4, sc, policies, mixNames(Mixes(4, sc.Mixes4)))
+	spec.Topologies = topos
+	// The far tier's domains: those behind a link.
+	var far []string
+	if t, err := topology.Resolve("far-tier", 1); err == nil {
+		for _, d := range t.Domains {
+			if d.LinkCycles > 0 {
+				far = append(far, "dom/"+d.Name+"/")
 			}
 		}
-		alone := NewAloneIPC() // per job: the alone baseline must see the same wiring
-		a := acc{}
-		for _, mix := range mixes {
-			r := RunMix(mix, 4, sc, variants[j.vi], alone, mutate)
-			a.ws += r.WS
-			a.bus += float64(r.Bus.Total())
-			a.serviced += float64(r.Res.Serviced)
-			for _, d := range r.Res.Domains {
-				if d.LinkCycles > 0 {
-					a.farServiced += float64(d.Serviced)
-					a.farSent += float64(d.PrefSent)
-					a.farUsed += float64(d.PrefUsed)
+	}
+	return Sweep{
+		Spec: spec,
+		Reduce: func(res *runner.SweepResult) *Table {
+			g := machines(res)
+			t := &Table{
+				Title:  "Ablation: memory topology, flat vs far-tier (4-core)",
+				Header: []string{"policy", "topology", "WS", "bus(K)", "far-share", "far-acc"},
+			}
+			for pi, pol := range policies {
+				for ti, topo := range topos {
+					rows := g[pi*len(topos)+ti]
+					var serviced, farServiced, farSent, farUsed float64
+					for _, j := range rows {
+						serviced += float64(j.Serviced)
+						for _, d := range far {
+							farServiced += j.Telemetry[d+"serviced"]
+							farSent += j.Telemetry[d+"pref_sent"]
+							farUsed += j.Telemetry[d+"pref_used"]
+						}
+					}
+					farShare, farAcc := "-", "-"
+					if farServiced > 0 && serviced > 0 {
+						farShare = fmt.Sprintf("%.1f%%", farServiced/serviced*100)
+					}
+					if farSent > 0 {
+						farAcc = fmt.Sprintf("%.1f%%", farUsed/farSent*100)
+					}
+					t.Add(label(pol), topo,
+						fmt.Sprintf("%.3f", mean(rows, ws)),
+						fmt.Sprintf("%.1f", mean(rows, bus)/1000),
+						farShare, farAcc)
 				}
 			}
-		}
-		grid[j.vi][j.ti] = a
-	})
-
-	t := &Table{
-		Title:  "Ablation: memory topology, flat vs far-tier (4-core)",
-		Header: []string{"policy", "topology", "WS", "bus(K)", "far-share", "far-acc"},
+			return t
+		},
 	}
-	n := float64(len(mixes))
-	for vi, v := range variants {
-		for ti, topo := range topos {
-			a := grid[vi][ti]
-			farShare, farAcc := "-", "-"
-			if a.farServiced > 0 && a.serviced > 0 {
-				farShare = fmt.Sprintf("%.1f%%", a.farServiced/a.serviced*100)
-			}
-			if a.farSent > 0 {
-				farAcc = fmt.Sprintf("%.1f%%", a.farUsed/a.farSent*100)
-			}
-			t.Add(v.Name, topo,
-				fmt.Sprintf("%.3f", a.ws/n),
-				fmt.Sprintf("%.1f", a.bus/n/1000),
-				farShare, farAcc)
-		}
-	}
-	return t
 }
 
 // AblationMemSide exercises the memory-side prefetch subsystem along its
@@ -295,96 +214,68 @@ func AblationTopology(sc Scale) *Table {
 // suppress candidates that an APD-less configuration would have issued.
 // Throughput is the plain IPC sum (no alone baselines: the channel axis
 // changes the machine, not just the policy).
-func AblationMemSide(sc Scale) *Table {
+func AblationMemSide(sc Scale) Sweep {
 	// DSPatch trains its signature table on page-buffer turnover, which
 	// needs more region traffic than the quick scale generates.
-	if sc.Insts < 400_000 {
-		sc.Insts = 400_000
-	}
-	mixes := []struct {
-		name  string
-		names []string
-	}{
-		// Long streams: dense spatial footprints, accurate prefetches.
-		{"streams", []string{"swim", "libquantum", "bwaves", "leslie3d"}},
-		// Pointer chases and bursts: sparse footprints, low accuracy.
-		{"irregular", []string{"art", "omnetpp", "xalancbmk", "mcf"}},
-	}
+	insts := max(sc.Insts, 400_000)
+	mixes := []string{"streams", "irregular"}
 	chans := []int{4, 1}
-	pols := []struct {
-		name string
-		apd  bool
-	}{
-		{"aps+memside", false},
-		{"padc+memside", true},
+	pols := []string{"aps+memside", "padc+memside"}
+	spec := runner.Spec{
+		Name: "abl-memside", Cores: 4, Insts: insts,
+		Policies:    []string{"aps", "padc"},
+		Prefetchers: []string{"dspatch"},
+		MemSide:     []string{"on"},
+		Axes:        map[string][]json.RawMessage{"channels": values(chans...)},
+		Workloads: [][]string{
+			// Long streams: dense spatial footprints, accurate prefetches.
+			{"swim", "libquantum", "bwaves", "leslie3d"},
+			// Pointer chases and bursts: sparse footprints, low accuracy.
+			{"art", "omnetpp", "xalancbmk", "mcf"},
+		},
 	}
-
-	type cell struct {
-		thru float64
-		ds   stats.DSPatchStats
-		ms   stats.MemSideStats
+	return Sweep{
+		Spec: spec,
+		Reduce: func(res *runner.SweepResult) *Table {
+			g := machines(res)
+			t := &Table{
+				Title: "Ablation: memory-side prefetching — DSPatch bias x PADC gating (4-core)",
+				Header: []string{"mix", "chans", "policy", "thruput", "headroom",
+					"covp", "accp", "ms-issued", "ms-used", "ms-acc", "ms-gated"},
+			}
+			for mi, mix := range mixes {
+				for ci, ch := range chans {
+					for pi, pol := range pols {
+						j := g[pi*len(chans)+ci][mi]
+						t.Add(mix, fmt.Sprintf("%d", ch), pol,
+							fmt.Sprintf("%.3f", j.Throughput),
+							fmt.Sprintf("%.2f", j.Telemetry["dspatch/headroom"]),
+							fmt.Sprintf("%d", tel(j, "dspatch/covp_triggers")),
+							fmt.Sprintf("%d", tel(j, "dspatch/accp_triggers")),
+							fmt.Sprintf("%d", tel(j, "memside/issued")),
+							fmt.Sprintf("%d", tel(j, "memside/used")),
+							fmt.Sprintf("%.1f%%", j.Telemetry["memside/acc"]*100),
+							fmt.Sprintf("%d", tel(j, "memside/gate_closed")))
+					}
+				}
+			}
+			return t
+		},
 	}
-	grid := make([]cell, len(mixes)*len(chans)*len(pols))
-	parallel(len(grid), func(i int) {
-		mi := i / (len(chans) * len(pols))
-		ci := i / len(pols) % len(chans)
-		pi := i % len(pols)
-		cfg := baseConfig(4, sc)
-		cfg.DRAM.Channels = chans[ci]
-		cfg.Policy = memctrl.APS
-		cfg.PADC.EnableAPD = pols[pi].apd
-		cfg.Prefetcher = sim.PFDSPatch
-		cfg.MemSide = true
-		for _, n := range mixes[mi].names {
-			cfg.Workload = append(cfg.Workload, workload.MustByName(n))
-		}
-		res := runOne(cfg)
-		c := cell{}
-		for _, pc := range res.PerCore {
-			c.thru += pc.IPC()
-		}
-		if res.DSPatch != nil {
-			c.ds = *res.DSPatch
-		}
-		if res.MemSide != nil {
-			c.ms = *res.MemSide
-		}
-		grid[i] = c
-	})
-
-	t := &Table{
-		Title: "Ablation: memory-side prefetching — DSPatch bias x PADC gating (4-core)",
-		Header: []string{"mix", "chans", "policy", "thruput", "headroom",
-			"covp", "accp", "ms-issued", "ms-used", "ms-acc", "ms-gated"},
-	}
-	for i, c := range grid {
-		mi := i / (len(chans) * len(pols))
-		ci := i / len(pols) % len(chans)
-		pi := i % len(pols)
-		t.Add(mixes[mi].name, fmt.Sprintf("%d", chans[ci]), pols[pi].name,
-			fmt.Sprintf("%.3f", c.thru),
-			fmt.Sprintf("%.2f", c.ds.Headroom),
-			fmt.Sprintf("%d", c.ds.CovPSelected),
-			fmt.Sprintf("%d", c.ds.AccPSelected),
-			fmt.Sprintf("%d", c.ms.Issued),
-			fmt.Sprintf("%d", c.ms.Used),
-			fmt.Sprintf("%.1f%%", c.ms.ACC()*100),
-			fmt.Sprintf("%d", c.ms.GateClosed))
-	}
-	return t
 }
 
 // AblationAddressMapping compares the default row-interleaved bank mapping
 // against permutation-based mapping and a single-bank strawman, isolating
 // how much of each policy's behavior depends on bank-level parallelism.
-func AblationAddressMapping(sc Scale) *Table {
-	points := []sweepPoint{
-		{Label: "8-banks", Mutate: nil},
-		{Label: "8-banks-perm", Mutate: func(c *sim.Config) { c.DRAM.Permutation = true }},
-		{Label: "4-banks", Mutate: func(c *sim.Config) { c.DRAM.Banks = 4 }},
-		{Label: "16-banks", Mutate: func(c *sim.Config) { c.DRAM.Banks = 16 }},
+func AblationAddressMapping(sc Scale) Sweep {
+	policies := []string{"demand-first", "equal", "aps", "padc"}
+	spec := multi("abl-map", 4, sc, policies, mixNames(Mixes(4, sc.Mixes4)))
+	// banks × permutation; the 4- and 16-bank permuted machines go unread.
+	spec.Axes = map[string][]json.RawMessage{"banks": values(8, 4, 16), "permutation": values(false, true)}
+	var picks []pick
+	for pi, pol := range policies {
+		picks = append(picks, pick{label(pol), []int{6 * pi, 6*pi + 1, 6*pi + 2, 6*pi + 4}})
 	}
-	variants := []Variant{DemandFirst(), DemandPrefEqual(), APSOnly(), PADC()}
-	return sweepVariantsOverMixesOn(Mixes(4, sc.Mixes4),
-		"Ablation: bank count and mapping (4-core WS)", sc, variants, points)
+	return Sweep{spec, wsTable("Ablation: bank count and mapping (4-core WS)",
+		[]string{"policy", "8-banks", "8-banks-perm", "4-banks", "16-banks"}, picks)}
 }

@@ -1,23 +1,20 @@
-// Package exp contains one runner per figure and table of the paper's
-// evaluation (§6). Each runner builds the simulated systems, executes the
-// workloads, and returns a Table holding the same rows or series the paper
-// plots, so the benchmark harness (bench_test.go) and the padcsim CLI can
-// regenerate every experiment.
+// Package exp holds every figure and table of the paper's evaluation (§6).
+// A simulated figure is a Sweep: a runner.Spec whose rows hold every
+// simulation the figure needs, alone baselines included, and a reducer
+// that renders the merged rows as a Table with the rows or series the
+// paper plots. Figures therefore run on the one sweep engine, with its
+// sharding, resume and sweepd service; the benchmark harness
+// (bench_test.go) and the padcsim CLI regenerate every experiment.
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
-	"padc/internal/core"
-	"padc/internal/memctrl"
 	"padc/internal/runner"
-	"padc/internal/sim"
-	"padc/internal/stats"
 	"padc/internal/telemetry"
-	"padc/internal/workload"
 )
 
 // Scale controls how much simulation an experiment runs: Quick keeps
@@ -119,203 +116,138 @@ func TelemetryTable(tel *telemetry.Telemetry) *Table {
 	return t
 }
 
-// Variant is one system configuration under test.
-type Variant struct {
-	Name  string
-	Apply func(*sim.Config)
+// Sweep is a simulated figure or table on the sweep engine: the spec
+// whose rows hold every simulation the figure needs, and the reducer
+// that renders the merged rows as the figure's table.
+type Sweep struct {
+	Spec   runner.Spec
+	Reduce func(*runner.SweepResult) *Table
 }
 
-// policy is the variant labelled label that applies the sim.ApplyPolicy
-// name pol.
-func policy(label, pol string) Variant {
-	return Variant{label, func(c *sim.Config) {
-		if err := sim.ApplyPolicy(c, pol); err != nil {
-			panic(err)
-		}
-	}}
-}
-
-// NoPref disables prefetching entirely.
-func NoPref() Variant { return policy("no-pref", "no-pref") }
-
-// DemandFirst is the paper's baseline rigid policy.
-func DemandFirst() Variant { return policy("demand-first", "demand-first") }
-
-// DemandPrefEqual is plain FR-FCFS.
-func DemandPrefEqual() Variant { return policy("demand-pref-equal", "equal") }
-
-// PrefetchFirst is the footnote-2 strawman.
-func PrefetchFirst() Variant { return policy("prefetch-first", "prefetch-first") }
-
-// APSOnly enables adaptive scheduling without dropping.
-func APSOnly() Variant { return policy("aps-only", "aps") }
-
-// PADC is the full mechanism: APS plus APD.
-func PADC() Variant { return policy("aps-apd (PADC)", "padc") }
-
-// PADCRank is PADC with the §6.5 shortest-job ranking.
-func PADCRank() Variant { return policy("PADC-rank", "padc-rank") }
-
-// RuleStack schedules with an explicit priority-rule stack from the
-// sched kernel (e.g. "rules:critical,rowhit,urgent,fcfs"). APD is off so
-// the run isolates the priority order under study.
-func RuleStack(rules string) Variant { return policy(rules, rules) }
-
-// StandardVariants returns the five configurations most figures compare.
-func StandardVariants() []Variant {
-	return []Variant{NoPref(), DemandFirst(), DemandPrefEqual(), APSOnly(), PADC()}
-}
-
-// baseConfig builds the paper baseline for ncores at the given scale. The
-// default PADC config has both mechanisms on; variants adjust.
-func baseConfig(ncores int, sc Scale) sim.Config {
-	cfg := sim.Baseline(ncores)
-	cfg.TargetInsts = sc.Insts
-	cfg.PADC = core.DefaultConfig()
-	return cfg
-}
-
-// runOne builds and runs a single system; errors surface as panics since
-// experiment configs are statically correct by construction.
-func runOne(cfg sim.Config) stats.Results {
-	res, err := sim.Run(cfg)
+// Run executes the sweep on the runner's default worker pool (padcsim
+// -jobs sizes it) and reduces the merged rows. Figure specs are correct
+// by construction, so a spec error or a failed job panics.
+func (s Sweep) Run() *Table {
+	res, err := runner.Run(s.Spec, runner.Options{})
 	if err != nil {
 		panic(fmt.Sprintf("exp: %v", err))
 	}
-	return res
-}
-
-// parallel fans n jobs out on the shared worker pool (internal/runner);
-// the padcsim -jobs flag sizes it process-wide.
-func parallel(n int, job func(i int)) { runner.Parallel(n, job) }
-
-// AloneIPC computes each benchmark's IPC when running alone on the
-// ncores-provisioned system with the demand-first policy (the paper's
-// IPC_alone definition), memoized per provisioning.
-type AloneIPC struct {
-	mu    sync.Mutex
-	cache map[string]float64
-}
-
-// NewAloneIPC returns an empty cache.
-func NewAloneIPC() *AloneIPC { return &AloneIPC{cache: make(map[string]float64)} }
-
-// Get returns IPC_alone for prof under the given provisioning, computing
-// and caching it on first use. mutate optionally applies non-policy system
-// changes (cache size, channels, ...) that must match the together-run.
-func (a *AloneIPC) Get(prof workload.Profile, ncores int, sc Scale, mutate func(*sim.Config)) float64 {
-	key := fmt.Sprintf("%s/%d", prof.Name, ncores)
-	if mutate != nil {
-		key += "/mut"
-	}
-	a.mu.Lock()
-	if v, ok := a.cache[key]; ok {
-		a.mu.Unlock()
-		return v
-	}
-	a.mu.Unlock()
-
-	cfg := baseConfig(ncores, sc)
-	cfg.Policy = memctrl.DemandFirst
-	cfg.PADC.EnableAPD = false
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	cfg.Workload = []workload.Profile{prof}
-	res := runOne(cfg)
-	v := res.PerCore[0].IPC()
-
-	a.mu.Lock()
-	a.cache[key] = v
-	a.mu.Unlock()
-	return v
-}
-
-// MixResult summarizes one multiprogrammed run.
-type MixResult struct {
-	WS, HS, UF float64
-	Bus        stats.BusTraffic
-	Dropped    uint64
-	IS         []float64
-	Res        stats.Results
-}
-
-// RunMix executes mix under variant v on an ncores system and computes the
-// speedup metrics against the demand-first alone baselines.
-func RunMix(mix []workload.Profile, ncores int, sc Scale, v Variant, alone *AloneIPC, mutate func(*sim.Config)) MixResult {
-	cfg := baseConfig(ncores, sc)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	v.Apply(&cfg)
-	cfg.Workload = append([]workload.Profile(nil), mix...)
-	res := runOne(cfg)
-
-	ipcAlone := make([]float64, len(mix))
-	for i, p := range mix {
-		ipcAlone[i] = alone.Get(p, ncores, sc, mutate)
-	}
-	return MixResult{
-		WS:      stats.WS(res.PerCore, ipcAlone),
-		HS:      stats.HS(res.PerCore, ipcAlone),
-		UF:      stats.UF(res.PerCore, ipcAlone),
-		Bus:     res.Bus,
-		Dropped: res.Dropped,
-		IS:      stats.IndividualSpeedups(res.PerCore, ipcAlone),
-		Res:     res,
-	}
-}
-
-// AverageMixes runs every mix under every variant and returns per-variant
-// averaged WS/HS/UF/traffic — the shape of Figures 9, 16, 17, 19–22.
-func AverageMixes(mixes [][]workload.Profile, ncores int, sc Scale, variants []Variant, mutate func(*sim.Config)) *Table {
-	alone := NewAloneIPC()
-	// Warm the alone cache in parallel first.
-	uniq := map[string]workload.Profile{}
-	for _, m := range mixes {
-		for _, p := range m {
-			uniq[p.Name] = p
+	for _, j := range res.Jobs {
+		if j.Err != "" {
+			panic(fmt.Sprintf("exp: job %s: %s", j.Key, j.Err))
 		}
 	}
-	names := make([]string, 0, len(uniq))
-	for n := range uniq {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parallel(len(names), func(i int) { alone.Get(uniq[names[i]], ncores, sc, mutate) })
+	return s.Reduce(res)
+}
 
-	type cell struct{ ws, hs, uf, bus float64 }
-	agg := make([][]cell, len(variants))
-	for vi := range variants {
-		agg[vi] = make([]cell, len(mixes))
+// standard is the five policies most figures compare.
+var standard = []string{"no-pref", "demand-first", "equal", "aps", "padc"}
+
+// labels maps sweep policy names to the labels the figures print; every
+// other name prints as itself.
+var labels = map[string]string{
+	"equal":     "demand-pref-equal",
+	"aps":       "aps-only",
+	"padc":      "aps-apd (PADC)",
+	"padc-rank": "PADC-rank",
+}
+
+// label returns the display label of a sweep policy name.
+func label(policy string) string {
+	if l, ok := labels[policy]; ok {
+		return l
 	}
-	type job struct{ vi, mi int }
-	jobs := make([]job, 0, len(variants)*len(mixes))
-	for vi := range variants {
-		for mi := range mixes {
-			jobs = append(jobs, job{vi, mi})
+	return policy
+}
+
+// aloneDemandFirst is the paper's IPC_alone baseline (§6): each benchmark
+// alone on the same machine under demand-first scheduling.
+var aloneDemandFirst = json.RawMessage(`{"policy":"demand-first"}`)
+
+// values renders generic axis values as the JSON a spec carries.
+func values[T any](vs ...T) []json.RawMessage {
+	out := make([]json.RawMessage, len(vs))
+	for i, v := range vs {
+		out[i], _ = json.Marshal(v)
+	}
+	return out
+}
+
+// multi is the ncores-core sweep of policies over explicit mixes, with
+// the paper's demand-first alone baselines.
+func multi(name string, ncores int, sc Scale, policies []string, mixes [][]string) runner.Spec {
+	return runner.Spec{Name: name, Cores: ncores, Insts: sc.Insts, Policies: policies,
+		Workloads: mixes, Alone: aloneDemandFirst}
+}
+
+// machines groups a complete sweep's grid rows by machine in grid order,
+// each machine's rows in mix order; baseline rows are left out.
+func machines(res *runner.SweepResult) [][]runner.JobResult {
+	var rows []runner.JobResult
+	for _, j := range res.Jobs {
+		if !j.IsBaseline() {
+			rows = append(rows, j)
 		}
 	}
-	parallel(len(jobs), func(i int) {
-		j := jobs[i]
-		r := RunMix(mixes[j.mi], ncores, sc, variants[j.vi], alone, mutate)
-		agg[j.vi][j.mi] = cell{r.WS, r.HS, r.UF, float64(r.Bus.Total())}
-	})
+	sort.Slice(rows, func(a, b int) bool { return rows[a].Index < rows[b].Index })
+	nmixes := len(res.Spec.Workloads) + res.Spec.Mixes
+	out := make([][]runner.JobResult, len(rows)/nmixes)
+	for m := range out {
+		out[m] = rows[m*nmixes : (m+1)*nmixes]
+	}
+	return out
+}
 
-	t := &Table{
-		Title:  fmt.Sprintf("%d-core average over %d workloads", ncores, len(mixes)),
-		Header: []string{"policy", "WS", "HS", "UF", "bus(Klines)"},
+// mean averages f over a machine's rows, summing in mix order.
+func mean(rows []runner.JobResult, f func(runner.JobResult) float64) float64 {
+	var s float64
+	for _, j := range rows {
+		s += f(j)
 	}
-	for vi, v := range variants {
-		var ws, hs, uf, bus float64
-		for _, c := range agg[vi] {
-			ws += c.ws
-			hs += c.hs
-			uf += c.uf
-			bus += c.bus
+	return s / float64(len(rows))
+}
+
+func ws(j runner.JobResult) float64 { return j.WS }
+func hs(j runner.JobResult) float64 { return j.HS }
+func uf(j runner.JobResult) float64 { return j.UF }
+
+// bus is a row's total bus traffic in cache lines.
+func bus(j runner.JobResult) float64 { return float64(j.BusDemand + j.BusUseful + j.BusUseless) }
+
+// tel reads a row's telemetry roll-up as a count.
+func tel(j runner.JobResult, name string) uint64 { return uint64(j.Telemetry[name]) }
+
+// pick is one table row: its label and the grid machines its cells
+// average, one per column.
+type pick struct {
+	label    string
+	machines []int
+}
+
+// crossPicks labels each policy's row of a policies × ncols grid.
+func crossPicks(policies []string, ncols int) []pick {
+	out := make([]pick, len(policies))
+	for pi, pol := range policies {
+		out[pi].label = label(pol)
+		for c := 0; c < ncols; c++ {
+			out[pi].machines = append(out[pi].machines, pi*ncols+c)
 		}
-		n := float64(len(mixes))
-		t.Addf(v.Name, ws/n, hs/n, uf/n, bus/n/1000)
 	}
-	return t
+	return out
+}
+
+// wsTable renders each picked machine's WS averaged over the mixes.
+func wsTable(title string, header []string, picks []pick) func(*runner.SweepResult) *Table {
+	return func(res *runner.SweepResult) *Table {
+		g := machines(res)
+		t := &Table{Title: title, Header: header}
+		for _, p := range picks {
+			row := []string{p.label}
+			for _, m := range p.machines {
+				row = append(row, fmt.Sprintf("%.3f", mean(g[m], ws)))
+			}
+			t.Add(row...)
+		}
+		return t
+	}
 }

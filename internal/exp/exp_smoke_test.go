@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"padc/internal/sim"
 	"padc/internal/telemetry"
 	"padc/internal/workload"
 )
@@ -34,7 +35,7 @@ func TestFig1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	tab := Fig1(tinyScale())
+	tab := Fig1(tinyScale()).Run()
 	t.Logf("\n%s", tab)
 	if len(tab.Rows) != 10 {
 		t.Fatalf("want 10 rows, got %d", len(tab.Rows))
@@ -55,10 +56,16 @@ func TestTelemetryTable(t *testing.T) {
 		t.Fatalf("nil telemetry table:\n%s", got)
 	}
 	tel := telemetry.New(telemetry.Options{EpochCycles: 5_000})
-	cfg := baseConfig(1, tinyScale())
-	cfg.Telemetry = tel
+	m := sim.DefaultMachine(1)
+	m.TargetInsts, m.Telemetry = tinyScale().Insts, tel
+	cfg, err := m.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Workload = []workload.Profile{workload.MustByName("swim")}
-	runOne(cfg)
+	if _, err := sim.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
 	tab := TelemetryTable(tel)
 	out := tab.String()
 	for _, want := range []string{"core0/acc_estimate", "memctrl0/enqueued", "events/complete"} {
@@ -73,7 +80,7 @@ func TestAblationTopologyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	tab := AblationTopology(Scale{Insts: 60_000, Mixes4: 1})
+	tab := AblationTopology(Scale{Insts: 60_000, Mixes4: 1}).Run()
 	t.Logf("\n%s", tab)
 	if len(tab.Rows) != 6 { // 3 variants x 2 topologies
 		t.Fatalf("want 6 rows, got %d", len(tab.Rows))
@@ -103,7 +110,7 @@ func TestAblationRefreshShape(t *testing.T) {
 	// Long enough that an all-bank obligation stream exhausts its 8-credit
 	// postpone window (8 x tREFI ~ 250K cycles) and hits the forced path;
 	// one mix keeps the sweep affordable.
-	tab := AblationRefresh(Scale{Insts: 150_000, Mixes4: 1})
+	tab := AblationRefresh(Scale{Insts: 150_000, Mixes4: 1}).Run()
 	t.Logf("\n%s", tab)
 	if len(tab.Rows) != 12 { // 4 variants x 3 refresh modes
 		t.Fatalf("want 12 rows, got %d", len(tab.Rows))
@@ -131,7 +138,7 @@ func TestAblationMemSideShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	tab := AblationMemSide(Scale{}) // the runner floors Insts itself
+	tab := AblationMemSide(Scale{}).Run() // the sweep floors Insts itself
 	t.Logf("\n%s", tab)
 	if len(tab.Rows) != 8 { // 2 mixes x 2 channel counts x 2 policies
 		t.Fatalf("want 8 rows, got %d", len(tab.Rows))

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"padc/internal/sim"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -22,18 +24,41 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestVariantsSetDistinctConfigs(t *testing.T) {
-	for _, v := range StandardVariants() {
-		cfg := baseConfig(4, Quick())
-		v.Apply(&cfg)
-		if v.Name == "no-pref" && cfg.Prefetcher != 0 {
-			t.Errorf("no-pref left the prefetcher on")
+// TestFigureSpecsLowerPolicies expands every simulated figure's spec
+// (no simulation): each must validate, and the standard policies must
+// lower to the machines their labels name.
+func TestFigureSpecsLowerPolicies(t *testing.T) {
+	sc := Quick()
+	sweeps := []Sweep{
+		Fig1(sc), Fig6(sc, true), Fig7(sc), Fig8(sc), Table5(sc, true), Table7(sc),
+		Fig9(sc), Fig10(sc), Fig12(sc), Fig14(sc), Table8(sc), Table9("milc", sc),
+		Fig16(sc), Fig17(sc), Fig19(4, sc), Fig19(8, sc), Fig21(4, sc), Fig21(8, sc),
+		Fig23(sc), Fig24(sc), Fig25(sc), Fig26(4, sc), Fig26(8, sc), Fig28(sc), Fig29(sc),
+		Fig31(sc), Fig32(sc), AblationDropThreshold(sc), AblationPromotionThreshold(sc),
+		AblationAddressMapping(sc), AblationRuleOrder(sc), AblationRefresh(sc),
+		AblationTopology(sc), AblationMemSide(sc),
+	}
+	for _, s := range sweeps {
+		jobs, err := s.Spec.Expand()
+		if err != nil {
+			t.Fatalf("%s: %v", s.Spec.Name, err)
 		}
-		if v.Name == "aps-apd (PADC)" && !cfg.PADC.EnableAPD {
-			t.Errorf("PADC variant lost APD")
-		}
-		if v.Name == "aps-only" && cfg.PADC.EnableAPD {
-			t.Errorf("aps-only kept APD")
+		for _, j := range jobs {
+			apd := j.Config.PADC.EnableAPD
+			switch j.Policy {
+			case "no-pref":
+				if j.Config.Prefetcher != sim.PFNone {
+					t.Errorf("%s: no-pref left the prefetcher on", j.Key)
+				}
+			case "padc":
+				if !apd {
+					t.Errorf("%s: PADC lost APD", j.Key)
+				}
+			case "aps", "demand-first":
+				if apd {
+					t.Errorf("%s: %s kept APD", j.Key, j.Policy)
+				}
+			}
 		}
 	}
 }
@@ -53,7 +78,7 @@ func TestFig6QuickShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	tab := Fig6(tinyScale(), false)
+	tab := Fig6(tinyScale(), false).Run()
 	t.Logf("\n%s", tab)
 	g := tab.Rows[len(tab.Rows)-1] // gmean row
 	if !strings.HasPrefix(g[0], "gmean") {
@@ -75,18 +100,5 @@ func TestFig6QuickShape(t *testing.T) {
 	// average; allow slack at the tiny scale.
 	if aps < 0.95*df || padc < 0.95*df {
 		t.Errorf("adaptive policies collapsed: aps=%v padc=%v", aps, padc)
-	}
-}
-
-func TestAloneIPCCaches(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	a := NewAloneIPC()
-	mix := Mixes(4, 1)[0]
-	v1 := a.Get(mix[0], 4, tinyScale(), nil)
-	v2 := a.Get(mix[0], 4, tinyScale(), nil)
-	if v1 != v2 || v1 <= 0 {
-		t.Fatalf("alone IPC cache broken: %v %v", v1, v2)
 	}
 }

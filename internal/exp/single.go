@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"padc/internal/memctrl"
+	"padc/internal/runner"
 	"padc/internal/sim"
 	"padc/internal/stats"
 	"padc/internal/workload"
@@ -28,71 +29,58 @@ func Fig6Benchmarks() []string {
 	}
 }
 
-// SingleRun is one benchmark under one variant on the 1-core baseline.
-type SingleRun struct {
-	Bench   string
-	Variant string
-	Core    stats.CoreResult
-	Res     stats.Results
+// single is the 1-core sweep of policies over one mix per benchmark; its
+// machines reduce to one row per policy, one column per benchmark.
+func single(name string, benches, policies []string, sc Scale) runner.Spec {
+	mixes := make([][]string, len(benches))
+	for i, b := range benches {
+		mixes[i] = []string{b}
+	}
+	return runner.Spec{Name: name, Cores: 1, Insts: sc.Insts, Policies: policies, Workloads: mixes}
 }
 
-// SingleCoreSweep runs each named benchmark under each variant on the
-// single-core baseline, in parallel.
-func SingleCoreSweep(names []string, variants []Variant, sc Scale) map[string]map[string]SingleRun {
-	type job struct{ b, v int }
-	var jobs []job
-	for b := range names {
-		for v := range variants {
-			jobs = append(jobs, job{b, v})
-		}
-	}
-	out := make([]SingleRun, len(jobs))
-	parallel(len(jobs), func(i int) {
-		j := jobs[i]
-		prof := workload.MustByName(names[j.b])
-		cfg := baseConfig(1, sc)
-		variants[j.v].Apply(&cfg)
-		cfg.Workload = []workload.Profile{prof}
-		res := runOne(cfg)
-		out[i] = SingleRun{Bench: names[j.b], Variant: variants[j.v].Name, Core: res.PerCore[0], Res: res}
-	})
-	m := make(map[string]map[string]SingleRun, len(names))
-	for _, r := range out {
-		if m[r.Bench] == nil {
-			m[r.Bench] = make(map[string]SingleRun)
-		}
-		m[r.Bench][r.Variant] = r
-	}
-	return m
-}
+func ipc(j runner.JobResult) float64 { return j.IPC[0] }
 
 // Fig1 reproduces Figure 1: IPC of the stream prefetcher under
 // demand-first and demand-prefetch-equal, normalized to no prefetching,
 // for ten benchmarks.
-func Fig1(sc Scale) *Table {
-	variants := []Variant{NoPref(), DemandFirst(), DemandPrefEqual()}
-	sweep := SingleCoreSweep(Fig1Benchmarks(), variants, sc)
-	t := &Table{
-		Title:  "Figure 1: normalized IPC of stream prefetching under rigid policies",
-		Header: []string{"benchmark", "demand-first", "demand-pref-equal"},
+func Fig1(sc Scale) Sweep {
+	benches := Fig1Benchmarks()
+	return Sweep{
+		Spec: single("fig1", benches, []string{"no-pref", "demand-first", "equal"}, sc),
+		Reduce: func(res *runner.SweepResult) *Table {
+			g := machines(res)
+			t := &Table{
+				Title:  "Figure 1: normalized IPC of stream prefetching under rigid policies",
+				Header: []string{"benchmark", "demand-first", "demand-pref-equal"},
+			}
+			for b, name := range benches {
+				base := ipc(g[0][b])
+				t.Addf(name, ipc(g[1][b])/base, ipc(g[2][b])/base)
+			}
+			return t
+		},
 	}
-	for _, b := range Fig1Benchmarks() {
-		base := sweep[b]["no-pref"].Core.IPC()
-		t.Addf(b, sweep[b]["demand-first"].Core.IPC()/base, sweep[b]["demand-pref-equal"].Core.IPC()/base)
-	}
-	return t
 }
 
 // Fig4 reproduces Figure 4 for milc: (a) the service-time histogram of
 // useful versus useless prefetches under demand-first and (b) the
 // prefetch-accuracy phase trace.
 func Fig4(sc Scale) (hist *Table, trace *Table) {
-	cfg := baseConfig(1, sc)
-	cfg.Policy = memctrl.DemandFirst
+	// Rigid demand-first scheduling with the baseline's APD still on.
+	m := sim.DefaultMachine(1)
+	m.Policy, m.TargetInsts = "demand-first-apd", sc.Insts
+	cfg, err := m.Config()
+	if err != nil {
+		panic(fmt.Sprintf("exp: %v", err))
+	}
 	cfg.TrackServiceHist = true
 	cfg.TrackAccuracyTrace = true
 	cfg.Workload = []workload.Profile{workload.MustByName("milc")}
-	res := runOne(cfg)
+	res, err := sim.Run(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("exp: %v", err))
+	}
 
 	hist = &Table{
 		Title:  "Figure 4(a): milc prefetch service time (demand-first)",
@@ -118,150 +106,172 @@ func Fig4(sc Scale) (hist *Table, trace *Table) {
 	return hist, trace
 }
 
+// policyHeader is the single-core tables' header: one column per
+// standard policy.
+func policyHeader(first string) []string {
+	h := []string{first}
+	for _, pol := range standard {
+		h = append(h, label(pol))
+	}
+	return h
+}
+
 // Fig6 reproduces Figure 6: single-core IPC of the five policies
 // normalized to demand-first, for 15 benchmarks plus the geometric mean
 // over the whole extended suite when full is true.
-func Fig6(sc Scale, full bool) *Table {
+func Fig6(sc Scale, full bool) Sweep {
 	names := Fig6Benchmarks()
 	if full {
 		names = workload.Names()
 	}
-	sweep := SingleCoreSweep(names, StandardVariants(), sc)
-	t := &Table{
-		Title:  "Figure 6: single-core normalized IPC",
-		Header: []string{"benchmark", "no-pref", "demand-first", "demand-pref-equal", "aps-only", "aps-apd (PADC)"},
+	return Sweep{
+		Spec: single("fig6", names, standard, sc),
+		Reduce: func(res *runner.SweepResult) *Table {
+			g := machines(res)
+			t := &Table{Title: "Figure 6: single-core normalized IPC", Header: policyHeader("benchmark")}
+			norm := make(map[string][]float64, len(names))
+			for b, name := range names {
+				base := ipc(g[1][b])
+				var row []float64
+				for v := range standard {
+					row = append(row, ipc(g[v][b])/base)
+				}
+				norm[name] = row
+			}
+			for _, b := range Fig6Benchmarks() {
+				if r, ok := norm[b]; ok {
+					t.Addf(b, r...)
+				}
+			}
+			// Geometric mean over everything that ran.
+			gm := make([]float64, len(standard))
+			for v := range standard {
+				var xs []float64
+				for _, b := range names {
+					xs = append(xs, norm[b][v])
+				}
+				gm[v] = stats.GeoMean(xs)
+			}
+			t.Addf(fmt.Sprintf("gmean%d", len(names)), gm...)
+			return t
+		},
 	}
-	vnames := []string{"no-pref", "demand-first", "demand-pref-equal", "aps-only", "aps-apd (PADC)"}
-	norm := make(map[string][]float64, len(vnames))
-	show := Fig6Benchmarks()
-	for _, b := range names {
-		base := sweep[b]["demand-first"].Core.IPC()
-		var row []float64
-		for _, v := range vnames {
-			row = append(row, sweep[b][v].Core.IPC()/base)
-		}
-		norm[b] = row
-	}
-	for _, b := range show {
-		if r, ok := norm[b]; ok {
-			t.Addf(b, r...)
-		}
-	}
-	// Geometric mean over everything that ran.
-	gm := make([]float64, len(vnames))
-	for vi := range vnames {
-		var xs []float64
-		for _, b := range names {
-			xs = append(xs, norm[b][vi])
-		}
-		gm[vi] = stats.GeoMean(xs)
-	}
-	t.Addf(fmt.Sprintf("gmean%d", len(names)), gm...)
-	return t
 }
 
 // Fig7 reproduces Figure 7: stall time per load (SPL) on the single-core
 // system for the five policies.
-func Fig7(sc Scale) *Table {
-	sweep := SingleCoreSweep(Fig6Benchmarks(), StandardVariants(), sc)
-	t := &Table{
-		Title:  "Figure 7: stall cycles per load (single core)",
-		Header: []string{"benchmark", "no-pref", "demand-first", "demand-pref-equal", "aps-only", "aps-apd (PADC)"},
+func Fig7(sc Scale) Sweep {
+	names := Fig6Benchmarks()
+	return Sweep{
+		Spec: single("fig7", names, standard, sc),
+		Reduce: func(res *runner.SweepResult) *Table {
+			g := machines(res)
+			t := &Table{Title: "Figure 7: stall cycles per load (single core)", Header: policyHeader("benchmark")}
+			means := make([]float64, len(standard))
+			for b, name := range names {
+				var row []float64
+				for v := range standard {
+					spl := g[v][b].Telemetry["core0/spl"]
+					row = append(row, spl)
+					means[v] += spl
+				}
+				t.Addf(name, row...)
+			}
+			for v := range means {
+				means[v] /= float64(len(names))
+			}
+			t.Addf("mean", means...)
+			return t
+		},
 	}
-	vnames := []string{"no-pref", "demand-first", "demand-pref-equal", "aps-only", "aps-apd (PADC)"}
-	means := make([]float64, len(vnames))
-	for _, b := range Fig6Benchmarks() {
-		var row []float64
-		for vi, v := range vnames {
-			spl := sweep[b][v].Core.SPL()
-			row = append(row, spl)
-			means[vi] += spl
-		}
-		t.Addf(b, row...)
-	}
-	for vi := range means {
-		means[vi] /= float64(len(Fig6Benchmarks()))
-	}
-	t.Addf("mean", means...)
-	return t
 }
 
 // Fig8 reproduces Figure 8: single-core bus traffic broken into demand,
 // useful-prefetch and useless-prefetch lines.
-func Fig8(sc Scale) *Table {
-	sweep := SingleCoreSweep(Fig6Benchmarks(), StandardVariants(), sc)
-	t := &Table{
-		Title:  "Figure 8: bus traffic (K cache lines): demand/useful/useless",
-		Header: []string{"benchmark", "policy", "demand", "useful-pref", "useless-pref", "total"},
+func Fig8(sc Scale) Sweep {
+	names := Fig6Benchmarks()
+	return Sweep{
+		Spec: single("fig8", names, standard, sc),
+		Reduce: func(res *runner.SweepResult) *Table {
+			g := machines(res)
+			t := &Table{
+				Title:  "Figure 8: bus traffic (K cache lines): demand/useful/useless",
+				Header: []string{"benchmark", "policy", "demand", "useful-pref", "useless-pref", "total"},
+			}
+			for b, name := range names {
+				for v, pol := range standard {
+					j := g[v][b]
+					t.Add(name, label(pol),
+						fmt.Sprintf("%.1f", float64(j.BusDemand)/1000),
+						fmt.Sprintf("%.1f", float64(j.BusUseful)/1000),
+						fmt.Sprintf("%.1f", float64(j.BusUseless)/1000),
+						fmt.Sprintf("%.1f", bus(j)/1000))
+				}
+			}
+			return t
+		},
 	}
-	for _, b := range Fig6Benchmarks() {
-		for _, v := range []string{"no-pref", "demand-first", "demand-pref-equal", "aps-only", "aps-apd (PADC)"} {
-			bus := sweep[b][v].Res.Bus
-			t.Add(b, v,
-				fmt.Sprintf("%.1f", float64(bus.Demand)/1000),
-				fmt.Sprintf("%.1f", float64(bus.UsefulPref)/1000),
-				fmt.Sprintf("%.1f", float64(bus.UselessPref)/1000),
-				fmt.Sprintf("%.1f", float64(bus.Total())/1000))
-		}
-	}
-	return t
 }
 
 // Table5 reproduces Table 5: benchmark characteristics without prefetching
 // and with the stream prefetcher under demand-first.
-func Table5(sc Scale, full bool) *Table {
+func Table5(sc Scale, full bool) Sweep {
 	names := Fig6Benchmarks()
 	if full {
 		names = workload.Names()
 	}
 	sort.Strings(names)
-	sweep := SingleCoreSweep(names, []Variant{NoPref(), DemandFirst()}, sc)
-	t := &Table{
-		Title:  "Table 5: benchmark characteristics (no-pref | demand-first)",
-		Header: []string{"benchmark", "class", "IPC0", "MPKI0", "IPC", "MPKI", "RBH(%)", "ACC(%)", "COV(%)"},
+	return Sweep{
+		Spec: single("tab5", names, []string{"no-pref", "demand-first"}, sc),
+		Reduce: func(res *runner.SweepResult) *Table {
+			g := machines(res)
+			t := &Table{
+				Title:  "Table 5: benchmark characteristics (no-pref | demand-first)",
+				Header: []string{"benchmark", "class", "IPC0", "MPKI0", "IPC", "MPKI", "RBH(%)", "ACC(%)", "COV(%)"},
+			}
+			for b, name := range names {
+				np, df := g[0][b], g[1][b]
+				t.Add(name, workload.MustByName(name).Class.String(),
+					fmt.Sprintf("%.2f", ipc(np)),
+					fmt.Sprintf("%.2f", np.Telemetry["core0/mpki"]),
+					fmt.Sprintf("%.2f", ipc(df)),
+					fmt.Sprintf("%.2f", df.Telemetry["core0/mpki"]),
+					fmt.Sprintf("%.1f", df.RowHitRate*100),
+					fmt.Sprintf("%.1f", df.Telemetry["core0/acc"]*100),
+					fmt.Sprintf("%.1f", df.Telemetry["core0/cov"]*100))
+			}
+			return t
+		},
 	}
-	for _, b := range names {
-		prof := workload.MustByName(b)
-		np := sweep[b]["no-pref"]
-		df := sweep[b]["demand-first"]
-		t.Add(b, prof.Class.String(),
-			fmt.Sprintf("%.2f", np.Core.IPC()),
-			fmt.Sprintf("%.2f", np.Core.MPKI()),
-			fmt.Sprintf("%.2f", df.Core.IPC()),
-			fmt.Sprintf("%.2f", df.Core.MPKI()),
-			fmt.Sprintf("%.1f", df.Res.RBH()*100),
-			fmt.Sprintf("%.1f", df.Core.ACC()*100),
-			fmt.Sprintf("%.1f", df.Core.COV()*100))
-	}
-	return t
 }
 
 // Table7 reproduces Table 7: the row-buffer hit rate over useful requests
 // (RBHU) for each policy.
-func Table7(sc Scale) *Table {
+func Table7(sc Scale) Sweep {
 	names := []string{"swim", "galgel", "art", "ammp", "mcf", "libquantum",
 		"omnetpp", "xalancbmk", "bwaves", "milc", "leslie3d", "soplex", "lbm"}
-	sweep := SingleCoreSweep(names, StandardVariants(), sc)
-	t := &Table{
-		Title:  "Table 7: RBHU (row-buffer hit rate for useful requests)",
-		Header: []string{"benchmark", "no-pref", "demand-first", "demand-pref-equal", "aps-only", "aps-apd (PADC)"},
+	return Sweep{
+		Spec: single("tab7", names, standard, sc),
+		Reduce: func(res *runner.SweepResult) *Table {
+			g := machines(res)
+			t := &Table{Title: "Table 7: RBHU (row-buffer hit rate for useful requests)", Header: policyHeader("benchmark")}
+			sums := make([]float64, len(standard))
+			for b, name := range names {
+				var row []float64
+				for v := range standard {
+					r := g[v][b].RBHU
+					row = append(row, r)
+					sums[v] += r
+				}
+				t.Addf(name, row...)
+			}
+			for v := range sums {
+				sums[v] /= float64(len(names))
+			}
+			t.Addf("mean", sums...)
+			return t
+		},
 	}
-	vnames := []string{"no-pref", "demand-first", "demand-pref-equal", "aps-only", "aps-apd (PADC)"}
-	sums := make([]float64, len(vnames))
-	for _, b := range names {
-		var row []float64
-		for vi, v := range vnames {
-			r := sweep[b][v].Res.RBHU()
-			row = append(row, r)
-			sums[vi] += r
-		}
-		t.Addf(b, row...)
-	}
-	for vi := range sums {
-		sums[vi] /= float64(len(names))
-	}
-	t.Addf("mean", sums...)
-	return t
 }
 
 // Fig2 reproduces the conceptual example of Figure 2 at the DRAM
@@ -274,15 +284,8 @@ func Fig2() *Table {
 		Header: []string{"policy", "X(pref,rowA)", "Y(dem,rowB)", "Z(pref,rowA)"},
 	}
 	for _, pol := range []memctrl.Policy{memctrl.DemandFirst, memctrl.DemandPrefEqual} {
-		x, y, z := fig2Scenario(pol)
+		x, y, z := fig2Run(pol)
 		t.Add(pol.String(), fmt.Sprintf("%d", x), fmt.Sprintf("%d", y), fmt.Sprintf("%d", z))
 	}
 	return t
 }
-
-// fig2Scenario is shared with the unit tests.
-func fig2Scenario(pol memctrl.Policy) (x, y, z uint64) {
-	return fig2Run(pol)
-}
-
-var _ = sim.Config{} // sim is used by the shared helpers above

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -20,12 +21,16 @@ var csvHeader = []string{
 }
 
 // WriteCSV writes the merged sweep as CSV: one row per job in job-key
-// order. Output is a pure function of the spec (no timestamps, no
-// wall-clock fields), so runs with different worker counts are
-// byte-identical.
+// order, plus ws, hs and uf columns when the spec sets Alone. Output is a
+// pure function of the spec (no timestamps, no wall-clock fields), so
+// runs with different worker counts are byte-identical.
 func (r *SweepResult) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
+	header := csvHeader
+	if r.Spec.Alone != nil {
+		header = append(slices.Clip(header), "ws", "hs", "uf")
+	}
+	if err := cw.Write(header); err != nil {
 		return err
 	}
 	for _, j := range r.Jobs {
@@ -42,6 +47,9 @@ func (r *SweepResult) WriteCSV(w io.Writer) error {
 			formatFloat(j.RowHitRate), formatFloat(j.RBHU),
 			fmt.Sprintf("%d", j.PrefSent), fmt.Sprintf("%d", j.PrefUsed),
 			fmt.Sprintf("%d", j.PrefDropped),
+		}
+		if r.Spec.Alone != nil {
+			row = append(row, speedupCells(j, formatFloat)...)
 		}
 		if err := cw.Write(row); err != nil {
 			return err
@@ -78,16 +86,30 @@ func firstLine(s string) string {
 	return s
 }
 
+// speedupCells renders a row's WS, HS and UF, or empty cells when the
+// merge left them empty.
+func speedupCells(j JobResult, format func(float64) string) []string {
+	if j.Speedup == nil {
+		return []string{"", "", ""}
+	}
+	return []string{format(j.WS), format(j.HS), format(j.UF)}
+}
+
 // TableData returns the merged sweep as an aligned-text-ready header and
-// rows (the exp.Table shape), for the CLI and examples to render.
+// rows (the exp.Table shape), for the CLI and examples to render. WS, HS
+// and UF columns appear when the spec sets Alone.
 func (r *SweepResult) TableData() (header []string, rows [][]string) {
-	header = []string{"job", "cycles", "thruput", "bus(D/U/X)", "rowhit", "rbhu", "sent", "used", "dropped", "status"}
+	header = []string{"job", "cycles", "thruput", "bus(D/U/X)", "rowhit", "rbhu", "sent", "used", "dropped"}
+	if r.Spec.Alone != nil {
+		header = append(header, "WS", "HS", "UF")
+	}
+	header = append(header, "status")
 	for _, j := range r.Jobs {
 		status := "ok"
 		if j.Err != "" {
 			status = "FAILED: " + firstLine(j.Err)
 		}
-		rows = append(rows, []string{
+		row := []string{
 			j.Key,
 			fmt.Sprintf("%d", j.Cycles),
 			fmt.Sprintf("%.3f", j.Throughput),
@@ -97,8 +119,11 @@ func (r *SweepResult) TableData() (header []string, rows [][]string) {
 			fmt.Sprintf("%d", j.PrefSent),
 			fmt.Sprintf("%d", j.PrefUsed),
 			fmt.Sprintf("%d", j.PrefDropped),
-			status,
-		})
+		}
+		if r.Spec.Alone != nil {
+			row = append(row, speedupCells(j, func(v float64) string { return fmt.Sprintf("%.3f", v) })...)
+		}
+		rows = append(rows, append(row, status))
 	}
 	return header, rows
 }

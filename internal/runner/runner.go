@@ -3,9 +3,12 @@ package runner
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,8 +24,8 @@ import (
 // startup, but it is atomic so tests can flip it safely.
 var defaultWorkers atomic.Int64
 
-// SetDefaultWorkers sets the pool size Parallel and Run fall back to when
-// no explicit worker count is given; n <= 0 restores GOMAXPROCS.
+// SetDefaultWorkers sets the pool size Run falls back to when no explicit
+// worker count is given; n <= 0 restores GOMAXPROCS.
 func SetDefaultWorkers(n int) {
 	if n < 0 {
 		n = 0
@@ -36,39 +39,6 @@ func DefaultWorkers() int {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// Parallel runs jobs 0..n-1 on the default worker pool. It is the
-// low-level fan-out primitive the experiment runners use; unlike Run it
-// does not recover panics (experiment configs are statically correct, so
-// a panic there is a programming error that should fail loudly).
-func Parallel(n int, job func(i int)) {
-	workers := DefaultWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			job(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				job(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
 
 // Progress observes sweep execution: done jobs so far (including failed),
@@ -173,7 +143,16 @@ type JobResult struct {
 	Cycles     uint64    `json:"cycles"`
 	IPC        []float64 `json:"ipc"` // per core
 	Throughput float64   `json:"throughput"`
-	WS         float64   `json:"-"` // reserved: needs alone baselines
+
+	// WS, HS and UF are the paper's weighted speedup, harmonic speedup and
+	// unfairness (§6), and Speedup is each core's IPC over its benchmark's
+	// IPC_alone. The merge fills them on the grid rows of a spec that sets
+	// Alone, from the baseline rows present; they stay empty when a
+	// baseline is missing or failed, or a speedup is not positive.
+	WS      float64   `json:"ws,omitempty"`
+	HS      float64   `json:"hs,omitempty"`
+	UF      float64   `json:"uf,omitempty"`
+	Speedup []float64 `json:"speedup,omitempty"`
 
 	BusDemand  uint64  `json:"bus_demand"`
 	BusUseful  uint64  `json:"bus_useful"`
@@ -200,6 +179,9 @@ type JobResult struct {
 
 	wall time.Duration // measured latency; never serialized
 }
+
+// IsBaseline reports whether the row is an alone-baseline job.
+func (j JobResult) IsBaseline() bool { return strings.HasPrefix(j.Key, alonePrefix) }
 
 // RunStats reports the sweep's wall-clock behavior. It is intentionally
 // not part of the deterministic artifacts.
@@ -368,7 +350,7 @@ func MergeRows(spec Spec, rows []JobResult) *SweepResult {
 
 // merge orders the job rows by their stable key (ties by index), the
 // contract that makes the exported artifacts independent of completion
-// order.
+// order, and joins the grid rows to their alone baselines.
 func (r *SweepResult) merge() {
 	sort.Slice(r.Jobs, func(i, j int) bool {
 		if r.Jobs[i].Key != r.Jobs[j].Key {
@@ -376,6 +358,45 @@ func (r *SweepResult) merge() {
 		}
 		return r.Jobs[i].Index < r.Jobs[j].Index
 	})
+	if r.Spec.Alone != nil {
+		r.fillSpeedups()
+	}
+}
+
+// fillSpeedups recomputes every grid row's speedup metrics from the
+// baseline rows present, so any subset of a spec's rows (a shard, a
+// journal) merges to the same metrics once the baselines it needs are in.
+func (r *SweepResult) fillSpeedups() {
+	d := r.Spec.withDefaults()
+	machines, err := d.machines()
+	if err != nil {
+		return
+	}
+	nmixes := len(d.Workloads) + d.Mixes
+	ipcAlone := make(map[string]float64)
+	for _, j := range r.Jobs {
+		if j.IsBaseline() && j.Err == "" && len(j.IPC) > 0 {
+			ipcAlone[j.Key] = j.IPC[0]
+		}
+	}
+	for i := range r.Jobs {
+		j := &r.Jobs[i]
+		j.WS, j.HS, j.UF, j.Speedup = 0, 0, 0, nil
+		if j.Err != "" || j.Index >= len(machines)*nmixes || len(j.IPC) != len(j.Workloads) {
+			continue
+		}
+		bl := machines[j.Index/nmixes].alone
+		alone := make([]float64, len(j.Workloads))
+		for c, bench := range j.Workloads {
+			alone[c] = ipcAlone[aloneKey(bl.key, bench)]
+		}
+		ss := stats.IndividualSpeedups(j.IPC, alone)
+		if slices.ContainsFunc(ss, func(s float64) bool { return !(s > 0) || math.IsInf(s, 1) }) {
+			continue
+		}
+		j.WS, j.HS, j.UF = stats.WS(j.IPC, alone), stats.HS(j.IPC, alone), stats.UF(j.IPC, alone)
+		j.Speedup = ss
+	}
 }
 
 // Failed returns how many jobs carry an error.
@@ -495,6 +516,7 @@ func (r *JobResult) fill(res stats.Results) {
 		tel["memside/used"] = float64(ms.Used)
 		tel["memside/dropped_pressure"] = float64(ms.DroppedPressure)
 		tel["memside/dropped_apd"] = float64(ms.Dropped)
+		tel["memside/gate_closed"] = float64(ms.GateClosed)
 		tel["memside/acc"] = ms.ACC()
 	}
 	if ds := res.DSPatch; ds != nil {

@@ -44,36 +44,36 @@ func artifacts(t *testing.T, res *SweepResult) (csv, js string) {
 // (attribution sums to frozen cycles, prefetch conservation, span
 // decomposition) in all three runs.
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	spec := testSpec()
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
-
-	var wantCSV, wantJSON string
-	for _, workers := range workerCounts {
-		res, err := Run(spec, Options{Workers: workers, Verify: true})
-		if err != nil {
-			t.Fatalf("Run(workers=%d): %v", workers, err)
-		}
-		if len(res.Jobs) < 16 {
-			t.Fatalf("sweep expanded to %d jobs, want >= 16", len(res.Jobs))
-		}
-		for _, j := range res.Jobs {
-			if j.Err != "" {
-				t.Fatalf("workers=%d: job %s failed: %s", workers, j.Key, j.Err)
+	for _, spec := range []Spec{testSpec(), aloneSpec()} {
+		var wantCSV, wantJSON string
+		for _, workers := range workerCounts {
+			res, err := Run(spec, Options{Workers: workers, Verify: true})
+			if err != nil {
+				t.Fatalf("%s: Run(workers=%d): %v", spec.Name, workers, err)
 			}
-			if j.Cycles == 0 || j.Throughput <= 0 {
-				t.Fatalf("workers=%d: job %s produced empty metrics: %+v", workers, j.Key, j)
+			if len(res.Jobs) < 16 {
+				t.Fatalf("%s: sweep expanded to %d jobs, want >= 16", spec.Name, len(res.Jobs))
 			}
-		}
-		csv, js := artifacts(t, res)
-		if wantCSV == "" {
-			wantCSV, wantJSON = csv, js
-			continue
-		}
-		if csv != wantCSV {
-			t.Errorf("workers=%d: CSV differs from workers=%d run:\n%s", workers, workerCounts[0], firstDiff(wantCSV, csv))
-		}
-		if js != wantJSON {
-			t.Errorf("workers=%d: JSON differs from workers=%d run:\n%s", workers, workerCounts[0], firstDiff(wantJSON, js))
+			for _, j := range res.Jobs {
+				if j.Err != "" {
+					t.Fatalf("%s: workers=%d: job %s failed: %s", spec.Name, workers, j.Key, j.Err)
+				}
+				if j.Cycles == 0 || j.Throughput <= 0 {
+					t.Fatalf("%s: workers=%d: job %s produced empty metrics: %+v", spec.Name, workers, j.Key, j)
+				}
+			}
+			csv, js := artifacts(t, res)
+			if wantCSV == "" {
+				wantCSV, wantJSON = csv, js
+				continue
+			}
+			if csv != wantCSV {
+				t.Errorf("%s: workers=%d: CSV differs from workers=%d run:\n%s", spec.Name, workers, workerCounts[0], firstDiff(wantCSV, csv))
+			}
+			if js != wantJSON {
+				t.Errorf("%s: workers=%d: JSON differs from workers=%d run:\n%s", spec.Name, workers, workerCounts[0], firstDiff(wantJSON, js))
+			}
 		}
 	}
 }
@@ -205,29 +205,6 @@ func TestSweepStress(t *testing.T) {
 	}
 }
 
-// TestParallelCoversAllIndices checks the shared fan-out primitive runs
-// every index exactly once for odd pool shapes.
-func TestParallelCoversAllIndices(t *testing.T) {
-	old := DefaultWorkers()
-	defer SetDefaultWorkers(old)
-	for _, workers := range []int{0, 1, 3, 16} {
-		SetDefaultWorkers(workers)
-		const n = 37
-		var mu sync.Mutex
-		seen := make([]int, n)
-		Parallel(n, func(i int) {
-			mu.Lock()
-			seen[i]++
-			mu.Unlock()
-		})
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
-			}
-		}
-	}
-}
-
 // BenchmarkSweepParallel measures the same 16-job sweep at one worker and
 // at GOMAXPROCS, so `go test -bench SweepParallel` demonstrates the
 // wall-clock speedup on multi-core runners (the two sub-benchmarks' ns/op
@@ -254,67 +231,71 @@ func BenchmarkSweepParallel(b *testing.B) {
 // cancellation RunContext returns context.Canceled plus only the rows
 // that actually completed, and finishing the sweep later with those rows
 // fed back through the Reuse hook yields artifacts byte-identical to an
-// uninterrupted run.
+// uninterrupted run — with alone baselines too, whose speedups the resumed
+// merge fills from reused and fresh rows alike.
 func TestRunContextCancellation(t *testing.T) {
-	spec := testSpec()
-	full, err := Run(spec, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCSV, wantJSON := artifacts(t, full)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	const stopAfter = 5
-	partial, err := RunContext(ctx, spec, Options{
-		Workers: 2,
-		Progress: func(done, total int, _ JobResult) {
-			if done == stopAfter {
-				cancel()
+	for _, spec := range []Spec{testSpec(), aloneSpec()} {
+		t.Run(spec.Name, func(t *testing.T) {
+			full, err := Run(spec, Options{Workers: 4})
+			if err != nil {
+				t.Fatal(err)
 			}
-		},
-	})
-	if err != context.Canceled {
-		t.Fatalf("cancelled RunContext error = %v, want context.Canceled", err)
-	}
-	if n := len(partial.Jobs); n < stopAfter || n >= len(full.Jobs) {
-		t.Fatalf("cancelled run completed %d of %d jobs, want in [%d, %d)", n, len(full.Jobs), stopAfter, len(full.Jobs))
-	}
-	for _, j := range partial.Jobs {
-		if j.Err != "" {
-			t.Fatalf("completed row %s carries error %q", j.Key, j.Err)
-		}
-		if j.Cycles == 0 {
-			t.Fatalf("cancelled run leaked an unexecuted zero row: %+v", j)
-		}
-	}
+			wantCSV, wantJSON := artifacts(t, full)
 
-	// Resume: journal-style reuse of the completed rows must re-run only
-	// the remainder and reproduce the uninterrupted artifacts exactly.
-	recovered := make(map[int]JobResult, len(partial.Jobs))
-	for _, j := range partial.Jobs {
-		recovered[j.Index] = j
-	}
-	executed := 0
-	resumed, err := Run(spec, Options{
-		Workers: 3,
-		Reuse: func(j Job) (JobResult, bool) {
-			r, ok := recovered[j.Index]
-			return r, ok
-		},
-		Start: func(Job) { executed++ },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(full.Jobs) - len(partial.Jobs); executed != want {
-		t.Fatalf("resume executed %d jobs, want %d", executed, want)
-	}
-	csv, js := artifacts(t, resumed)
-	if csv != wantCSV {
-		t.Errorf("resumed CSV differs from uninterrupted run:\n%s", firstDiff(wantCSV, csv))
-	}
-	if js != wantJSON {
-		t.Errorf("resumed JSON differs from uninterrupted run:\n%s", firstDiff(wantJSON, js))
+			ctx, cancel := context.WithCancel(context.Background())
+			const stopAfter = 5
+			partial, err := RunContext(ctx, spec, Options{
+				Workers: 2,
+				Progress: func(done, total int, _ JobResult) {
+					if done == stopAfter {
+						cancel()
+					}
+				},
+			})
+			if err != context.Canceled {
+				t.Fatalf("cancelled RunContext error = %v, want context.Canceled", err)
+			}
+			if n := len(partial.Jobs); n < stopAfter || n >= len(full.Jobs) {
+				t.Fatalf("cancelled run completed %d of %d jobs, want in [%d, %d)", n, len(full.Jobs), stopAfter, len(full.Jobs))
+			}
+			for _, j := range partial.Jobs {
+				if j.Err != "" {
+					t.Fatalf("completed row %s carries error %q", j.Key, j.Err)
+				}
+				if j.Cycles == 0 {
+					t.Fatalf("cancelled run leaked an unexecuted zero row: %+v", j)
+				}
+			}
+
+			// Resume: journal-style reuse of the completed rows must re-run only
+			// the remainder and reproduce the uninterrupted artifacts exactly.
+			recovered := make(map[int]JobResult, len(partial.Jobs))
+			for _, j := range partial.Jobs {
+				recovered[j.Index] = j
+			}
+			executed := 0
+			resumed, err := Run(spec, Options{
+				Workers: 3,
+				Reuse: func(j Job) (JobResult, bool) {
+					r, ok := recovered[j.Index]
+					return r, ok
+				},
+				Start: func(Job) { executed++ },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := len(full.Jobs) - len(partial.Jobs); executed != want {
+				t.Fatalf("resume executed %d jobs, want %d", executed, want)
+			}
+			csv, js := artifacts(t, resumed)
+			if csv != wantCSV {
+				t.Errorf("resumed CSV differs from uninterrupted run:\n%s", firstDiff(wantCSV, csv))
+			}
+			if js != wantJSON {
+				t.Errorf("resumed JSON differs from uninterrupted run:\n%s", firstDiff(wantJSON, js))
+			}
+		})
 	}
 }
 
@@ -322,39 +303,60 @@ func TestRunContextCancellation(t *testing.T) {
 // uneven splits (shard counts that do not divide the job count) the union
 // of every shard's rows, merged with MergeRows, is byte-identical to the
 // unsharded artifact — and the shards partition the grid with no overlap.
+// On the alone spec some shards hold no baseline rows, so their own merge
+// leaves the speedups empty; the union must still fill every one.
 func TestShardUnionMatchesUnsharded(t *testing.T) {
-	spec := testSpec() // 16 jobs: 3 and 5 shards are both uneven splits
-	full, err := Run(spec, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCSV, wantJSON := artifacts(t, full)
+	for _, tc := range []struct {
+		spec   Spec
+		counts []int
+	}{
+		{testSpec(), []int{2, 3, 5}}, // 16 jobs: 3 and 5 shards are both uneven splits
+		{aloneSpec(), []int{3, 11}},  // 22 jobs: shards 0-4 of 11 own no baseline
+	} {
+		spec := tc.spec
+		full, err := Run(spec, Options{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCSV, wantJSON := artifacts(t, full)
 
-	for _, count := range []int{2, 3, 5} {
-		var union []JobResult
-		seen := map[int]bool{}
-		for idx := 0; idx < count; idx++ {
-			res, err := Run(spec, Options{Workers: 2, Shard: Shard{Index: idx, Count: count}})
-			if err != nil {
-				t.Fatalf("shard %d/%d: %v", idx, count, err)
-			}
-			for _, j := range res.Jobs {
-				if seen[j.Index] {
-					t.Fatalf("shard %d/%d re-ran job index %d", idx, count, j.Index)
+		for _, count := range tc.counts {
+			var union []JobResult
+			seen := map[int]bool{}
+			for idx := 0; idx < count; idx++ {
+				res, err := Run(spec, Options{Workers: 2, Shard: Shard{Index: idx, Count: count}})
+				if err != nil {
+					t.Fatalf("%s: shard %d/%d: %v", spec.Name, idx, count, err)
 				}
-				seen[j.Index] = true
+				baselines := 0
+				for _, j := range res.Jobs {
+					if seen[j.Index] {
+						t.Fatalf("%s: shard %d/%d re-ran job index %d", spec.Name, idx, count, j.Index)
+					}
+					seen[j.Index] = true
+					if j.IsBaseline() {
+						baselines++
+					}
+				}
+				if spec.Alone != nil && baselines == 0 {
+					for _, j := range res.Jobs {
+						if j.Speedup != nil {
+							t.Fatalf("%s: shard %d/%d has no baselines but filled %s", spec.Name, idx, count, j.Key)
+						}
+					}
+				}
+				union = append(union, res.Jobs...)
 			}
-			union = append(union, res.Jobs...)
-		}
-		if len(union) != len(full.Jobs) {
-			t.Fatalf("%d shards yielded %d rows, want %d", count, len(union), len(full.Jobs))
-		}
-		csv, js := artifacts(t, MergeRows(spec, union))
-		if csv != wantCSV {
-			t.Errorf("count=%d: sharded union CSV differs:\n%s", count, firstDiff(wantCSV, csv))
-		}
-		if js != wantJSON {
-			t.Errorf("count=%d: sharded union JSON differs:\n%s", count, firstDiff(wantJSON, js))
+			if len(union) != len(full.Jobs) {
+				t.Fatalf("%s: %d shards yielded %d rows, want %d", spec.Name, count, len(union), len(full.Jobs))
+			}
+			csv, js := artifacts(t, MergeRows(spec, union))
+			if csv != wantCSV {
+				t.Errorf("%s: count=%d: sharded union CSV differs:\n%s", spec.Name, count, firstDiff(wantCSV, csv))
+			}
+			if js != wantJSON {
+				t.Errorf("%s: count=%d: sharded union JSON differs:\n%s", spec.Name, count, firstDiff(wantJSON, js))
+			}
 		}
 	}
 }

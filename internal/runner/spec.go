@@ -17,7 +17,9 @@ package runner
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"slices"
+	"sort"
 	"strings"
 
 	"padc/internal/core"
@@ -80,12 +82,30 @@ type Spec struct {
 	// Default: flat, matching the historical simulator behavior.
 	Topologies []string `json:"topologies,omitempty"`
 
+	// Axes optionally sweeps any other sim.Machine field, named by its
+	// JSON tag: {"channels": [2], "permutation": [false, true]}. Generic
+	// axes cross after the named ones above, in Machine field order, and
+	// add a "field=value" key segment unless the value is the
+	// DefaultMachine's. A field with a named axis, and cores, target_insts
+	// and kernel, has one spelling only and is no generic axis.
+	Axes map[string][]json.RawMessage `json:"axes,omitempty"`
+
 	// Workloads lists explicit benchmark mixes (each inner list is one mix,
 	// one benchmark per core). Mixes additionally draws that many random
 	// Cores-wide mixes from the extended suite using the root seed. At
 	// least one of the two must yield a mix.
 	Workloads [][]string `json:"workloads,omitempty"`
 	Mixes     int        `json:"mixes,omitempty"`
+
+	// Alone, when set, adds the paper's IPC_alone baselines (§6). It is a
+	// sim.Machine overlay in the JSON names, such as {"policy":
+	// "demand-first"}: each grid machine with the overlay written over it,
+	// and the promotion and drop knobs reset, is that machine's baseline.
+	// Expand appends one 1-benchmark job per distinct (baseline machine,
+	// benchmark) after the grid jobs, keyed "alone/<machine>/mix=<bench>",
+	// and the merge fills every grid row's WS, HS, UF and Speedup from
+	// them. Default: absent, no baselines.
+	Alone json.RawMessage `json:"alone,omitempty"`
 
 	// Kernel selects the simulation loop every job runs under: "" or
 	// "events" (the cycle-skipping default) or "stepped" (the
@@ -151,23 +171,28 @@ func normalizeAxis(vals []string, defaultName string) []string {
 	}
 	out := make([]string, len(vals))
 	for i, v := range vals {
-		if v != defaultName {
-			out[i] = v
-		}
+		out[i] = normalize(v, defaultName)
 	}
 	return out
 }
 
 // Validate reports the first problem with the spec: unknown names on any
 // machine axis, unknown benchmarks, out-of-range axes, two grid points
-// sharing a key, or a grid exceeding MaxJobs.
+// sharing a key, a bad alone overlay, or more than MaxJobs jobs.
 func (s Spec) Validate() error {
+	if s.Alone != nil {
+		// Baseline jobs count toward MaxJobs, and counting them draws the
+		// random mixes.
+		_, err := s.Expand()
+		return err
+	}
 	_, err := s.withDefaults().machines()
 	return err
 }
 
-// Point is one grid coordinate in the spec's spellings, the explicit
-// defaults normalized to "" (or 0) so they never appear in keys.
+// Point is one grid coordinate in the named axes' spellings, the
+// explicit defaults normalized to "" (or 0) so they never appear in keys.
+// Generic axis values appear only in the job key.
 type Point struct {
 	Policy     string   `json:"policy"`
 	Prefetcher string   `json:"prefetcher"`
@@ -181,14 +206,10 @@ type Point struct {
 	Workloads  []string `json:"workloads"`
 }
 
-// Key renders the canonical "policy=…/pf=…/…/mix=…" coordinates the merge
-// sorts on. Default-valued axes are omitted, so keys (and sort order)
-// from sweeps predating an axis never change.
-func (p Point) Key() string { return p.machineKey() + "/mix=" + p.Mix }
-
-// machineKey is Key without the mix: the coordinates of the machine the
-// point runs on.
-func (p Point) machineKey() string {
+// namedKey renders the named axes' "policy=…/pf=…/…" key segments.
+// Default-valued axes are omitted, so keys (and sort order) from sweeps
+// predating an axis never change.
+func (p Point) namedKey() string {
 	parts := []string{"policy=" + p.Policy, "pf=" + p.Prefetcher}
 	if p.Promotion > 0 {
 		parts = append(parts, fmt.Sprintf("promo=%.2f", p.Promotion))
@@ -215,7 +236,7 @@ func (p Point) machineKey() string {
 // coordinates, and the fully-resolved simulator config.
 type Job struct {
 	Index int    // position in expansion order (stable given the spec)
-	Key   string // Point.Key()
+	Key   string // "<machine key>/mix=<mix>"; baselines prefix "alone/"
 	Seed  uint64 // per-job seed: splitmix(root seed, Index)
 	Point
 
@@ -233,37 +254,139 @@ func splitmix(seed, x uint64) uint64 {
 	return x ^ x>>31
 }
 
+// machineField is a sim.Machine field an axis or the alone overlay
+// addresses by its JSON name.
+type machineField struct {
+	name  string
+	index int
+	typ   reflect.Type
+}
+
+// machineFields lists sim.Machine's JSON-named fields in declaration
+// order; the observers carry no name.
+var machineFields = func() []machineField {
+	t := reflect.TypeOf(sim.Machine{})
+	var out []machineField
+	for i := 0; i < t.NumField(); i++ {
+		if name := t.Field(i).Tag.Get("json"); name != "-" {
+			out = append(out, machineField{name: name, index: i, typ: t.Field(i).Type})
+		}
+	}
+	return out
+}()
+
+// spelledFields maps each Machine field the spec sets by other means to
+// that spelling. Every other named field is a generic axis.
+var spelledFields = map[string]string{
+	"cores": "cores", "target_insts": "insts", "kernel": "kernel",
+	"policy": "policies", "prefetcher": "prefetchers", "memside": "memside",
+	"topology": "topologies", "refresh_mode": "refresh", "page_policy": "page_policies",
+}
+
+// isMachineField reports whether a Machine field has the JSON name.
+func isMachineField(name string) bool {
+	for _, f := range machineFields {
+		if f.name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// genericKey renders the "/field=value" key segments of every generic
+// Machine field whose value differs from the DefaultMachine's, in field
+// order.
+func genericKey(m sim.Machine) string {
+	v, def := reflect.ValueOf(m), reflect.ValueOf(sim.DefaultMachine(m.Cores))
+	var b strings.Builder
+	for _, f := range machineFields {
+		if _, spelled := spelledFields[f.name]; spelled {
+			continue
+		}
+		if x := v.Field(f.index).Interface(); x != def.Field(f.index).Interface() {
+			fmt.Fprintf(&b, "/%s=%v", f.name, x)
+		}
+	}
+	return b.String()
+}
+
+// gridPoint is one machine coordinate while the grid is crossed: the
+// named axes' spellings and the machine the generic axes have set.
+type gridPoint struct {
+	Point
+	m sim.Machine
+}
+
 // axis is one machine axis of the grid: its length and a setter writing
 // its i-th value into a point.
 type axis struct {
 	n   int
-	set func(p *Point, i int)
+	set func(g *gridPoint, i int)
 }
 
 // axes lists the machine axes of a defaulted spec in grid order, slowest
-// first; the mix axis varies fastest of all.
-func (d Spec) axes() []axis {
-	return []axis{
-		{len(d.Policies), func(p *Point, i int) { p.Policy = d.Policies[i] }},
-		{len(d.Prefetchers), func(p *Point, i int) { p.Prefetcher = d.Prefetchers[i] }},
-		{len(d.PromotionThresholds), func(p *Point, i int) { p.Promotion = d.PromotionThresholds[i] }},
-		{len(d.DropCycles), func(p *Point, i int) { p.Drop = d.DropCycles[i] }},
-		{len(d.Refresh), func(p *Point, i int) { p.Refresh = d.Refresh[i] }},
-		{len(d.PagePolicies), func(p *Point, i int) { p.Page = d.PagePolicies[i] }},
-		{len(d.Topologies), func(p *Point, i int) { p.Topology = d.Topologies[i] }},
-		{len(d.MemSide), func(p *Point, i int) { p.MemSide = d.MemSide[i] }},
+// first: the named axes, then the generic ones in Machine field order.
+// The mix axis varies fastest of all.
+func (d Spec) axes() ([]axis, error) {
+	out := []axis{
+		{len(d.Policies), func(g *gridPoint, i int) { g.Policy = d.Policies[i] }},
+		{len(d.Prefetchers), func(g *gridPoint, i int) { g.Prefetcher = d.Prefetchers[i] }},
+		{len(d.PromotionThresholds), func(g *gridPoint, i int) { g.Promotion = d.PromotionThresholds[i] }},
+		{len(d.DropCycles), func(g *gridPoint, i int) { g.Drop = d.DropCycles[i] }},
+		{len(d.Refresh), func(g *gridPoint, i int) { g.Refresh = d.Refresh[i] }},
+		{len(d.PagePolicies), func(g *gridPoint, i int) { g.Page = d.PagePolicies[i] }},
+		{len(d.Topologies), func(g *gridPoint, i int) { g.Topology = d.Topologies[i] }},
+		{len(d.MemSide), func(g *gridPoint, i int) { g.MemSide = d.MemSide[i] }},
 	}
+	names := make([]string, 0, len(d.Axes))
+	for name := range d.Axes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if !isMachineField(name) {
+			return nil, fmt.Errorf("runner: unknown axis %q", name)
+		}
+		if spelling, ok := spelledFields[name]; ok {
+			return nil, fmt.Errorf("runner: axis %q is set by the spec's %q field", name, spelling)
+		}
+		if len(d.Axes[name]) == 0 {
+			return nil, fmt.Errorf("runner: axis %q has no values", name)
+		}
+	}
+	for _, f := range machineFields {
+		raws, ok := d.Axes[f.name]
+		if !ok {
+			continue
+		}
+		vals := make([]reflect.Value, len(raws))
+		for i, raw := range raws {
+			v := reflect.New(f.typ)
+			if err := json.Unmarshal(raw, v.Interface()); err != nil {
+				return nil, fmt.Errorf("runner: axis %q value %s: %v", f.name, raw, err)
+			}
+			vals[i] = v.Elem()
+		}
+		out = append(out, axis{len(vals), func(g *gridPoint, i int) {
+			reflect.ValueOf(&g.m).Elem().Field(f.index).Set(vals[i])
+		}})
+	}
+	return out, nil
 }
 
 // machine is one lowered machine point: every coordinate but the mix,
-// and the simulator config each of its jobs copies.
+// its key, the simulator config each of its jobs copies, and, when the
+// spec sets Alone, its baseline machine.
 type machine struct {
 	point Point
+	key   string
 	cfg   sim.Config
+	alone *machine
 }
 
 // machines validates a defaulted spec and lowers each machine point of
-// its grid once, in grid order. It checks mixes without drawing them.
+// its grid once, in grid order, with its baseline when the spec sets
+// Alone. It checks mixes without drawing them.
 func (d Spec) machines() ([]machine, error) {
 	if d.Cores < 1 || d.Cores > MaxCores {
 		return nil, fmt.Errorf("runner: cores must be 1..%d, got %d", MaxCores, d.Cores)
@@ -295,7 +418,13 @@ func (d Spec) machines() ([]machine, error) {
 	if nmixes == 0 {
 		return nil, fmt.Errorf("runner: spec yields no workload mixes (set workloads or mixes)")
 	}
-	axes := d.axes()
+	if err := d.checkAlone(); err != nil {
+		return nil, err
+	}
+	axes, err := d.axes()
+	if err != nil {
+		return nil, err
+	}
 	n := nmixes
 	for _, a := range axes {
 		n *= a.n
@@ -304,45 +433,122 @@ func (d Spec) machines() ([]machine, error) {
 		return nil, fmt.Errorf("runner: sweep expands to %d jobs, limit %d", n, MaxJobs)
 	}
 
-	points := []Point{{}}
+	base := sim.DefaultMachine(d.Cores)
+	base.TargetInsts, base.Kernel = d.Insts, d.Kernel
+	points := []gridPoint{{m: base}}
 	for _, a := range axes {
-		crossed := make([]Point, 0, len(points)*a.n)
-		for _, p := range points {
+		crossed := make([]gridPoint, 0, len(points)*a.n)
+		for _, g := range points {
 			for i := 0; i < a.n; i++ {
-				a.set(&p, i)
-				crossed = append(crossed, p)
+				a.set(&g, i)
+				crossed = append(crossed, g)
 			}
 		}
 		points = crossed
 	}
 	out := make([]machine, len(points))
 	seen := make(map[string]bool, len(points))
-	for i, p := range points {
-		key := p.machineKey()
+	baselines := map[string]*machine{}
+	for i, g := range points {
+		key := g.namedKey()
+		if len(d.Axes) > 0 {
+			key += genericKey(g.m)
+		}
 		if seen[key] {
 			return nil, fmt.Errorf("runner: grid repeats the machine %q", key)
 		}
 		seen[key] = true
-		cfg, err := d.lower(p)
+		m, err := g.machine()
 		if err != nil {
 			return nil, fmt.Errorf("runner: %v", err)
 		}
-		out[i] = machine{point: p, cfg: cfg}
+		cfg, err := lower(m, g.Point)
+		if err != nil {
+			return nil, fmt.Errorf("runner: %v", err)
+		}
+		out[i] = machine{point: g.Point, key: key, cfg: cfg}
+		if d.Alone != nil {
+			if out[i].alone, err = baseline(m, d.Alone, baselines); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return out, nil
 }
 
-// lower builds one machine point through sim.Machine.Config, then applies
-// the two sweep-only PADC knobs.
-func (d Spec) lower(p Point) (sim.Config, error) {
-	m := sim.DefaultMachine(d.Cores)
-	m.Policy, m.Prefetcher = p.Policy, p.Prefetcher
-	m.RefreshMode, m.PagePolicy, m.Topology = p.Refresh, p.Page, p.Topology
-	m.TargetInsts, m.Kernel = d.Insts, d.Kernel
-	var err error
-	if m.MemSide, err = sim.ParseMemSide(p.MemSide); err != nil {
-		return sim.Config{}, err
+// checkAlone checks the spec's alone overlay, when set: a JSON object
+// naming Machine fields other than cores, target_insts and kernel.
+func (d Spec) checkAlone() error {
+	if d.Alone == nil {
+		return nil
 	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(d.Alone, &fields); err != nil || fields == nil {
+		return fmt.Errorf("runner: alone must be a machine object, got %s", d.Alone)
+	}
+	for name := range fields {
+		if !isMachineField(name) {
+			return fmt.Errorf("runner: alone sets unknown machine field %q", name)
+		}
+		switch name {
+		case "cores", "target_insts", "kernel":
+			return fmt.Errorf("runner: alone cannot set %q: a baseline runs on the spec's machine size and kernel", name)
+		}
+	}
+	return nil
+}
+
+// baseline returns grid machine m's alone baseline: m with the overlay
+// written over it and the sweep-only PADC knobs at their defaults,
+// lowered once per distinct key into baselines.
+func baseline(m sim.Machine, overlay json.RawMessage, baselines map[string]*machine) (*machine, error) {
+	if err := json.Unmarshal(overlay, &m); err != nil {
+		return nil, fmt.Errorf("runner: alone overlay: %v", err)
+	}
+	p := Point{
+		Policy:     m.Policy,
+		Prefetcher: m.Prefetcher,
+		Refresh:    normalize(m.RefreshMode, "off"),
+		Page:       normalize(m.PagePolicy, "open"),
+		Topology:   normalize(m.Topology, "flat"),
+	}
+	if m.MemSide {
+		p.MemSide = "on"
+	}
+	key := p.namedKey() + genericKey(m)
+	if b, ok := baselines[key]; ok {
+		return b, nil
+	}
+	cfg, err := lower(m, p)
+	if err != nil {
+		return nil, fmt.Errorf("runner: alone machine %q: %v", key, err)
+	}
+	b := &machine{point: p, key: key, cfg: cfg}
+	baselines[key] = b
+	return b, nil
+}
+
+// normalize rewrites an axis default's explicit spelling to "".
+func normalize(v, defaultName string) string {
+	if v == defaultName {
+		return ""
+	}
+	return v
+}
+
+// machine writes the named axes' spellings into the point's machine.
+func (g gridPoint) machine() (sim.Machine, error) {
+	m := g.m
+	m.Policy, m.Prefetcher = g.Policy, g.Prefetcher
+	m.RefreshMode, m.PagePolicy, m.Topology = g.Refresh, g.Page, g.Topology
+	var err error
+	m.MemSide, err = sim.ParseMemSide(g.MemSide)
+	return m, err
+}
+
+// lower builds a machine through sim.Machine.Config, applies the point's
+// two sweep-only PADC knobs, and checks the result is a runnable machine.
+func lower(m sim.Machine, p Point) (sim.Config, error) {
 	cfg, err := m.Config()
 	if err != nil {
 		return sim.Config{}, err
@@ -353,12 +559,27 @@ func (d Spec) lower(p Point) (sim.Config, error) {
 	if p.Drop > 0 {
 		cfg.PADC.DropLadder = []core.DropLevel{{AccuracyBelow: 1.01, Cycles: p.Drop}}
 	}
+	probe := cfg
+	probe.Workload = make([]workload.Profile, 1)
+	if err := probe.Validate(); err != nil {
+		return sim.Config{}, err
+	}
 	return cfg, nil
 }
 
+// alonePrefix starts every baseline job's key.
+const alonePrefix = "alone/"
+
+// aloneKey is the key of the baseline job running bench on machine key.
+func aloneKey(machineKey, bench string) string {
+	return alonePrefix + machineKey + "/mix=" + bench
+}
+
 // Expand materializes the spec's grid in deterministic order: mixes vary
-// fastest, then memside, topology, page policy, refresh, drop threshold,
-// promotion threshold, prefetcher, and policy slowest.
+// fastest, then the generic axes (last Machine field fastest), memside,
+// topology, page policy, refresh, drop threshold, promotion threshold,
+// prefetcher, and policy slowest. With Alone, one job per distinct
+// (baseline machine, benchmark) follows, in order of first use.
 func (s Spec) Expand() ([]Job, error) {
 	d := s.withDefaults()
 	machines, err := d.machines()
@@ -387,31 +608,50 @@ func (s Spec) Expand() ([]Job, error) {
 	}
 
 	jobs := make([]Job, 0, len(machines)*len(mixes))
+	add := func(key, mix string, p Point, cfg sim.Config, profs []workload.Profile) {
+		p.Mix = mix
+		p.Workloads = make([]string, len(profs))
+		for i, prof := range profs {
+			p.Workloads[i] = prof.Name
+		}
+		// Each job owns its config's slices and topology.
+		cfg.PADC.DropLadder = slices.Clone(cfg.PADC.DropLadder)
+		if cfg.Topology != nil {
+			t := *cfg.Topology
+			t.Domains = slices.Clone(t.Domains)
+			cfg.Topology = &t
+		}
+		cfg.Workload = slices.Clone(profs)
+		idx := len(jobs)
+		jobs = append(jobs, Job{
+			Index:  idx,
+			Key:    key + "/mix=" + mix,
+			Seed:   splitmix(d.Seed, uint64(idx)|1<<32),
+			Point:  p,
+			Config: cfg,
+		})
+	}
 	for _, m := range machines {
 		for _, mx := range mixes {
-			p := m.point
-			p.Mix = mx.label
-			p.Workloads = make([]string, len(mx.profs))
-			for i, prof := range mx.profs {
-				p.Workloads[i] = prof.Name
+			add(m.key, mx.label, m.point, m.cfg, mx.profs)
+		}
+	}
+	if d.Alone != nil {
+		seen := map[string]bool{}
+		for _, m := range machines {
+			for _, mx := range mixes {
+				for _, prof := range mx.profs {
+					key := aloneKey(m.alone.key, prof.Name)
+					if seen[key] {
+						continue
+					}
+					seen[key] = true
+					add(alonePrefix+m.alone.key, prof.Name, m.alone.point, m.alone.cfg, []workload.Profile{prof})
+				}
 			}
-			// Each job owns its config's slices and topology.
-			cfg := m.cfg
-			cfg.PADC.DropLadder = slices.Clone(cfg.PADC.DropLadder)
-			if cfg.Topology != nil {
-				t := *cfg.Topology
-				t.Domains = slices.Clone(t.Domains)
-				cfg.Topology = &t
-			}
-			cfg.Workload = slices.Clone(mx.profs)
-			idx := len(jobs)
-			jobs = append(jobs, Job{
-				Index:  idx,
-				Key:    p.Key(),
-				Seed:   splitmix(d.Seed, uint64(idx)|1<<32),
-				Point:  p,
-				Config: cfg,
-			})
+		}
+		if len(jobs) > MaxJobs {
+			return nil, fmt.Errorf("runner: sweep expands to %d jobs with its baselines, limit %d", len(jobs), MaxJobs)
 		}
 	}
 	return jobs, nil

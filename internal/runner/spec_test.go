@@ -45,6 +45,22 @@ func TestParseSpecRejects(t *testing.T) {
 		"promotion collision": `{"mixes": 1, "promotion_thresholds": [0.851, 0.849]}`,
 		"padded topology":     `{"mixes": 1, "topologies": [" far-tier"]}`,
 		"inline topology":     `{"mixes": 1, "topologies": ["{\"name\":\"x\",\"domains\":[{\"name\":\"a\",\"channels\":1}]}"]}`,
+		"unknown axis":        `{"mixes": 1, "axes": {"chanels": [2]}}`,
+		"axis on cores":       `{"mixes": 1, "axes": {"cores": [2]}}`,
+		"axis on insts":       `{"mixes": 1, "axes": {"target_insts": [5000]}}`,
+		"axis on kernel":      `{"mixes": 1, "axes": {"kernel": ["stepped"]}}`,
+		"axis on observer":    `{"mixes": 1, "axes": {"Telemetry": [null]}}`,
+		"axis on named field": `{"mixes": 1, "axes": {"policy": ["padc"]}}`,
+		"axis bad value":      `{"mixes": 1, "axes": {"channels": ["two"]}}`,
+		"axis no values":      `{"mixes": 1, "axes": {"channels": []}}`,
+		"axis repeats a key":  `{"mixes": 1, "axes": {"channels": [2, 2]}}`,
+		"axis bad machine":    `{"mixes": 1, "axes": {"filter": ["sieve"]}}`,
+		"alone bad machine":   `{"mixes": 1, "alone": {"policy": "frfcfs-typo"}}`,
+		"alone unknown field": `{"mixes": 1, "alone": {"polcy": "padc"}}`,
+		"alone sets cores":    `{"mixes": 1, "alone": {"cores": 2}}`,
+		"alone bad value":     `{"mixes": 1, "alone": {"channels": "two"}}`,
+		"alone not an object": `{"mixes": 1, "alone": null}`,
+		"baselines too many":  baselinesPastMaxJobs,
 	}
 	for name, in := range cases {
 		if _, err := ParseSpec([]byte(in)); err == nil {
@@ -56,12 +72,24 @@ func TestParseSpecRejects(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "promo=0.85") {
 		t.Errorf("collision error does not name the key: %v", err)
 	}
+	// The baseline jobs alone push that grid past MaxJobs.
+	if _, err := ParseSpec([]byte(strings.Replace(baselinesPastMaxJobs, `,"alone":{}`, "", 1))); err != nil {
+		t.Errorf("grid without its baselines rejected: %v", err)
+	}
 	// Repeated workload mixes stay accepted: they run on the same machine
 	// and their rows keep apart by index.
 	if _, err := ParseSpec([]byte(`{"workloads": [["swim","art"],["swim","art"]]}`)); err != nil {
 		t.Errorf("repeated mix rejected: %v", err)
 	}
 }
+
+// baselinesPastMaxJobs is a 3,240-job grid whose empty alone overlay
+// gives every grid machine its own baselines: 3,240 more jobs.
+const baselinesPastMaxJobs = `{"cores": 1,
+	"workloads": [["swim"],["art"],["milc"],["mcf"],["lbm"],["gcc"],["ammp"],["galgel"],["bwaves"],["soplex"]],
+	"policies": ["padc","aps","equal","demand-first","no-pref","prefetch-first"],
+	"prefetchers": ["stream","stride","cdc","markov","dspatch","none"],
+	"page_policies": ["open","closed","adaptive"], "refresh": ["off","per-bank","all-bank"],"alone":{}}`
 
 // TestExpandDeterministicAndStable pins the expansion order contract:
 // indices are dense, keys unique, random mixes are a function of their
@@ -198,6 +226,23 @@ func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"mixes": 1, "promotion_thresholds": [0.851, 0.849]}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"cores": -1}`))
+	f.Add([]byte(`{"cores":2,"workloads":[["swim","art"]],"axes":{"channels":[1,2],"permutation":[false,true]},"alone":{"policy":"demand-first","permutation":false}}`))
+	f.Add([]byte(`{"mixes": 1, "axes": {"chanels": [2]}}`))
+	f.Add([]byte(`{"mixes": 1, "axes": {"cores": [2]}}`))
+	f.Add([]byte(`{"mixes": 1, "axes": {"target_insts": [5000]}}`))
+	f.Add([]byte(`{"mixes": 1, "axes": {"kernel": ["stepped"]}}`))
+	f.Add([]byte(`{"mixes": 1, "axes": {"Telemetry": [null]}}`))
+	f.Add([]byte(`{"mixes": 1, "axes": {"policy": ["padc"]}}`))
+	f.Add([]byte(`{"mixes": 1, "axes": {"channels": ["two"]}}`))
+	f.Add([]byte(`{"mixes": 1, "axes": {"channels": []}}`))
+	f.Add([]byte(`{"mixes": 1, "axes": {"channels": [2, 2]}}`))
+	f.Add([]byte(`{"mixes": 1, "axes": {"filter": ["sieve"]}}`))
+	f.Add([]byte(`{"mixes": 1, "alone": {"policy": "frfcfs-typo"}}`))
+	f.Add([]byte(`{"mixes": 1, "alone": {"polcy": "padc"}}`))
+	f.Add([]byte(`{"mixes": 1, "alone": {"cores": 2}}`))
+	f.Add([]byte(`{"mixes": 1, "alone": {"channels": "two"}}`))
+	f.Add([]byte(`{"mixes": 1, "alone": null}`))
+	f.Add([]byte(baselinesPastMaxJobs))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := ParseSpec(data)
 		if err != nil {

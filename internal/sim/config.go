@@ -159,8 +159,8 @@ func ParseMemSide(s string) (bool, error) {
 }
 
 // policies is the sweep and CLI policy vocabulary: each name's mutation of
-// a baseline config. Every name but padc and padc-rank turns APD off, so a
-// grid isolates the scheduling order under study.
+// a baseline config. Every name but padc, padc-rank and demand-first-apd
+// turns APD off, so a grid isolates the scheduling order under study.
 var policies = map[string]func(*Config){
 	"no-pref": func(c *Config) {
 		c.Prefetcher = PFNone
@@ -170,6 +170,9 @@ var policies = map[string]func(*Config){
 		c.Policy = memctrl.DemandFirst
 		c.PADC.EnableAPD = false
 	},
+	// APD without APS: adaptive dropping under rigid demand-first
+	// scheduling (§6.12).
+	"demand-first-apd": func(c *Config) { c.Policy = memctrl.DemandFirst },
 	"equal": func(c *Config) {
 		c.Policy = memctrl.DemandPrefEqual
 		c.PADC.EnableAPD = false

@@ -17,39 +17,43 @@ import (
 // padcsim's flags and sweep specs use. Config lowers it onto a Config;
 // it is the one lowering padc.Run, padcsim -dump-config and sweep jobs
 // share. DefaultMachine returns the paper's baseline; zero-valued fields
-// of a hand-built machine are invalid.
+// of a hand-built machine are invalid. The JSON names are the sweep
+// vocabulary: a runner.Spec's generic axes and alone overlay address
+// fields by them; the observers have none.
 type Machine struct {
-	Cores int
+	Cores int `json:"cores"`
 
 	// Policy names the scheduling policy in padcsim's -policy vocabulary:
 	// "padc" is the paper's APS + APD, "demand-first" its rigid baseline,
 	// and a "rules:" string such as "rules:critical,rowhit,urgent,fcfs"
 	// composes an explicit stack of the priority rules in
 	// internal/memctrl/sched for §6-style priority-order ablations. Only
-	// padc and padc-rank enable adaptive prefetch dropping; no-pref also
-	// removes the prefetcher.
-	Policy string
+	// padc, padc-rank and demand-first-apd (§6.12's APD under rigid
+	// scheduling) enable adaptive prefetch dropping; no-pref also removes
+	// the prefetcher.
+	Policy string `json:"policy"`
 
 	// Prefetcher names the per-core prefetch engine in padcsim's
 	// -prefetcher vocabulary: "stream" (POWER4/5-style) is the paper
 	// baseline, "none" disables prefetching.
-	Prefetcher string
+	Prefetcher string `json:"prefetcher"`
 
 	// Filter optionally wraps the prefetcher with one of the §6.12
 	// comparison mechanisms: "" or "none", "ddpf" (dynamic data prefetch
 	// filtering) or "fdp" (feedback-directed prefetching).
-	Filter string
+	Filter string `json:"filter"`
 
-	Urgency bool // priority rule 3 (boost demands of inaccurate cores)
+	Urgency bool `json:"urgency"` // priority rule 3 (boost demands of inaccurate cores)
 
 	// MemSide enables the DROPLET-style memory-side prefetch path: each
 	// memory controller generates same-row next-line candidates from the
 	// demand stream it admits and drains them into idle row-hit windows,
 	// gated and APD-aged by its tier's memory-side accuracy meter.
-	MemSide bool
+	MemSide bool `json:"memside"`
 
-	Channels    int    // independent memory controllers
-	RowBufferKB uint64 // DRAM row-buffer size per bank
+	Channels    int    `json:"channels"`      // independent memory controllers
+	Banks       int    `json:"banks"`         // banks per channel (0 = the default of 8)
+	RowBufferKB uint64 `json:"row_buffer_kb"` // DRAM row-buffer size per bank
 
 	// Topology selects the memory wiring: "" or "flat" (default, one
 	// domain holding Channels channels), a named preset such as
@@ -57,11 +61,11 @@ type Machine struct {
 	// pooled tier behind a 256-cycle link), or an inline JSON topology
 	// spec (a string starting with "{"; see internal/topology). Presets
 	// are resolved against Channels. topology.Names lists the presets.
-	Topology    string
-	L2KB        uint64 // last-level cache per core (or total when SharedL2)
-	SharedL2    bool
-	Permutation bool // permutation-based bank interleaving
-	Runahead    bool
+	Topology    string `json:"topology"`
+	L2KB        uint64 `json:"l2_kb"` // last-level cache per core (or total when SharedL2)
+	SharedL2    bool   `json:"shared_l2"`
+	Permutation bool   `json:"permutation"` // permutation-based bank interleaving
+	Runahead    bool   `json:"runahead"`
 
 	// RefreshMode enables the DRAM maintenance engine: "" or "off"
 	// (default, no refresh), "per-bank" (staggered REFpb, tRFCpb per
@@ -69,27 +73,27 @@ type Machine struct {
 	// engine follows the JEDEC postpone/pull-in credit window (up to 8
 	// refreshes either way) with a forced-refresh deadline when credits
 	// run out.
-	RefreshMode string
+	RefreshMode string `json:"refresh_mode"`
 
 	// PagePolicy selects row-buffer management: "" or "open" (default),
 	// "closed", or "adaptive" (per-bank keep-open/precharge predictor
 	// trained on recent row-buffer outcomes).
-	PagePolicy string
+	PagePolicy string `json:"page_policy"`
 
-	TargetInsts uint64 // instructions each core retires before stats freeze
+	TargetInsts uint64 `json:"target_insts"` // instructions each core retires before stats freeze
 
 	// Kernel selects the main-loop strategy: "" or "events" (default, the
 	// cycle-skipping event kernel) or "stepped" (the cycle-by-cycle
 	// reference loop). Both simulate the same machine and produce
 	// identical results; "stepped" exists as the differential-testing
 	// baseline and as a debugging fallback.
-	Kernel string
+	Kernel string `json:"kernel"`
 
 	// Telemetry, when non-nil, instruments the run: counters, epoch time
 	// series and trace events land in it (export with its WriteCSV /
 	// WriteJSONL / WriteChromeTrace / Summary methods). Nil keeps the
 	// simulator on the uninstrumented fast path.
-	Telemetry *telemetry.Telemetry
+	Telemetry *telemetry.Telemetry `json:"-"`
 
 	// Flight, when non-nil, is the bank-state flight recorder: bounded
 	// per-epoch × per-bank accounting of row outcomes, open/close
@@ -97,19 +101,19 @@ type Machine struct {
 	// scheduler rule-win attribution (export with its WriteCSV /
 	// WriteJSONL / ChromeCounters / Summary methods). Nil keeps the hot
 	// path at one pointer compare per hook.
-	Flight *flight.Recorder
+	Flight *flight.Recorder `json:"-"`
 
 	// Lifecycle, when non-nil, traces every memory request end to end
 	// (enqueue, promotion, issue, bus, completion/drop) into per-core
 	// queue-wait/service breakdowns and a sampled span reservoir (export
 	// with its WriteCSV / WriteJSONL / BreakdownTable methods or fold its
 	// spans into a Chrome trace).
-	Lifecycle *lifecycle.Tracer
+	Lifecycle *lifecycle.Tracer `json:"-"`
 
 	// Profile enables the cycle-accounting profiler: each core cycle is
 	// attributed to exactly one bucket (retire, demand-miss, mshr-full,
 	// compute, idle) and reported per core.
-	Profile bool
+	Profile bool `json:"-"`
 }
 
 // DefaultMachine returns the paper's baseline machine for ncores in
@@ -122,6 +126,7 @@ func DefaultMachine(ncores int) Machine {
 		Prefetcher:  "stream",
 		Urgency:     true,
 		Channels:    1,
+		Banks:       base.DRAM.Banks,
 		RowBufferKB: base.DRAM.RowBytes >> 10,
 		L2KB:        base.L2.Bytes >> 10,
 		TargetInsts: base.TargetInsts,
@@ -153,6 +158,9 @@ func (m Machine) Config() (Config, error) {
 
 	if m.Channels > 0 {
 		cfg.DRAM.Channels = m.Channels
+	}
+	if m.Banks > 0 {
+		cfg.DRAM.Banks = m.Banks
 	}
 	if m.RowBufferKB > 0 {
 		cfg.DRAM.RowBytes = m.RowBufferKB << 10

@@ -228,25 +228,25 @@ func (r Results) RBHU() float64 {
 	return float64(r.UsefulRowHits) / float64(r.UsefulServiced)
 }
 
-// Speedup metrics over a multiprogrammed run. ipcAlone[i] is core i's
-// benchmark IPC when run alone (measured with the demand-first policy, as
-// in the paper).
+// Speedup metrics over a multiprogrammed run. ipc[i] is core i's IPC in
+// the shared run and ipcAlone[i] its benchmark's IPC when run alone
+// (measured with the demand-first policy, as in the paper).
 
 // IndividualSpeedups returns IPC_together / IPC_alone per core.
-func IndividualSpeedups(together []CoreResult, ipcAlone []float64) []float64 {
-	out := make([]float64, len(together))
-	for i, c := range together {
+func IndividualSpeedups(ipc, ipcAlone []float64) []float64 {
+	out := make([]float64, len(ipc))
+	for i, x := range ipc {
 		if ipcAlone[i] > 0 {
-			out[i] = c.IPC() / ipcAlone[i]
+			out[i] = x / ipcAlone[i]
 		}
 	}
 	return out
 }
 
 // WS returns the weighted speedup (system throughput).
-func WS(together []CoreResult, ipcAlone []float64) float64 {
+func WS(ipc, ipcAlone []float64) float64 {
 	var ws float64
-	for _, s := range IndividualSpeedups(together, ipcAlone) {
+	for _, s := range IndividualSpeedups(ipc, ipcAlone) {
 		ws += s
 	}
 	return ws
@@ -255,8 +255,8 @@ func WS(together []CoreResult, ipcAlone []float64) float64 {
 // HS returns the harmonic mean of speedups (inverse job turnaround time).
 // An empty run, or any core with a non-positive speedup (e.g. a zero
 // IPC_alone baseline), yields 0 rather than NaN.
-func HS(together []CoreResult, ipcAlone []float64) float64 {
-	ss := IndividualSpeedups(together, ipcAlone)
+func HS(ipc, ipcAlone []float64) float64 {
+	ss := IndividualSpeedups(ipc, ipcAlone)
 	if len(ss) == 0 {
 		return 0
 	}
@@ -273,8 +273,8 @@ func HS(together []CoreResult, ipcAlone []float64) float64 {
 // UF returns unfairness: max speedup over min speedup (§6.3.4). An empty
 // run yields 0; a core with a non-positive speedup yields +Inf (maximally
 // unfair), never NaN.
-func UF(together []CoreResult, ipcAlone []float64) float64 {
-	ss := IndividualSpeedups(together, ipcAlone)
+func UF(ipc, ipcAlone []float64) float64 {
+	ss := IndividualSpeedups(ipc, ipcAlone)
 	if len(ss) == 0 {
 		return 0
 	}

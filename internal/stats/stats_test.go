@@ -39,10 +39,12 @@ func TestZeroDenominators(t *testing.T) {
 	}
 }
 
-func mkCores(ipcs ...float64) []CoreResult {
-	out := make([]CoreResult, len(ipcs))
+// mkCores returns the IPCs of cores that retired ipcs[i]*1000
+// instructions in 1000 cycles.
+func mkCores(ipcs ...float64) []float64 {
+	out := make([]float64, len(ipcs))
 	for i, x := range ipcs {
-		out[i] = CoreResult{Cycles: 1000, Retired: uint64(x * 1000)}
+		out[i] = CoreResult{Cycles: 1000, Retired: uint64(x * 1000)}.IPC()
 	}
 	return out
 }

@@ -16,6 +16,8 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"padc/internal/trace"
 )
@@ -188,15 +190,25 @@ func Extended() []Profile {
 	return out
 }
 
-// ByName returns the named profile from the extended suite.
+// ByName returns the named profile from the extended suite, or a
+// "cacheset-<n>" member of the CacheSensitive family (a 1.5MB shuffled
+// loop; the §6.9 cache-size sweep's signal). The family stays out of
+// Names, so random mix draws never pick it.
 func ByName(name string) (Profile, error) {
 	for _, p := range Extended() {
 		if p.Name == name {
 			return p, nil
 		}
 	}
+	if n, err := strconv.Atoi(strings.TrimPrefix(name, cacheSetPrefix)); err == nil && n >= 0 &&
+		name == cacheSetPrefix+strconv.Itoa(n) {
+		return CacheSensitive(name, 24576), nil
+	}
 	return Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)
 }
+
+// cacheSetPrefix names ByName's CacheSensitive family.
+const cacheSetPrefix = "cacheset-"
 
 // MustByName is ByName for static names in examples and benches.
 func MustByName(name string) Profile {
