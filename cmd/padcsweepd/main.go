@@ -386,7 +386,7 @@ func artifact(args []string) error {
 
 // telemetryCmd downloads a campaign's per-job flight roll-ups (NDJSON,
 // one record per executed job) — the fleet-side replacement for shell
-// access to the server's telemetry sidecars.
+// access to the server's campaign journals.
 func telemetryCmd(args []string) error {
 	fs := flag.NewFlagSet("telemetry", flag.ExitOnError)
 	server := clientFlags(fs)

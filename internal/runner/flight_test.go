@@ -23,7 +23,7 @@ func flightSpec() Spec {
 // TestFlightSummaryWorkerInvariance pins the telemetry determinism
 // contract: the per-job flight summary is a pure function of the job's
 // configuration, so its serialized form is byte-identical across worker
-// counts — which is what makes sidecar-derived heatmap artifacts safe to
+// counts — which is what makes journaled heatmap artifacts safe to
 // merge from a sharded fleet.
 func TestFlightSummaryWorkerInvariance(t *testing.T) {
 	opts := Options{Flight: FlightOptions{Enabled: true}}

@@ -17,6 +17,7 @@ package runner
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"slices"
 	"sort"
@@ -115,13 +116,17 @@ type Spec struct {
 	Kernel string `json:"kernel,omitempty"`
 }
 
-// ParseSpec decodes and validates a JSON sweep spec.
+// ParseSpec decodes and validates a JSON sweep spec: exactly one JSON
+// object, nothing but whitespace after it.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, fmt.Errorf("runner: parsing sweep spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, fmt.Errorf("runner: parsing sweep spec: trailing data after the spec object")
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err

@@ -61,6 +61,8 @@ func TestParseSpecRejects(t *testing.T) {
 		"alone bad value":     `{"mixes": 1, "alone": {"channels": "two"}}`,
 		"alone not an object": `{"mixes": 1, "alone": null}`,
 		"baselines too many":  baselinesPastMaxJobs,
+		"second object":       `{"mixes":1,"insts":1000} {"mixes":999}`,
+		"trailing garbage":    `{"mixes":1,"insts":1000} trailing garbage`,
 	}
 	for name, in := range cases {
 		if _, err := ParseSpec([]byte(in)); err == nil {
@@ -243,6 +245,8 @@ func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"mixes": 1, "alone": {"channels": "two"}}`))
 	f.Add([]byte(`{"mixes": 1, "alone": null}`))
 	f.Add([]byte(baselinesPastMaxJobs))
+	f.Add([]byte(`{"mixes":1,"insts":1000} {"mixes":999}`))
+	f.Add([]byte(`{"mixes":1,"insts":1000} trailing garbage`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := ParseSpec(data)
 		if err != nil {

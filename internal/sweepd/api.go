@@ -56,9 +56,9 @@ type SubmitRequest struct {
 	// the rows afterwards (runner.MergeRows).
 	Shard runner.Shard `json:"shard,omitempty"`
 	// Telemetry attaches a bank-state flight recorder to every job and
-	// journals the per-job roll-ups to the campaign's telemetry sidecar,
-	// served at GET /api/v1/campaigns/{id}/telemetry. Row artifacts are
-	// unchanged either way.
+	// journals each job's roll-up on its row's journal line, served at
+	// GET /api/v1/campaigns/{id}/telemetry. Row artifacts are unchanged
+	// either way.
 	Telemetry bool `json:"telemetry,omitempty"`
 }
 
@@ -68,8 +68,8 @@ type CampaignInfo struct {
 	Name  string       `json:"name"`
 	State string       `json:"state"`
 	Shard runner.Shard `json:"shard,omitempty"`
-	// Telemetry reports whether the campaign records the per-job flight
-	// sidecar.
+	// Telemetry reports whether the campaign journals per-job flight
+	// roll-ups.
 	Telemetry bool `json:"telemetry,omitempty"`
 
 	// Total counts the jobs this campaign owns (its shard's slice of the

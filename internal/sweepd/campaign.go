@@ -3,6 +3,7 @@ package sweepd
 import (
 	"context"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"padc/internal/runner"
@@ -108,15 +109,27 @@ func (c *Campaign) Info() CampaignInfo {
 // Spec returns the campaign's parsed sweep spec.
 func (c *Campaign) Spec() runner.Spec { return c.spec }
 
-// Telemetry reports whether the campaign records per-job flight
-// telemetry into its sidecar.
+// Telemetry reports whether the campaign journals per-job flight
+// telemetry with its rows.
 func (c *Campaign) Telemetry() bool { return c.telemetry }
 
-// TelemetryRecords reads the campaign's telemetry sidecar back from
-// disk: deduplicated, sorted by (key, index) — deterministic bytes once
-// the campaign completes, regardless of worker count or resume history.
+// TelemetryRecords reads the campaign's flight records back out of its
+// journal, under the journal's torn-tail, first-wins and shard-ownership
+// rules, sorted by (key, index) — deterministic bytes once the campaign
+// completes, regardless of worker count or resume history.
 func (c *Campaign) TelemetryRecords() ([]TelemetryRecord, error) {
-	return readTelemetry(filepath.Join(c.dir, telemetryName))
+	rec, err := readJournal(filepath.Join(c.dir, journalName))
+	if err != nil {
+		return nil, err
+	}
+	recs := rec.flights
+	sort.Slice(recs, func(i, j int) bool {
+		if recs[i].Key != recs[j].Key {
+			return recs[i].Key < recs[j].Key
+		}
+		return recs[i].Index < recs[j].Index
+	})
+	return recs, nil
 }
 
 // Result merges the rows completed so far into the deterministic

@@ -4,24 +4,28 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"padc/internal/runner"
+	"padc/internal/telemetry/flight"
 )
 
-// The journal is the campaign's write-ahead log: one JSONL file per
-// campaign, append-only. The first line is the header (campaign identity
-// plus the exact spec that will run); every subsequent line is either a
-// completed job row or a lifecycle event. Recovery tolerates a torn final
-// line — a crash mid-append loses at most the row being written, and the
-// resumed run simply re-executes it (rows are pure functions of the spec,
-// so re-execution is idempotent).
+// The journal is the campaign's write-ahead log and its only file: one
+// JSONL file per campaign, append-only. The first line is the header
+// (campaign identity plus the exact spec that will run); every subsequent
+// line is either a completed job row or a lifecycle event. A telemetry
+// campaign's row lines also carry the job's flight-recorder roll-up, so a
+// row and its telemetry become durable in the same write. Recovery
+// tolerates a torn final line — a crash mid-append loses at most the row
+// being written, and the resumed run simply re-executes it (rows are pure
+// functions of the spec, so re-execution is idempotent).
 //
 //	{"v":1,"id":"c1a2b3c4","spec":{...},"shard":{"index":0,"count":1},"total":16,...}
 //	{"row":{"index":3,"key":"policy=aps/...","cycles":123,...}}
-//	{"row":{...}}
+//	{"row":{...},"flight":{"epoch_cycles":...}}
 //	{"event":"completed"}
 //
 // Terminal events ("completed", "cancelled", "failed") pin the state
@@ -47,16 +51,28 @@ type journalHeader struct {
 	Total   int  `json:"total"`
 	Workers int  `json:"workers,omitempty"`
 	Verify  bool `json:"verify,omitempty"`
-	// Telemetry records whether the campaign writes the per-job flight
-	// sidecar, so a resumed run keeps recording.
+	// Telemetry records whether the campaign's row lines carry per-job
+	// flight roll-ups, so a resumed run keeps recording.
 	Telemetry bool `json:"telemetry,omitempty"`
 }
 
-// journalLine is every line after the header.
+// journalLine is every line after the header. Flight rides next to Row
+// rather than inside it, so the row object's bytes do not depend on
+// whether the campaign records telemetry.
 type journalLine struct {
 	Row    *runner.JobResult `json:"row,omitempty"`
+	Flight *flight.Summary   `json:"flight,omitempty"`
 	Event  string            `json:"event,omitempty"`
 	Detail string            `json:"detail,omitempty"`
+}
+
+// TelemetryRecord is one line of the GET /api/v1/campaigns/{id}/telemetry
+// NDJSON stream: one job's flight-recorder roll-up, addressed by the
+// job's stable grid index and sort key.
+type TelemetryRecord struct {
+	Index  int             `json:"index"`
+	Key    string          `json:"key"`
+	Flight *flight.Summary `json:"flight,omitempty"`
 }
 
 // journalSyncEvery bounds how many appended rows may ride on the OS page
@@ -125,10 +141,14 @@ func (j *Journal) appendJSON(v any) error {
 	return j.bw.WriteByte('\n')
 }
 
-// AppendRow journals one completed job row. The line is flushed to the OS
-// (surviving process death) and fsynced every journalSyncEvery rows.
+// AppendRow journals one completed job row together with its flight
+// summary (r.Flight, nil without telemetry) as one line; the summary is
+// lifted out of the row object. The line is flushed to the OS (surviving
+// process death) and fsynced every journalSyncEvery rows.
 func (j *Journal) AppendRow(r runner.JobResult) error {
-	if err := j.appendJSON(journalLine{Row: &r}); err != nil {
+	fl := r.Flight
+	r.Flight = nil
+	if err := j.appendJSON(journalLine{Row: &r, Flight: fl}); err != nil {
 		return err
 	}
 	if err := j.bw.Flush(); err != nil {
@@ -175,6 +195,9 @@ type recovered struct {
 	// rows holds the journaled rows in append order, deduplicated by grid
 	// index (first occurrence wins — re-executed rows are identical anyway).
 	rows []runner.JobResult
+	// flights holds the flight roll-ups of those rows, in the same order
+	// (rows journaled without telemetry contribute none).
+	flights []TelemetryRecord
 	// event is the last terminal event seen ("" when the campaign was
 	// interrupted mid-run and should resume).
 	event  string
@@ -186,6 +209,11 @@ type recovered struct {
 	// appending so fresh rows never follow a torn tail.
 	validLen int64
 }
+
+// errNoHeader marks a journal with no complete header line: a crash
+// between createJournal's open and its header sync. Submit had not
+// returned, so no client ever saw the campaign.
+var errNoHeader = errors.New("no complete header line")
 
 // readJournal recovers a campaign journal. A torn final line — a partial
 // append with no terminating newline, or an undecodable tail — is
@@ -207,7 +235,7 @@ func readJournal(path string) (*recovered, error) {
 		lines = lines[:n-1] // drop the empty terminator
 	}
 	if len(lines) == 0 {
-		return nil, fmt.Errorf("sweepd: journal %s: empty (no header)", path)
+		return nil, fmt.Errorf("sweepd: journal %s: %w", path, errNoHeader)
 	}
 	rec := &recovered{torn: torn}
 	dec := json.NewDecoder(bytes.NewReader(lines[0]))
@@ -239,6 +267,9 @@ func readJournal(path string) (*recovered, error) {
 			}
 			seen[jl.Row.Index] = true
 			rec.rows = append(rec.rows, *jl.Row)
+			if jl.Flight != nil {
+				rec.flights = append(rec.flights, TelemetryRecord{Index: jl.Row.Index, Key: jl.Row.Key, Flight: jl.Flight})
+			}
 		case jl.Event != "":
 			rec.event, rec.detail = jl.Event, jl.Detail
 		default:

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"padc/internal/runner"
+	"padc/internal/telemetry/flight"
 )
 
 func testHeader(total int) journalHeader {
@@ -173,5 +174,69 @@ func TestJournalRejects(t *testing.T) {
 	}
 	if _, err := readJournal(filepath.Join(dir, "missing")); err == nil || !strings.Contains(err.Error(), "no such file") {
 		t.Errorf("missing journal error = %v", err)
+	}
+}
+
+// TestJournalFlightRidesRow pins the telemetry line format: the flight
+// roll-up sits next to the row object, whose bytes are those of the same
+// row journaled without telemetry, and recovery reads the records back
+// under the rows' first-wins and shard-ownership rules.
+func TestJournalFlightRidesRow(t *testing.T) {
+	hdr := testHeader(8)
+	hdr.Shard = runner.Shard{Index: 0, Count: 2} // owns even indexes
+	dir := t.TempDir()
+	plainPath := filepath.Join(dir, "plain", journalName)
+	flightPath := filepath.Join(dir, "flight", journalName)
+	plain, err := createJournal(plainPath, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withFlight, err := createJournal(flightPath, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []runner.JobResult{row(2, "first"), row(2, "dup"), row(3, "foreign"), row(4, "ok")}
+	for i, r := range rows {
+		if err := plain.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+		r.Flight = &flight.Summary{EpochCycles: uint64(100 + i), Channels: 1, Banks: 8}
+		if err := withFlight.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, j := range []*Journal{plain, withFlight} {
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	plainData, _ := os.ReadFile(plainPath)
+	flightData, _ := os.ReadFile(flightPath)
+	plainLines := strings.Split(string(plainData), "\n")
+	flightLines := strings.Split(string(flightData), "\n")
+	for i := 1; i <= len(rows); i++ {
+		want := strings.TrimSuffix(plainLines[i], "}") + `,"flight":{`
+		if !strings.HasPrefix(flightLines[i], want) {
+			t.Fatalf("line %d:\n got %s\nwant prefix %s", i, flightLines[i], want)
+		}
+	}
+
+	rec, err := readJournal(flightPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.rows) != 2 || rec.rows[0].Key != "first" || rec.rows[1].Index != 4 {
+		t.Fatalf("rows: %+v", rec.rows)
+	}
+	for _, r := range rec.rows {
+		if r.Flight != nil {
+			t.Fatalf("row %d kept its flight summary in memory", r.Index)
+		}
+	}
+	if len(rec.flights) != 2 ||
+		rec.flights[0].Key != "first" || rec.flights[0].Flight.EpochCycles != 100 ||
+		rec.flights[1].Index != 4 || rec.flights[1].Flight.EpochCycles != 103 {
+		t.Fatalf("flights: %+v", rec.flights)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -187,4 +189,153 @@ func TestLiveInterruptResume(t *testing.T) {
 	if !bytes.Equal(cb.Bytes(), wantCSV) {
 		t.Error("live-interrupted resume produced a different CSV artifact")
 	}
+}
+
+// TestHeaderlessJournalSkipped covers a crash inside createJournal,
+// before the header line was synced: an empty journal and a header with
+// no newline. Submit never returned those ids, so the service starts
+// without them (leaving their directories in place) instead of refusing
+// the whole data directory.
+func TestHeaderlessJournalSkipped(t *testing.T) {
+	dir := t.TempDir()
+	hdr := testHeader(2)
+	j, err := createJournal(filepath.Join(dir, hdr.ID, journalName), hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := j.AppendRow(row(i, "k")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.AppendEvent("completed", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	torn := hdr
+	torn.ID = "c00000cc"
+	tornHeader, _ := json.Marshal(torn)
+	for id, content := range map[string][]byte{"c00000bb": nil, torn.ID: tornHeader} {
+		if err := os.MkdirAll(filepath.Join(dir, id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id, journalName), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := newTestService(t, dir, 1)
+	defer s.Close()
+	list := s.List()
+	if len(list) != 1 || list[0].ID != hdr.ID || list[0].State != "completed" {
+		t.Fatalf("campaigns after recovery: %+v", list)
+	}
+	for _, id := range []string{"c00000bb", torn.ID} {
+		if _, err := os.Stat(filepath.Join(dir, id, journalName)); err != nil {
+			t.Errorf("headerless journal %s removed: %v", id, err)
+		}
+	}
+}
+
+// TestCrashAtEveryJournalCut crashes a telemetry campaign at every point
+// its journal can end: each line boundary, each line's last byte before
+// the newline (a record written without its newline), and one mid-line
+// point. Each prefix restarts in a fresh data directory. A cut inside the
+// header leaves the service up without the campaign; every other cut
+// resumes to completed with CSV, JSON and /telemetry bytes equal to the
+// uninterrupted run's.
+func TestCrashAtEveryJournalCut(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestService(t, dir, 2)
+	c, err := s.Submit(SubmitRequest{Spec: json.RawMessage(testSpecJSON), Telemetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := campaignBytes(t, s, c.ID)
+	s.Close()
+	entries, err := os.ReadDir(filepath.Join(dir, c.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != journalName {
+		t.Fatalf("campaign directory holds %v, want only %s", entries, journalName)
+	}
+	journal, err := os.ReadFile(filepath.Join(dir, c.ID, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	headerEnd := bytes.IndexByte(journal, '\n') + 1
+	cuts := []int{0}
+	for i, b := range journal {
+		if b == '\n' {
+			cuts = append(cuts, i, i+1) // the line without, then with, its newline
+		}
+	}
+	second := headerEnd + bytes.IndexByte(journal[headerEnd:], '\n') + 1
+	cuts = append(cuts, second+(bytes.IndexByte(journal[second:], '\n'))/2)
+
+	for _, cut := range cuts {
+		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
+			d := t.TempDir()
+			if err := os.MkdirAll(filepath.Join(d, c.ID), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(d, c.ID, journalName), journal[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := newTestService(t, d, 2)
+			defer s.Close()
+			rc, ok := s.Campaign(c.ID)
+			if cut < headerEnd {
+				if ok || len(s.List()) != 0 {
+					t.Fatalf("campaign with a cut header recovered: %+v", s.List())
+				}
+				return
+			}
+			if !ok {
+				t.Fatal("campaign not recovered")
+			}
+			if err := rc.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if info := rc.Info(); info.State != "completed" {
+				t.Fatalf("resumed campaign: %+v", info)
+			}
+			got := campaignBytes(t, s, c.ID)
+			for i, name := range []string{"CSV", "JSON", "/telemetry"} {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Errorf("%s differs from the uninterrupted run's", name)
+				}
+			}
+		})
+	}
+}
+
+// campaignBytes fetches a completed campaign's CSV and JSON artifacts and
+// its /telemetry NDJSON over HTTP.
+func campaignBytes(t *testing.T, s *Service, id string) [3][]byte {
+	t.Helper()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	cl, err := NewClient(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var out [3][]byte
+	for i, kind := range []string{"csv", "json"} {
+		if out[i], err = cl.Artifact(ctx, id, kind); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if out[2], err = cl.Telemetry(ctx, id, false); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

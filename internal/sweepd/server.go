@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -67,6 +68,10 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding submit request: %w", err))
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		httpError(w, http.StatusBadRequest, errors.New("decoding submit request: trailing data after the request object"))
 		return
 	}
 	c, err := s.Submit(req)

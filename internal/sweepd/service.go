@@ -196,7 +196,14 @@ func (s *Service) recoverAll() error {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		if err := s.recoverOne(id); err != nil {
+		err := s.recoverOne(id)
+		if errors.Is(err, errNoHeader) {
+			// A crash before the header synced: Submit never returned, so
+			// no client knows the id. Leave the directory for inspection.
+			s.logger.Warn("skipping campaign without a journal header", "campaign", id, "err", err)
+			continue
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -274,53 +281,28 @@ func (s *Service) start(c *Campaign, j *Journal, recovered map[int]runner.JobRes
 	c.metrics.state.Set(float64(StateRunning))
 
 	type doneRow struct {
-		row    runner.JobResult
-		flight *TelemetryRecord // non-nil only for fresh rows with telemetry
-		fresh  bool             // false for journal-replayed rows
+		row   runner.JobResult // carries its flight summary, if any, to the journal
+		fresh bool             // false for journal-replayed rows
 	}
 	pending := make(chan doneRow, journalWindow)
 
-	// The telemetry sidecar rides next to the journal; an open failure is
-	// surfaced through the journal-writer's error path — a telemetry
-	// campaign that cannot persist telemetry must not report completed.
-	var side *sidecar
-	var sideErr error
-	if c.telemetry {
-		side, sideErr = openSidecar(filepath.Join(c.dir, telemetryName))
-	}
-
-	// Journal writer: the only goroutine that appends rows (and telemetry
-	// records). Counts both fresh (append + fsync policy) and replayed
-	// rows toward the durable watermark.
+	// Journal writer: the only goroutine that appends rows. Counts both
+	// fresh (append + fsync policy) and replayed rows toward the durable
+	// watermark.
 	journalDone := make(chan error, 1)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		durable := len(recovered)
-		firstErr := sideErr
+		var firstErr error
 		for dr := range pending {
 			if dr.fresh {
-				// Sidecar before journal: a crash between the two writes
-				// leaves an unjournaled row, which re-runs on resume and
-				// re-records (readTelemetry dedups; summaries are
-				// deterministic). The other order could journal a row whose
-				// flight record is lost forever — reused rows never re-run.
-				if dr.flight != nil && side != nil {
-					if err := side.Append(*dr.flight); err != nil && firstErr == nil {
-						firstErr = err
-					}
-				}
 				if err := j.AppendRow(dr.row); err != nil && firstErr == nil {
 					firstErr = err
 				}
 				durable++
 			}
 			c.markJournaled(durable)
-		}
-		if side != nil {
-			if err := side.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
 		}
 		journalDone <- firstErr
 	}()
@@ -342,15 +324,12 @@ func (s *Service) start(c *Campaign, j *Journal, recovered map[int]runner.JobRes
 				c.metrics.jobsRunning.Add(1)
 			},
 			Progress: func(done, total int, r runner.JobResult) {
-				// The flight summary never enters the rows, journal, or
-				// artifacts: reused rows could not reproduce it, so keeping it
-				// there would break resume byte-identity. It detours to the
-				// telemetry sidecar instead.
-				var fl *TelemetryRecord
-				if r.Flight != nil {
-					fl = &TelemetryRecord{Index: r.Index, Key: r.Key, Flight: r.Flight}
-					r.Flight = nil
-				}
+				// The flight summary goes to the journal line only, never the
+				// in-memory rows, stream or artifacts: reused rows could not
+				// reproduce it, so keeping it there would break resume
+				// byte-identity.
+				journaled := r
+				r.Flight = nil
 				fresh := true
 				if recovered != nil {
 					if _, ok := recovered[r.Index]; ok {
@@ -374,7 +353,7 @@ func (s *Service) start(c *Campaign, j *Journal, recovered map[int]runner.JobRes
 				}
 				// Blocks when the checkpoint window is full: bounded
 				// completed-but-unjournaled rows by construction.
-				pending <- doneRow{row: r, flight: fl, fresh: fresh}
+				pending <- doneRow{row: journaled, fresh: fresh}
 			},
 		}
 		if recovered != nil {
@@ -408,15 +387,24 @@ func (s *Service) start(c *Campaign, j *Journal, recovered map[int]runner.JobRes
 			_ = j.AppendEvent("failed", runErr.Error())
 			c.setState(StateFailed, runErr.Error())
 			s.logger.Error("campaign failed", "campaign", c.ID, "err", runErr)
-		case jerr != nil:
-			// Rows completed but the WAL is broken; completing would lie
-			// about durability.
-			c.setState(StateFailed, "journal: "+jerr.Error())
-			s.logger.Error("campaign journal error", "campaign", c.ID, "err", jerr)
 		default:
-			_ = j.AppendEvent("completed", "")
-			c.setState(StateCompleted, "")
-			s.logger.Info("campaign completed", "campaign", c.ID, "rows", c.total)
+			// Rows completed but a broken WAL, including a failed terminal
+			// write, fails the campaign: completing would lie about
+			// durability.
+			if jerr == nil {
+				jerr = j.AppendEvent("completed", "")
+			}
+			if err := j.Close(); jerr == nil {
+				jerr = err
+			}
+			if jerr != nil {
+				c.setState(StateFailed, "journal: "+jerr.Error())
+				s.logger.Error("campaign journal error", "campaign", c.ID, "err", jerr)
+			} else {
+				c.setState(StateCompleted, "")
+				s.logger.Info("campaign completed", "campaign", c.ID, "rows", c.total)
+			}
+			return
 		}
 		_ = j.Close()
 	}()

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -191,6 +193,20 @@ func TestSubmitRejects(t *testing.T) {
 			t.Errorf("%s accepted", name)
 		}
 	}
+	// Client.Submit marshals one request, so a body with a second value
+	// after it goes out raw.
+	resp, err := http.Post(srv.URL+"/api/v1/campaigns", "application/json",
+		strings.NewReader(`{"spec":{"mixes":1,"insts":1000}} {"spec":{"mixes":999}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("trailing-data body: status %d, want 400", resp.StatusCode)
+	}
+	if n := len(s.List()); n != 0 {
+		t.Errorf("rejected submits left %d campaigns", n)
+	}
 	if _, err := cl.Info(ctx, "nope"); err == nil || !strings.Contains(err.Error(), "unknown campaign") {
 		t.Errorf("missing campaign error = %v", err)
 	}
@@ -328,5 +344,47 @@ func TestShardedServicesUnion(t *testing.T) {
 		if !bytes.Equal(jb.Bytes(), wantJSON) {
 			t.Errorf("count=%d: sharded union JSON differs from unsharded", count)
 		}
+	}
+}
+
+// TestTerminalWriteFailureFails pins the durability rule for the last
+// write: a campaign whose "completed" event cannot reach the journal ends
+// failed, not completed. Every row is recovered, so nothing fresh is
+// appended and only the terminal write meets the closed file.
+func TestTerminalWriteFailureFails(t *testing.T) {
+	spec, _, _ := localArtifacts(t, testSpecJSON, 1)
+	full, err := runner.Run(spec, runner.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestService(t, t.TempDir(), 1)
+	defer s.Close()
+	hdr := journalHeader{V: journalVersion, ID: "cfeedbeef", Spec: spec, Total: len(full.Jobs)}
+	path := filepath.Join(s.opts.DataDir, hdr.ID, journalName)
+	j, err := createJournal(path, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered := make(map[int]runner.JobResult, len(full.Jobs))
+	for _, r := range full.Jobs {
+		if err := j.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+		recovered[r.Index] = r
+	}
+	if err := j.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c := s.newCampaign(hdr.ID, hdr)
+	c.rows = append(c.rows, full.Jobs...)
+	c.journaled = len(full.Jobs)
+	s.register(c)
+	s.start(c, j, recovered)
+	if err := c.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if info := c.Info(); info.State != "failed" || !strings.HasPrefix(info.Error, "journal: ") {
+		t.Fatalf("campaign with a failed terminal write: %+v", info)
 	}
 }

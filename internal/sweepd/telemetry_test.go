@@ -94,8 +94,8 @@ func TestTelemetryWorkerInvariance(t *testing.T) {
 }
 
 // TestTelemetryNotRecorded checks the 404 contract: campaigns submitted
-// without telemetry have no sidecar and the endpoint says so, rather than
-// serving an empty stream that looks like a zero-job campaign.
+// without telemetry have no flight records and the endpoint says so,
+// rather than serving an empty stream that looks like a zero-job campaign.
 func TestTelemetryNotRecorded(t *testing.T) {
 	s := newTestService(t, t.TempDir(), 2)
 	defer s.Close()
@@ -121,7 +121,7 @@ func TestTelemetryNotRecorded(t *testing.T) {
 }
 
 // TestTelemetrySurvivesResume restarts the service after completion and
-// checks the sidecar-backed endpoint still serves identical bytes — the
+// checks the journal-backed endpoint still serves identical bytes — the
 // roll-ups are durable, not an in-memory artifact of the original run.
 func TestTelemetrySurvivesResume(t *testing.T) {
 	dir := t.TempDir()

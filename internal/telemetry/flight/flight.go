@@ -388,7 +388,7 @@ func (r *Recorder) Retained() (retained, completed, evicted int) {
 }
 
 // Summary is the recorder's portable roll-up: what a sweep job ships to
-// the campaign service as its telemetry sidecar record. It is a pure
+// the campaign service on its row's journal line. It is a pure
 // function of the simulated run, so it is byte-identical under JSON
 // marshalling at any worker count.
 type Summary struct {

@@ -110,8 +110,8 @@ grep -q "padc_sweepd_jobs_done{campaign=\"$id\"}" "$tmp/metrics.txt" ||
 grep -q 'padc_sweepd_http_requests_total{' "$tmp/metrics.txt" ||
     { say "per-route RED metrics missing from /metrics"; exit 1; }
 
-# The telemetry sidecar survived the SIGKILL: one NDJSON roll-up per job,
-# each carrying a flight summary.
+# The flight records survived the SIGKILL in the journal: one NDJSON
+# roll-up per job, each carrying a flight summary.
 say "fetching per-job telemetry roll-ups"
 rows=$(curl -sf "$base/api/v1/campaigns/$id/telemetry" | grep -c '"flight"')
 total=$(curl -sf "$base/api/v1/campaigns/$id" | sed -n 's/.*"total": \([0-9]*\).*/\1/p')
