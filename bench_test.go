@@ -225,7 +225,7 @@ func BenchmarkSimulatorThroughputProfiled(b *testing.B) {
 		if cfg.Lifecycle.Recorded() == 0 {
 			b.Fatal("lifecycle recorded no spans")
 		}
-		for _, c := range res.Cores {
+		for _, c := range res.PerCore {
 			if len(c.Attribution) == 0 {
 				b.Fatal("profiling produced no attribution")
 			}

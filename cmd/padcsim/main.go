@@ -188,7 +188,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		report(res, *verbose)
+		report(os.Stdout, res, *verbose)
 		if rec != nil {
 			if err := exportHeatmap(rec, *heatmapOut); err != nil {
 				fatal(err)
@@ -206,13 +206,7 @@ func main() {
 			}
 		}
 		if *profile {
-			attribs := make([][]uint64, len(res.Cores))
-			benches := make([]string, len(res.Cores))
-			for i, c := range res.Cores {
-				benches[i] = c.Benchmark
-				attribs[i] = c.Attribution
-			}
-			fmt.Print(exp.ProfileRows(benches, attribs))
+			fmt.Print(exp.ProfileTable(res))
 			fmt.Print(tracer.BreakdownTable())
 		}
 	default:
@@ -396,37 +390,36 @@ func writeResolvedConfig(w io.Writer, cfg padc.SystemConfig, workloads []string)
 	return enc.Encode(out)
 }
 
-func report(res padc.Result, verbose bool) {
-	fmt.Printf("cycles: %d\n", res.Cycles)
-	fmt.Printf("bus traffic (lines): demand=%d useful-pref=%d useless-pref=%d total=%d\n",
-		res.BusDemand, res.BusUseful, res.BusUseless, res.BusTotal())
-	fmt.Printf("row-hit rate: %.1f%%  RBHU: %.1f%%  dropped prefetches: %d\n",
-		res.RowHitRate*100, res.RBHU*100, res.Dropped)
-	if res.RefreshesIssued > 0 {
-		fmt.Printf("refreshes: issued=%d postponed=%d pulled-in=%d forced=%d blocked-cycles=%d\n",
-			res.RefreshesIssued, res.RefreshesPostponed, res.RefreshesPulledIn,
-			res.RefreshesForced, res.RefreshBlockedCycles)
+func report(w io.Writer, res padc.Result, verbose bool) {
+	fmt.Fprintf(w, "cycles: %d\n", res.Cycles)
+	fmt.Fprintf(w, "bus traffic (lines): demand=%d useful-pref=%d useless-pref=%d total=%d\n",
+		res.Bus.Demand, res.Bus.UsefulPref, res.Bus.UselessPref, res.Bus.Total())
+	fmt.Fprintf(w, "row-hit rate: %.1f%%  RBHU: %.1f%%  dropped prefetches: %d\n",
+		res.RBH()*100, res.RBHU()*100, res.Dropped)
+	if r := res.Refresh; r.Ran() {
+		fmt.Fprintf(w, "refreshes: issued=%d postponed=%d pulled-in=%d forced=%d blocked-cycles=%d\n",
+			r.Issued, r.Postponed, r.PulledIn, r.Forced, r.BlockedCycles)
 	}
 	for _, d := range res.Domains {
-		fmt.Printf("domain %-8s ch=%d link=%d serviced=%d row-hit=%.1f%% bus-busy=%d pref-acc=%.1f%%\n",
-			d.Name, d.Channels, d.LinkCycles, d.Serviced, d.RowHitRate*100, d.BusBusyCycles, d.PrefAccuracy*100)
+		fmt.Fprintf(w, "domain %-8s ch=%d link=%d serviced=%d row-hit=%.1f%% bus-busy=%d pref-acc=%.1f%%\n",
+			d.Name, d.Channels, d.LinkCycles, d.Serviced, d.RBH()*100, d.BusBusyCycles, d.ACC()*100)
 	}
 	if ms := res.MemSide; ms != nil {
-		fmt.Printf("memside: generated=%d issued=%d serviced=%d used=%d acc=%.1f%% dropped(pressure/stale/apd)=%d/%d/%d gate-closed=%d\n",
-			ms.Generated, ms.Issued, ms.Serviced, ms.Used, ms.Accuracy*100,
+		fmt.Fprintf(w, "memside: generated=%d issued=%d serviced=%d used=%d acc=%.1f%% dropped(pressure/stale/apd)=%d/%d/%d gate-closed=%d\n",
+			ms.Generated, ms.Issued, ms.Serviced, ms.Used, ms.ACC()*100,
 			ms.DroppedPressure, ms.DroppedStale, ms.Dropped, ms.GateClosed)
 	}
 	if ds := res.DSPatch; ds != nil {
-		fmt.Printf("dspatch: issued=%d covp-triggers=%d accp-triggers=%d cov-acc=%.1f%% acc-acc=%.1f%% headroom=%.2f\n",
+		fmt.Fprintf(w, "dspatch: issued=%d covp-triggers=%d accp-triggers=%d cov-acc=%.1f%% acc-acc=%.1f%% headroom=%.2f\n",
 			ds.Issued, ds.CovPSelected, ds.AccPSelected, ds.CovAccuracy*100, ds.AccAccuracy*100, ds.Headroom)
 	}
-	for _, c := range res.Cores {
-		fmt.Printf("  %-12s IPC=%.3f MPKI=%.2f SPL=%.1f", c.Benchmark, c.IPC, c.MPKI, c.SPL)
+	for _, c := range res.PerCore {
+		fmt.Fprintf(w, "  %-12s IPC=%.3f MPKI=%.2f SPL=%.1f", c.Benchmark, c.IPC(), c.MPKI(), c.SPL())
 		if verbose {
-			fmt.Printf(" ACC=%.1f%% COV=%.1f%% sent=%d dropped=%d",
-				c.PrefAccuracy*100, c.PrefCoverage*100, c.PrefSent, c.PrefDropped)
+			fmt.Fprintf(w, " ACC=%.1f%% COV=%.1f%% sent=%d dropped=%d",
+				c.ACC()*100, c.COV()*100, c.PrefSent, c.PrefDropped)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }
 

@@ -73,8 +73,8 @@ func TestNoPrefPolicyDisablesPrefetching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BusUseful != 0 || res.BusUseless != 0 {
-		t.Fatalf("no-pref moved prefetch traffic: useful=%d useless=%d", res.BusUseful, res.BusUseless)
+	if res.Bus.UsefulPref != 0 || res.Bus.UselessPref != 0 {
+		t.Fatalf("no-pref moved prefetch traffic: useful=%d useless=%d", res.Bus.UsefulPref, res.Bus.UselessPref)
 	}
 }
 
@@ -253,5 +253,71 @@ func TestWriteResolvedConfigRejectsBadModes(t *testing.T) {
 		if err := writeResolvedConfig(io.Discard, cfg, names); err == nil {
 			t.Errorf("refresh=%q page=%q accepted", tc[0], tc[1])
 		}
+	}
+}
+
+// reportRun is one padcsim -bench invocation the report goldens pin.
+type reportRun struct {
+	args                                       string
+	bench, policy, pf, refresh, page, topology string
+	memside, verbose                           bool
+}
+
+// runReport simulates r at 20,000 instructions per core and returns what
+// padcsim prints for it.
+func runReport(t *testing.T, r reportRun) string {
+	t.Helper()
+	cfg, names, err := buildConfig(r.bench, r.policy, r.pf, r.refresh, r.page, r.topology, "events", r.memside, 20_000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := padc.Run(cfg, names)
+	if err != nil {
+		t.Fatalf("%s: %v", r.args, err)
+	}
+	var buf bytes.Buffer
+	report(&buf, res, r.verbose)
+	return buf.String()
+}
+
+// TestReportGolden pins padcsim's run report: a flat two-core run, and one
+// that prints every optional section — refreshes, two domains, the
+// memory-side prefetch path and DSPatch (regenerate with go test
+// ./cmd/padcsim -run ReportGolden -update).
+func TestReportGolden(t *testing.T) {
+	runs := []reportRun{
+		{args: "-v -insts 20000 -bench swim,art",
+			bench: "swim,art", policy: "padc", pf: "stream", refresh: "off", page: "open", verbose: true},
+		{args: "-v -insts 20000 -bench swim,art -refresh per-bank -topology far-tier -memside -prefetcher dspatch",
+			bench: "swim,art", policy: "padc", pf: "dspatch", refresh: "per-bank", page: "open", topology: "far-tier",
+			memside: true, verbose: true},
+	}
+	var buf bytes.Buffer
+	for _, r := range runs {
+		fmt.Fprintf(&buf, "== padcsim %s ==\n%s", r.args, runReport(t, r))
+	}
+	path := filepath.Join("testdata", "report.golden")
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("report differs from %s (rerun with -update if intended):\n%s", path, buf.String())
+	}
+}
+
+// TestReportShowsPostponedRefresh: a run whose refresh engine only
+// postponed obligations still prints its refresh line, as the sweep row
+// carries its refresh keys.
+func TestReportShowsPostponedRefresh(t *testing.T) {
+	out := runReport(t, reportRun{args: "-insts 20000 -bench swim,art -refresh all-bank",
+		bench: "swim,art", policy: "padc", pf: "stream", refresh: "all-bank", page: "open"})
+	if !strings.Contains(out, "refreshes: issued=0 postponed=2 ") {
+		t.Fatalf("postponed-only refresh not reported:\n%s", out)
 	}
 }

@@ -33,11 +33,11 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("--- %s ---\n", v.name)
-		for _, c := range res.Cores {
+		for _, c := range res.PerCore {
 			fmt.Printf("  %-11s IPC=%.3f  ACC=%5.1f%%  COV=%5.1f%%  dropped=%d\n",
-				c.Benchmark, c.IPC, c.PrefAccuracy*100, c.PrefCoverage*100, c.PrefDropped)
+				c.Benchmark, c.IPC(), c.ACC()*100, c.COV()*100, c.PrefDropped)
 		}
 		fmt.Printf("  bus: demand=%d useful=%d useless=%d (total %d), RBHU=%.1f%%\n\n",
-			res.BusDemand, res.BusUseful, res.BusUseless, res.BusTotal(), res.RBHU*100)
+			res.Bus.Demand, res.Bus.UsefulPref, res.Bus.UselessPref, res.Bus.Total(), res.RBHU()*100)
 	}
 }

@@ -27,9 +27,9 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			c := res.Cores[0]
+			c := res.PerCore[0]
 			fmt.Printf("%-8s %-14s %8.3f %8.1f %8.1f %10d\n",
-				e, ctl.name, c.IPC, c.PrefAccuracy*100, c.PrefCoverage*100, res.BusTotal())
+				e, ctl.name, c.IPC(), c.ACC()*100, c.COV()*100, res.Bus.Total())
 		}
 	}
 }

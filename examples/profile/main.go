@@ -34,13 +34,7 @@ func main() {
 	// Cycle attribution: one row per core, every cycle in exactly one
 	// bucket. Memory-bound benchmarks show demand-miss dominating;
 	// compute-bound ones show retire.
-	benches := make([]string, len(res.Cores))
-	attribs := make([][]uint64, len(res.Cores))
-	for i, c := range res.Cores {
-		benches[i] = c.Benchmark
-		attribs[i] = c.Attribution
-	}
-	fmt.Print(exp.ProfileRows(benches, attribs))
+	fmt.Print(exp.ProfileTable(res))
 
 	// Latency decomposition: queue wait vs. DRAM service per request
 	// class, with the row-buffer outcome mix.

@@ -33,13 +33,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c := res.Cores[0]
+		c := res.PerCore[0]
 		fmt.Printf("%-18s %8.3f %8.2f %8.1f %10d %8d\n",
-			v.name, c.IPC, c.MPKI, res.RowHitRate*100, res.BusTotal(), res.Dropped)
+			v.name, c.IPC(), c.MPKI(), res.RBH()*100, res.Bus.Total(), res.Dropped)
 		if v.name == "no-pref" {
-			base = c.IPC
+			base = c.IPC()
 		} else if base > 0 {
-			fmt.Printf("%-18s %8.2fx vs no prefetching\n", "", c.IPC/base)
+			fmt.Printf("%-18s %8.2fx vs no prefetching\n", "", c.IPC()/base)
 		}
 	}
 }

@@ -40,9 +40,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		rf := res.Refresh
 		fmt.Printf("%-22s cycles=%-8d issued=%-4d postponed=%-3d pulled-in=%-3d forced=%-3d blocked-cycles=%d\n",
-			label, res.Cycles, res.RefreshesIssued, res.RefreshesPostponed,
-			res.RefreshesPulledIn, res.RefreshesForced, res.RefreshBlockedCycles)
+			label, res.Cycles, rf.Issued, rf.Postponed, rf.PulledIn, rf.Forced, rf.BlockedCycles)
 		return res
 	}
 

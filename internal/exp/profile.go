@@ -11,26 +11,14 @@ import (
 // one row per core, one column per cpu.CycleClass, each cell the percent
 // of that core's cycles (to its instruction target) attributed to the
 // class. The classes partition runtime, so every row sums to 100% up to
-// rounding — the identity the profiler guarantees.
+// rounding — the identity the profiler guarantees. Cores without an
+// attribution (profiling off) are skipped.
 func ProfileTable(res stats.Results) *Table {
-	names := make([]string, len(res.PerCore))
-	attribs := make([][]uint64, len(res.PerCore))
-	for i, c := range res.PerCore {
-		names[i] = c.Benchmark
-		attribs[i] = c.Attribution
-	}
-	return ProfileRows(names, attribs)
-}
-
-// ProfileRows is ProfileTable over raw rows (benchmark name plus
-// attribution vector per core), for callers holding the public result
-// type rather than stats.Results. Cores with a nil attribution are
-// skipped.
-func ProfileRows(benchmarks []string, attribs [][]uint64) *Table {
 	header := append([]string{"core", "benchmark"}, cpu.CycleClassNames()...)
 	header = append(header, "cycles")
 	t := &Table{Title: "cycle attribution (% of core cycles to target)", Header: header}
-	for i, attr := range attribs {
+	for i, c := range res.PerCore {
+		attr := c.Attribution
 		if len(attr) == 0 {
 			continue
 		}
@@ -38,7 +26,7 @@ func ProfileRows(benchmarks []string, attribs [][]uint64) *Table {
 		for _, v := range attr {
 			total += v
 		}
-		row := []string{fmt.Sprintf("%d", i), benchmarks[i]}
+		row := []string{fmt.Sprintf("%d", i), c.Benchmark}
 		for _, v := range attr {
 			pct := 0.0
 			if total > 0 {

@@ -487,7 +487,7 @@ func (r *JobResult) fill(res stats.Results) {
 	}
 	// Refresh counters appear only when the maintenance engine ran, so
 	// refresh-off artifacts stay byte-identical to their pre-refresh form.
-	if rf := res.Refresh; rf.Issued > 0 || rf.Postponed > 0 {
+	if rf := res.Refresh; rf.Ran() {
 		tel["refreshes_issued"] = float64(rf.Issued)
 		tel["refreshes_postponed"] = float64(rf.Postponed)
 		tel["refreshes_pulled_in"] = float64(rf.PulledIn)

@@ -88,6 +88,11 @@ type RefreshStats struct {
 	BlockedCycles uint64 // bank-cycles requests waited behind refresh
 }
 
+// Ran reports whether the refresh engine did anything: issued a refresh
+// or postponed an obligation. A short run can postpone before its first
+// refresh issues, so Issued alone under-reports.
+func (r RefreshStats) Ran() bool { return r.Issued > 0 || r.Postponed > 0 }
+
 // DomainStats is one memory domain's slice of the run on a multi-tier
 // topology: service and row-hit counts, data-bus occupancy, refresh
 // interference, and the tier-local PADC accuracy picture per core.
@@ -159,7 +164,9 @@ func (m MemSideStats) ACC() float64 {
 // how many trigger accesses emitted from the coverage-biased versus the
 // accuracy-biased pattern, each pattern's measured bit accuracy, and the
 // final bandwidth-headroom sample the selector acted on. Nil on Results
-// unless the dspatch prefetcher ran.
+// unless the dspatch prefetcher ran. The counts sum over every DSPatch
+// core, but CovAccuracy, AccAccuracy and Headroom are the first DSPatch
+// core's readings alone, whatever the other cores measured.
 type DSPatchStats struct {
 	Issued       uint64 // prefetch candidates emitted
 	CovPSelected uint64 // triggers served by the coverage-biased pattern

@@ -10,6 +10,10 @@
 //
 //	res, err := padc.Run(padc.DefaultSystem(4), []string{"swim", "art", "libquantum", "milc"})
 //
+// Run returns the simulator's own record (Result is stats.Results); the
+// paper's metrics are its methods, e.g. res.PerCore[0].IPC(), res.RBHU()
+// and res.Bus.Total().
+//
 // SystemConfig names each configuration kind — scheduling policy,
 // prefetcher, filter, page policy, refresh mode, topology, kernel — in
 // the vocabulary padcsim's flags and sweep specs use:
@@ -25,7 +29,6 @@
 package padc
 
 import (
-	"fmt"
 	"sort"
 
 	"padc/internal/cpu"
@@ -79,7 +82,7 @@ func NewLifecycle(reservoirPerCore int) *lifecycle.Tracer {
 }
 
 // CycleClassNames returns the cycle-accounting bucket names in the order
-// CoreResult.Attribution uses.
+// Result.PerCore[i].Attribution uses.
 func CycleClassNames() []string { return cpu.CycleClassNames() }
 
 // DefaultSystem returns the paper's baseline machine for ncores in
@@ -89,122 +92,19 @@ func DefaultSystem(ncores int) SystemConfig { return sim.DefaultMachine(ncores) 
 // TopologyNames returns the built-in topology preset names.
 func TopologyNames() []string { return topology.Names() }
 
-// CoreResult is one core's outcome.
-type CoreResult struct {
-	Benchmark    string
-	IPC          float64
-	MPKI         float64
-	SPL          float64
-	PrefAccuracy float64
-	PrefCoverage float64
-	PrefSent     uint64
-	PrefDropped  uint64
-
-	// Attribution is the cycle-accounting profile in CycleClassNames
-	// order; nil unless SystemConfig.Profile was set.
-	Attribution []uint64
-}
-
-// Result is a full simulation outcome.
-type Result struct {
-	Cycles     uint64
-	Cores      []CoreResult
-	BusDemand  uint64
-	BusUseful  uint64
-	BusUseless uint64
-	RowHitRate float64
-	RBHU       float64
-	Dropped    uint64
-
-	// DRAM maintenance totals, all zero unless RefreshMode enabled the
-	// refresh engine.
-	RefreshesIssued      uint64
-	RefreshesPostponed   uint64
-	RefreshesPulledIn    uint64
-	RefreshesForced      uint64
-	RefreshBlockedCycles uint64
-
-	// Domains holds per-domain breakdowns on multi-tier topologies (nil on
-	// flat machines): service and row-hit counts, bus occupancy, refresh
-	// blocking, and the tier-local PADC accuracy estimates APS/APD acted
-	// on.
-	Domains []DomainResult
-
-	// MemSide reports the memory-side prefetch pipeline, nil unless
-	// SystemConfig.MemSide enabled the path.
-	MemSide *MemSideResult
-
-	// DSPatch reports the dual-spatial prefetcher's bias trade-off, nil
-	// unless the dspatch prefetcher ran.
-	DSPatch *DSPatchResult
-}
-
-// MemSideResult is the memory-side prefetch pipeline over every
-// controller: candidate flow, drop partition, and the issued requests'
-// cache outcomes.
-type MemSideResult struct {
-	Generated       uint64
-	Enqueued        uint64
-	Issued          uint64
-	Filtered        uint64
-	DroppedOverflow uint64
-	DroppedStale    uint64
-	DroppedPressure uint64
-	GateClosed      uint64
-	Serviced        uint64
-	Used            uint64
-	Dropped         uint64
-	Accuracy        float64 // used / (serviced + APD-dropped)
-}
-
-// DSPatchResult is the dual-spatial prefetcher's coverage/accuracy bias
-// summary: trigger selections per pattern, each pattern's measured bit
-// accuracy, and the final bandwidth-headroom sample.
-type DSPatchResult struct {
-	Issued       uint64
-	CovPSelected uint64
-	AccPSelected uint64
-	CovAccuracy  float64
-	AccAccuracy  float64
-	Headroom     float64
-}
-
-// DomainResult is one memory domain's slice of the run.
-type DomainResult struct {
-	Name       string
-	Channels   int
-	LinkCycles uint64
-
-	Serviced       uint64
-	RowHitRate     float64
-	BusBusyCycles  uint64
-	RefreshBlocked uint64
-
-	PrefSent     uint64
-	PrefUsed     uint64
-	PrefAccuracy float64 // whole-run used/sent for prefetches into this tier
-
-	// CoreAccuracy is each core's tier-local PAR estimate at the end of
-	// the run — the per-tier PADC accuracy APS promotion and APD drop
-	// thresholds consulted.
-	CoreAccuracy []float64
-}
-
-// BusTotal returns total transferred cache lines.
-func (r Result) BusTotal() uint64 { return r.BusDemand + r.BusUseful + r.BusUseless }
+// Result is a full simulation outcome: the simulator's own record, whose
+// methods derive the paper's metrics.
+type Result = stats.Results
 
 // Benchmarks returns the names of the 55 synthetic benchmarks.
 func Benchmarks() []string { return workload.Names() }
 
-// Run simulates the given benchmarks (one per core) on the configured
-// system until every core retires its instruction target.
+// Run simulates the given benchmarks (one per core, at most c.Cores) on
+// the configured system until every core retires its instruction target.
 func Run(c SystemConfig, benchmarks []string) (Result, error) {
 	cfg, err := c.Config()
 	if err != nil {
 		return Result{}, err
-	}
-	if len(benchmarks) == 0 || len(benchmarks) > c.Cores {
-		return Result{}, fmt.Errorf("padc: need 1..%d benchmarks, got %d", c.Cores, len(benchmarks))
 	}
 	for _, b := range benchmarks {
 		p, err := workload.ByName(b)
@@ -213,74 +113,7 @@ func Run(c SystemConfig, benchmarks []string) (Result, error) {
 		}
 		cfg.Workload = append(cfg.Workload, p)
 	}
-	res, err := sim.Run(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return lower(res), nil
-}
-
-func lower(res stats.Results) Result {
-	out := Result{
-		Cycles:     res.Cycles,
-		BusDemand:  res.Bus.Demand,
-		BusUseful:  res.Bus.UsefulPref,
-		BusUseless: res.Bus.UselessPref,
-		RowHitRate: res.RBH(),
-		RBHU:       res.RBHU(),
-		Dropped:    res.Dropped,
-
-		RefreshesIssued:      res.Refresh.Issued,
-		RefreshesPostponed:   res.Refresh.Postponed,
-		RefreshesPulledIn:    res.Refresh.PulledIn,
-		RefreshesForced:      res.Refresh.Forced,
-		RefreshBlockedCycles: res.Refresh.BlockedCycles,
-	}
-	for _, d := range res.Domains {
-		out.Domains = append(out.Domains, DomainResult{
-			Name:           d.Name,
-			Channels:       d.Channels,
-			LinkCycles:     d.LinkCycles,
-			Serviced:       d.Serviced,
-			RowHitRate:     d.RBH(),
-			BusBusyCycles:  d.BusBusyCycles,
-			RefreshBlocked: d.RefreshBlocked,
-			PrefSent:       d.PrefSent,
-			PrefUsed:       d.PrefUsed,
-			PrefAccuracy:   d.ACC(),
-			CoreAccuracy:   append([]float64(nil), d.Accuracy...),
-		})
-	}
-	if ms := res.MemSide; ms != nil {
-		out.MemSide = &MemSideResult{
-			Generated: ms.Generated, Enqueued: ms.Enqueued, Issued: ms.Issued,
-			Filtered: ms.Filtered, DroppedOverflow: ms.DroppedOverflow,
-			DroppedStale: ms.DroppedStale, DroppedPressure: ms.DroppedPressure,
-			GateClosed: ms.GateClosed,
-			Serviced:   ms.Serviced, Used: ms.Used, Dropped: ms.Dropped,
-			Accuracy: ms.ACC(),
-		}
-	}
-	if ds := res.DSPatch; ds != nil {
-		out.DSPatch = &DSPatchResult{
-			Issued: ds.Issued, CovPSelected: ds.CovPSelected, AccPSelected: ds.AccPSelected,
-			CovAccuracy: ds.CovAccuracy, AccAccuracy: ds.AccAccuracy, Headroom: ds.Headroom,
-		}
-	}
-	for _, c := range res.PerCore {
-		out.Cores = append(out.Cores, CoreResult{
-			Benchmark:    c.Benchmark,
-			IPC:          c.IPC(),
-			MPKI:         c.MPKI(),
-			SPL:          c.SPL(),
-			PrefAccuracy: c.ACC(),
-			PrefCoverage: c.COV(),
-			PrefSent:     c.PrefSent,
-			PrefDropped:  c.PrefDropped,
-			Attribution:  c.Attribution,
-		})
-	}
-	return out
+	return sim.Run(cfg)
 }
 
 // sortedKeys is shared by the experiment registry.

@@ -28,15 +28,15 @@ func TestRunFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cores) != 2 {
-		t.Fatalf("want 2 core results, got %d", len(res.Cores))
+	if len(res.PerCore) != 2 {
+		t.Fatalf("want 2 core results, got %d", len(res.PerCore))
 	}
-	for _, c := range res.Cores {
-		if c.IPC <= 0 {
-			t.Errorf("%s: IPC %v", c.Benchmark, c.IPC)
+	for _, c := range res.PerCore {
+		if c.IPC() <= 0 {
+			t.Errorf("%s: IPC %v", c.Benchmark, c.IPC())
 		}
 	}
-	if res.BusTotal() == 0 || res.Cycles == 0 {
+	if res.Bus.Total() == 0 || res.Cycles == 0 {
 		t.Fatal("empty result")
 	}
 }
