@@ -54,14 +54,9 @@ type Cache struct {
 	sets     [][]line
 	tagShift uint
 	setMask  uint64
-	tick     uint64
-
-	// Stats.
-	Accesses    uint64
-	Misses      uint64
-	PrefHits    uint64 // demand hits that consumed a prefetched line
-	PrefFills   uint64
-	EvictUnused uint64 // prefetched lines evicted without a demand touch
+	// tick is the LRU clock. Replacement compares only the order of the
+	// values it hands out, so a miss that bumps it changes no decision.
+	tick uint64
 }
 
 // New builds a cache; it panics only on a config that Validate rejects,
@@ -102,7 +97,6 @@ type HitInfo struct {
 // A hit that consumes the P bit consumes the line's mark with it.
 func (c *Cache) Access(lineAddr uint64) HitInfo {
 	c.tick++
-	c.Accesses++
 	tag := lineAddr >> c.tagShift
 	s := c.set(lineAddr)
 	for i := range s {
@@ -112,12 +106,10 @@ func (c *Cache) Access(lineAddr uint64) HitInfo {
 			if s[i].prefetch {
 				s[i].prefetch = false
 				s[i].marked = false
-				c.PrefHits++
 			}
 			return info
 		}
 	}
-	c.Misses++
 	return HitInfo{}
 }
 
@@ -171,9 +163,6 @@ func (c *Cache) Fill(lineAddr uint64, prefetch, fillRowHit bool) Eviction {
 				victim = i
 			}
 		}
-		if s[victim].prefetch {
-			c.EvictUnused++
-		}
 		ev = Eviction{
 			Valid:       true,
 			LineAddr:    s[victim].tag<<c.tagShift | lineAddr&c.setMask,
@@ -182,9 +171,6 @@ func (c *Cache) Fill(lineAddr uint64, prefetch, fillRowHit bool) Eviction {
 		}
 	}
 	s[victim] = line{tag: tag, valid: true, prefetch: prefetch, fillHit: fillRowHit, lru: c.tick}
-	if prefetch {
-		c.PrefFills++
-	}
 	return ev
 }
 

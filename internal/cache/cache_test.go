@@ -53,9 +53,6 @@ func TestPrefetchBitLifecycle(t *testing.T) {
 	if !info.Hit || info.WasPrefetch {
 		t.Fatalf("P bit must clear after first use: %+v", info)
 	}
-	if c.PrefHits != 1 || c.PrefFills != 1 {
-		t.Fatalf("counters: hits=%d fills=%d", c.PrefHits, c.PrefFills)
-	}
 }
 
 func TestLRUReplacement(t *testing.T) {
@@ -83,9 +80,6 @@ func TestEvictionReportsUnusedPrefetch(t *testing.T) {
 	ev := c.Fill(4*16, false, false)
 	if !ev.Valid || !ev.WasPrefetch {
 		t.Fatalf("evicting an untouched prefetch should report it: %+v", ev)
-	}
-	if c.EvictUnused != 1 {
-		t.Fatalf("EvictUnused=%d", c.EvictUnused)
 	}
 }
 

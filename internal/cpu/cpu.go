@@ -11,6 +11,14 @@
 //     ROB head, the core checkpoints, pseudo-retires, and keeps fetching to
 //     generate accurate future memory requests, replaying the real path
 //     when the blocking fill returns.
+//
+// A core can sleep. NextEvent names the next cycle at which Tick could do
+// more than repeat the current cycle's stall accounting, and Skip applies
+// that accounting for the cycles in between, so a run loop may tick each
+// core only when it is due. A load rejected because its MSHR file is full
+// may also carry a stamp (LoadResult.Stamp): while the memory's Stamper
+// reports the same stamp, the core knows the retry would fail again, so
+// it neither calls Load for it nor counts it as a reason to wake.
 package cpu
 
 import "padc/internal/trace"
@@ -94,7 +102,12 @@ func DefaultConfig() Config { return Config{ROB: 256, Width: 4} }
 type LoadResult struct {
 	ReadyAt uint64 // valid when !Pending
 	Pending bool   // completion will arrive via Core.Complete
-	Retry   bool   // resource full; re-issue next cycle
+	Retry   bool   // resource full; re-issue after retryBackoff cycles
+	// Stamp, when nonzero on a Retry, is a promise: the same load keeps
+	// answering Retry, with no side effect, for as long as the memory's
+	// Stamper reports this stamp for the core. The core then leaves the
+	// load parked instead of retrying it. Zero promises nothing.
+	Stamp uint64
 }
 
 // Memory is the interface the core uses to access its cache hierarchy.
@@ -105,6 +118,19 @@ type LoadResult struct {
 type Memory interface {
 	Load(coreID int, seq, line, pc uint64, runahead bool, now uint64, firstTry bool) LoadResult
 }
+
+// Stamper is the optional interface a Memory implements when it returns
+// LoadResult stamps. Stamp reports the core's current stamp; it changes
+// whenever anything a parked retry depends on may have changed. A Memory
+// without it never has its stamps honored.
+type Stamper interface {
+	Stamp(coreID int) uint64
+}
+
+// retryBackoff is the cycle gap between a rejected load's retries. Every
+// retry of a load lands on its lattice r0+retryBackoff*k, where r0 is the
+// cycle of its first rejection.
+const retryBackoff = 8
 
 type robEntry struct {
 	seq      uint64
@@ -119,6 +145,7 @@ type robEntry struct {
 	tried    bool   // reached the memory hierarchy at least once
 	rejected bool   // last issue attempt was a resource-full rejection
 	retryAt  uint64 // back-off deadline after a resource-full rejection
+	stamp    uint64 // the rejection's LoadResult.Stamp (0: not parked)
 	l2miss   bool   // became Pending (true long-latency miss)
 	runahead bool   // fetched during runahead mode
 }
@@ -129,6 +156,8 @@ type Core struct {
 	cfg Config
 	gen trace.Gen
 	mem Memory
+	// stamper is mem's Stamper, or nil when it has none.
+	stamper Stamper
 
 	buf     []robEntry
 	head    int
@@ -159,6 +188,7 @@ type Core struct {
 	StallCycles uint64 // cycles retirement was blocked by an unready load
 	RAEntries   uint64 // times runahead mode was entered
 	RAInsts     uint64 // instructions pseudo-executed in runahead mode
+	Parks       uint64 // rejections that parked their load on a stamp
 }
 
 // EnableAccounting turns on per-cycle attribution. Call before the first
@@ -209,10 +239,44 @@ func New(id int, cfg Config, gen trace.Gen, mem Memory) *Core {
 	if cfg.Width == 0 {
 		cfg.Width = def.Width
 	}
-	return &Core{ID: id, cfg: cfg, gen: gen, mem: mem, buf: make([]robEntry, cfg.ROB), deferred: make([]uint64, 0, cfg.ROB)}
+	c := &Core{ID: id, cfg: cfg, gen: gen, mem: mem, buf: make([]robEntry, cfg.ROB), deferred: make([]uint64, 0, cfg.ROB)}
+	c.stamper, _ = mem.(Stamper)
+	return c
 }
 
-func (c *Core) at(pos int) *robEntry { return &c.buf[(c.head+pos)%len(c.buf)] }
+// at returns the entry pos slots behind the head; pos < len(buf).
+func (c *Core) at(pos int) *robEntry {
+	i := c.head + pos
+	if i >= len(c.buf) {
+		i -= len(c.buf)
+	}
+	return &c.buf[i]
+}
+
+// popHead retires the head slot from the ring.
+func (c *Core) popHead() {
+	c.head++
+	if c.head == len(c.buf) {
+		c.head = 0
+	}
+	c.count--
+}
+
+// parked reports whether the rejected entry e holds a stamp the memory
+// still reports, so retrying it now is certain to fail again.
+func (c *Core) parked(e *robEntry) bool {
+	return e.stamp != 0 && c.stamper.Stamp(c.ID) == e.stamp
+}
+
+// retryFrom returns the first cycle >= t on the rejected entry's retry
+// lattice. A core that slept through lattice cycles of a parked load
+// resumes it where a core ticked every cycle would have retried it.
+func (e *robEntry) retryFrom(t uint64) uint64 {
+	if e.retryAt >= t {
+		return e.retryAt
+	}
+	return e.retryAt + (t-e.retryAt+retryBackoff-1)/retryBackoff*retryBackoff
+}
 
 // entryBySeq returns the in-window entry with the given seq, or nil. Seqs
 // are contiguous within the window, so this is index arithmetic.
@@ -248,8 +312,7 @@ func (c *Core) enterRunahead(blockSeq uint64) {
 	// Pseudo-retire the blocking load; fetch continues past it. Everything
 	// still in the window will be replayed on exit, so it must count as
 	// runahead work, not retired instructions.
-	c.head = (c.head + 1) % len(c.buf)
-	c.count--
+	c.popHead()
 	for i := 0; i < c.count; i++ {
 		c.at(i).runahead = true
 	}
@@ -293,8 +356,7 @@ func (c *Core) Tick(now uint64) {
 			}
 		}
 		retired = true
-		c.head = (c.head + 1) % len(c.buf)
-		c.count--
+		c.popHead()
 	}
 
 	// Attribute the cycle before fetch refills the window: the head that
@@ -355,8 +417,18 @@ func (c *Core) Tick(now uint64) {
 // load is settled (issued, or resolved without a memory access) as opposed
 // to needing a retry.
 func (c *Core) tryIssue(e *robEntry, now uint64) bool {
-	if e.retryAt > now {
-		return false
+	if e.rejected {
+		// A rejected load already resolved its dependence when it first
+		// reached memory; it retries only on its lattice, and not at all
+		// while parked.
+		e.retryAt = e.retryFrom(now)
+		if e.retryAt > now {
+			return false
+		}
+		if c.parked(e) {
+			e.retryAt = now + retryBackoff
+			return false
+		}
 	}
 	if e.dep {
 		p := c.entryBySeq(e.depOn)
@@ -378,7 +450,13 @@ func (c *Core) tryIssue(e *robEntry, now uint64) bool {
 		// Resources (MSHR or request buffer) are full; back off a few
 		// cycles rather than hammering the hierarchy every cycle.
 		e.rejected = true
-		e.retryAt = now + 8
+		e.retryAt = now + retryBackoff
+		if c.stamper != nil {
+			e.stamp = res.Stamp
+			if e.stamp != 0 {
+				c.Parks++
+			}
+		}
 		return false
 	}
 	e.rejected = false
@@ -403,8 +481,10 @@ const NeverEvent = ^uint64(0)
 // The contract Skip relies on: for every cycle u in (now, NextEvent(now)),
 // Tick(u) would be a pure repeat of cycle now's blocked bookkeeping
 // (StallCycles and the cycle-class attribution), with no other state
-// change. The caller must re-evaluate after any executed cycle and after
-// any Complete delivery.
+// change beyond retries the memory answers Retry without side effect.
+// A parked load counts as no event: the caller must re-evaluate after any
+// executed cycle, after any Complete delivery, and after any change of
+// the core's Stamper stamp.
 func (c *Core) NextEvent(now uint64) uint64 {
 	if c.count < len(c.buf) {
 		return now + 1 // fetch/dispatch proceeds every cycle
@@ -429,9 +509,12 @@ func (c *Core) NextEvent(now uint64) uint64 {
 		if d == nil || d.issued {
 			continue // flushed by runahead exit, or issued meanwhile
 		}
-		if d.retryAt > now {
-			if d.retryAt < next {
-				next = d.retryAt
+		if d.rejected {
+			if c.parked(d) {
+				continue // woken by a stamp change
+			}
+			if r := d.retryFrom(now + 1); r < next {
+				next = r
 			}
 			continue
 		}
@@ -466,6 +549,13 @@ func (c *Core) Skip(n uint64) {
 	if c.acct != nil {
 		c.acct[c.classifyCycle()] += n
 	}
+}
+
+// Window reports the next instruction index to fetch, the reorder-buffer
+// occupancy and the number of deferred loads. With Retired and Loads they
+// are the progress a sleeping core must leave untouched.
+func (c *Core) Window() (nextIdx uint64, rob, deferred int) {
+	return c.nextIdx, c.count, len(c.deferred)
 }
 
 // InRunahead reports whether the core is currently in runahead mode.

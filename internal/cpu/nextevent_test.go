@@ -141,3 +141,61 @@ func TestNextEventDeferredRetry(t *testing.T) {
 		t.Fatalf("no retry at the claimed wake-up cycle %d", e)
 	}
 }
+
+// stampMem is fakeMem with a Stamper: rejections carry the current stamp.
+type stampMem struct {
+	*fakeMem
+	stamp uint64
+}
+
+func (m *stampMem) Load(id int, seq, line, pc uint64, ra bool, now uint64, first bool) LoadResult {
+	res := m.fakeMem.Load(id, seq, line, pc, ra, now, first)
+	if res.Retry {
+		res.Stamp = m.stamp
+	}
+	return res
+}
+
+func (m *stampMem) Stamp(int) uint64 { return m.stamp }
+
+// TestParkedRetrySleepsUntilStampMoves pins the stamp contract on the
+// core side: a parked load neither retries nor counts as a next event
+// while the stamp holds, and once the stamp moves it retries on the
+// lattice of its first rejection, exactly where a core that kept retrying
+// every backoff would have.
+func TestParkedRetrySleepsUntilStampMoves(t *testing.T) {
+	m := &stampMem{fakeMem: newFakeMem(), stamp: 7}
+	m.retryLeft[0] = 1 << 30 // the head load rejects until the test clears it
+	g := trace.Gen{Pattern: pattern{}, MemEvery: 4}
+	c := New(0, Config{ROB: 16, Width: 4}, g, m)
+	run(c, 200)
+	if c.Parks == 0 {
+		t.Fatal("a stamped rejection did not park its load")
+	}
+	if e := c.NextEvent(200); e != NeverEvent {
+		t.Fatalf("full ROB behind a parked head load wakes at %d", e)
+	}
+	retries := m.retries
+	for now := uint64(201); now <= 300; now++ {
+		c.Tick(now)
+	}
+	if m.retries != retries {
+		t.Fatalf("parked load retried %d times under an unmoved stamp", m.retries-retries)
+	}
+
+	// Instruction 0 was first rejected at cycle 1: its lattice is 1+8k.
+	m.stamp++
+	m.retryLeft[0] = 0
+	e := c.NextEvent(300)
+	if e != 305 {
+		t.Fatalf("unparked load wakes at %d, want lattice cycle 305", e)
+	}
+	c.Tick(303) // an off-lattice tick fast-forwards without retrying
+	if m.retries != retries {
+		t.Fatal("unparked load retried off its lattice")
+	}
+	c.Tick(305)
+	if m.retries != retries+1 {
+		t.Fatalf("unparked load did not retry at its lattice cycle (%d retries)", m.retries-retries)
+	}
+}

@@ -20,6 +20,7 @@ func FuzzKernelDifferential(f *testing.F) {
 	f.Add(uint8(3), uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint16(5_000), true, false)
 	f.Add(uint8(5), uint8(4), uint8(2), uint8(2), uint8(3), uint8(2), uint16(8_000), true, true)
 	f.Add(uint8(1), uint8(2), uint8(0), uint8(2), uint8(7), uint8(131), uint16(3_000), false, true)
+	f.Add(uint8(3), uint8(1), uint8(1), uint8(0x08), uint8(0x42), uint8(0), uint16(6_000), true, false)
 
 	pool := []string{"swim", "mcf", "art", "milc", "hmmer", "omnetpp", "libquantum", "sjeng"}
 
@@ -41,6 +42,21 @@ func FuzzKernelDifferential(f *testing.F) {
 			cfg.DRAM.Refresh.MaxPostpone = 3
 		}
 		cfg.DRAM.Page = []dram.PagePolicy{dram.OpenPage, dram.ClosedPage, dram.AdaptivePage}[int(pageSel)%3]
+		// pageSel's upper bits shrink the MSHR file (parked MSHR-full
+		// retries) and the request buffers (Enqueue-reject retries), by
+		// the core count where the resource is shared, as the
+		// randomized differential does; polSel's top bit shares the L2.
+		cfg.SharedL2 = polSel&0x80 != 0
+		switch (pageSel >> 2) % 3 {
+		case 2:
+			cfg.BufferSlots = cores * []int{4, 8}[pageSel>>7]
+			fallthrough
+		case 1:
+			cfg.MSHR = []int{2, 4, 8}[(pageSel>>4)%3]
+			if cfg.SharedL2 {
+				cfg.MSHR *= cores
+			}
+		}
 		switch topoSel % 3 {
 		case 1:
 			tp, err := topology.Preset("far-tier", cfg.DRAM.Channels)

@@ -14,9 +14,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"padc/internal/core"
+	"padc/internal/cpu"
 	"padc/internal/dram"
 	"padc/internal/dram/refresh"
 	"padc/internal/memctrl"
@@ -37,8 +39,9 @@ var diffPool = []string{
 }
 
 // randomKernelConfig draws one configuration across the policy ×
-// prefetcher × filter × refresh × page × APD × runahead × topology axes.
-// Instruction targets are kept small: the point is breadth, not depth.
+// prefetcher × filter × refresh × page × APD × runahead × topology ×
+// resource-size axes. Instruction targets are kept small: the point is
+// breadth, not depth.
 func randomKernelConfig(r *rand.Rand) Config {
 	cores := []int{1, 2, 4}[r.Intn(3)]
 	cfg := Baseline(cores)
@@ -114,6 +117,22 @@ func randomKernelConfig(r *rand.Rand) Config {
 	for i := 0; i < cores; i++ {
 		cfg.Workload = append(cfg.Workload, workload.MustByName(diffPool[r.Intn(len(diffPool))]))
 	}
+
+	// Two thirds of the draws shrink the MSHR file, so loads park on
+	// MSHR-full rejections; half of those also shrink the request
+	// buffers to a few slots per core, so loads retry on Enqueue
+	// rejections too. Shared resources keep that many entries per core:
+	// fewer can starve a core until the safety bound.
+	switch r.Intn(3) {
+	case 2:
+		cfg.BufferSlots = cores * []int{4, 8}[r.Intn(2)]
+		fallthrough
+	case 1:
+		cfg.MSHR = []int{2, 4, 8}[r.Intn(3)]
+		if cfg.SharedL2 {
+			cfg.MSHR *= cores
+		}
+	}
 	return cfg
 }
 
@@ -136,9 +155,16 @@ func runKernel(t *testing.T, cfg Config, k Kernel) (stats.Results, string, *Syst
 
 // TestKernelDifferentialRandomized is the headline lockstep differential:
 // dozens of seeded configurations across every axis, each run under both
-// kernels, requiring exactly equal results and errors.
+// kernels, requiring exactly equal results and errors. The suite must
+// park at least one MSHR-full retry, or it never reached that path.
 func TestKernelDifferentialRandomized(t *testing.T) {
 	const seeds = 36
+	var ran, parks atomic.Uint64
+	t.Cleanup(func() {
+		if ran.Load() == seeds && parks.Load() == 0 {
+			t.Error("no seed parked an MSHR-full retry")
+		}
+	})
 	for seed := 0; seed < seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
@@ -154,9 +180,15 @@ func TestKernelDifferentialRandomized(t *testing.T) {
 					describeCfg(cfg), resS, resE)
 			}
 			skips, skipped := sysE.SkipStats()
-			t.Logf("%s: %d cycles, %d skips covering %d cycles (%.1f%%)",
+			var p uint64
+			for _, cs := range sysE.cores {
+				p += cs.core.Parks
+			}
+			ran.Add(1)
+			parks.Add(p)
+			t.Logf("%s: %d cycles, %d skips covering %d cycles (%.1f%%), %d parks",
 				describeCfg(cfg), resE.Cycles, skips, skipped,
-				100*float64(skipped)/float64(resE.Cycles))
+				100*float64(skipped)/float64(resE.Cycles), p)
 		})
 	}
 }
@@ -174,9 +206,10 @@ func describeCfg(cfg Config) string {
 	if cfg.Topology != nil {
 		topo = cfg.Topology.Name
 	}
-	return fmt.Sprintf("%s/%v/refresh=%v/page=%v/apd=%v/ra=%v/ch=%d/topo=%s/ms=%v/%v",
+	return fmt.Sprintf("%s/%v/refresh=%v/page=%v/apd=%v/ra=%v/ch=%d/topo=%s/ms=%v/mshr=%d/buf=%d/%v",
 		pol, cfg.Prefetcher, cfg.DRAM.Refresh.Mode, cfg.DRAM.Page,
-		cfg.PADC.EnableAPD, cfg.Core.Runahead, cfg.DRAM.Channels, topo, cfg.MemSide, names)
+		cfg.PADC.EnableAPD, cfg.Core.Runahead, cfg.DRAM.Channels, topo, cfg.MemSide,
+		cfg.MSHR, cfg.BufferSlots, names)
 }
 
 // TestKernelDifferentialTwoDomain pins the lockstep property on the
@@ -356,14 +389,77 @@ func auditSignature(s *System) string {
 	return b.String()
 }
 
+// coreProgress is the progress a sleeping core must leave untouched:
+// Retired, Loads, the fetch index, the ROB occupancy and the deferred
+// length.
+type coreProgress [5]uint64
+
+func progressOf(cs *coreCtx) coreProgress {
+	next, rob, deferred := cs.core.Window()
+	return coreProgress{cs.core.Retired, cs.core.Loads, next, uint64(rob), uint64(deferred)}
+}
+
+// promiseMem stands between a stepped run's cores and the System and
+// checks the contract behind parked retries: a retry of an MSHR-full
+// rejection whose core stamp has not moved answers Retry and leaves the
+// stamp where it was. The stepped kernel itself never parks (its
+// rejections carry no stamp), so every such retry reaches Load.
+type promiseMem struct {
+	t       *testing.T
+	s       *System
+	held    map[[2]uint64]uint64 // (core, seq) -> stamp at its MSHR-full rejection
+	checked uint64
+}
+
+func (m *promiseMem) Load(coreID int, seq, line, pc uint64, runahead bool, now uint64, firstTry bool) cpu.LoadResult {
+	cs := m.s.cores[coreID]
+	key := [2]uint64{uint64(coreID), seq}
+	stamp, held := m.held[key]
+	held = held && !firstTry && stamp == cs.stamp
+	delete(m.held, key)
+	res := m.s.Load(coreID, seq, line, pc, runahead, now, firstTry)
+	if res.Stamp != 0 {
+		m.t.Fatalf("cycle %d: the stepped kernel stamped a rejection", now)
+	}
+	if held {
+		m.checked++
+		if !res.Retry || cs.stamp != stamp {
+			m.t.Fatalf("cycle %d: core %d load %d broke its stamp promise: %+v, stamp %d -> %d",
+				now, coreID, seq, res, stamp, cs.stamp)
+		}
+	}
+	if res.Retry && cs.mshr.Full() {
+		m.held[key] = cs.stamp // an MSHR-full rejection (Enqueue rejects leave the file below capacity)
+	}
+	return res
+}
+
 // TestEventWheelLockstepAudit replays the event kernel's decisions inside
-// stepped runs: at each executed cycle where the previous claim expires,
-// nextEvent issues a new claim; every stepped cycle strictly inside the
-// claimed window must (a) leave the progress signature untouched and
-// (b) never see a component event earlier than the claim — i.e. the event
-// kernel cannot skip past anything.
+// stepped runs. Globally: at each executed cycle where the previous claim
+// expires, nextEvent issues a new claim; every stepped cycle strictly
+// inside the claimed window must (a) leave the progress signature
+// untouched and (b) never see a component event earlier than the claim —
+// i.e. the event kernel cannot skip past anything. Per core: the stepped
+// kernel keeps taking each core's wake-up claim without acting on it, and
+// every cycle the event kernel would have left a core asleep must leave
+// that core's progress untouched. Meanwhile promiseMem checks every
+// retry a stamp would have parked. A suite that audits no window, or a
+// seed with global windows but no per-core ones, fails.
 func TestEventWheelLockstepAudit(t *testing.T) {
-	for seed := 0; seed < 8; seed++ {
+	const seeds = 8
+	var ran, totalWindows, totalPromises atomic.Uint64
+	t.Cleanup(func() {
+		if ran.Load() < seeds {
+			return
+		}
+		if totalWindows.Load() == 0 {
+			t.Error("the audit audited no claimed window on any seed")
+		}
+		if totalPromises.Load() == 0 {
+			t.Error("no seed retried an MSHR-full rejection under an unmoved stamp")
+		}
+	})
+	for seed := 0; seed < seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
 			t.Parallel()
@@ -374,13 +470,51 @@ func TestEventWheelLockstepAudit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			pm := &promiseMem{t: t, s: sys, held: map[[2]uint64]uint64{}}
+			for _, cs := range sys.cores {
+				cs.core = cpu.New(cs.id, cfg.Core, cs.prof.Gen, pm)
+				if cfg.Profile {
+					cs.core.EnableAccounting()
+				}
+			}
 
+			type coreClaim struct {
+				until    uint64
+				progress coreProgress
+				ra       bool
+			}
 			var (
 				claimAt, claimUntil uint64
 				claimSig            string
 				windows, audited    uint64
+				coreWindows         uint64
+				coreAudited         uint64
+				claims              = make([]coreClaim, len(sys.cores))
 			)
 			sys.onCycle = func(now uint64) {
+				for i, cs := range sys.cores {
+					cl := &claims[i]
+					if cs.wake <= now {
+						t.Fatalf("cycle %d: core %d claim %d not in the future", now, i, cs.wake)
+					}
+					// A delivery that ends runahead resets the window: the
+					// claim it voids was taken before it.
+					if now < cl.until && !(cl.ra && !cs.core.InRunahead()) {
+						// The event kernel left this core asleep at now.
+						coreAudited++
+						if got := progressOf(cs); got != cl.progress {
+							t.Fatalf("core %d: asleep cycle %d (claim until %d) made progress: %v -> %v",
+								i, now, cl.until, cl.progress, got)
+						}
+						cl.until = min(cl.until, cs.wake)
+						continue
+					}
+					*cl = coreClaim{until: cs.wake, progress: progressOf(cs), ra: cs.core.InRunahead()}
+					if cl.until > now+1 {
+						coreWindows++
+					}
+				}
+
 				if now >= claimUntil {
 					claimAt, claimUntil = now, sys.nextEvent(now)
 					if claimUntil <= now {
@@ -409,9 +543,16 @@ func TestEventWheelLockstepAudit(t *testing.T) {
 			}
 			// Some draws (notably runahead, which fetches every cycle while
 			// a miss is outstanding) legitimately never open a window; the
-			// skips>0 assertion lives in TestEventKernelInvariants on a
-			// workload guaranteed to stall.
-			t.Logf("%s: %d windows, %d audited inert cycles", describeCfg(cfg), windows, audited)
+			// suite as a whole must, and so must each seed's cores once the
+			// machine as a whole sleeps.
+			if windows > 0 && coreWindows == 0 {
+				t.Fatalf("%d global windows but no per-core window", windows)
+			}
+			ran.Add(1)
+			totalWindows.Add(windows + coreWindows)
+			totalPromises.Add(pm.checked)
+			t.Logf("%s: %d windows, %d audited inert cycles; per core %d windows, %d audited asleep cycles; %d stamp promises checked",
+				describeCfg(cfg), windows, audited, coreWindows, coreAudited, pm.checked)
 		})
 	}
 }
@@ -472,6 +613,37 @@ func TestEventKernelInvariants(t *testing.T) {
 		}
 	}
 	t.Logf("executed %d of %d cycles (%d skips covering %d)", executed, res.Cycles, skips, skipped)
+}
+
+// TestSleepStatsCoverEveryCycle pins per-core wake bookkeeping: each core
+// ticks or sleeps through every cycle of the run, so per core the two sum
+// to Results.Cycles. The stepped kernel ticks every core every cycle; the
+// event kernel lets cores sleep on the paper's 4-core PADC mix.
+func TestSleepStatsCoverEveryCycle(t *testing.T) {
+	cfg := quickCfg(4, "swim", "art", "libquantum", "milc")
+	cfg.TargetInsts = 20_000
+	cfg.Policy = memctrl.APS
+	cfg.Profile = true
+	for _, k := range []Kernel{KernelStepped, KernelEvents} {
+		res, errS, sys := runKernel(t, cfg, k)
+		if errS != "" {
+			t.Fatalf("%v: %s", k, errS)
+		}
+		for _, cs := range sys.cores {
+			if cs.ticks+cs.slept != res.Cycles {
+				t.Errorf("%v: core %d ticked %d + slept %d != %d cycles", k, cs.id, cs.ticks, cs.slept, res.Cycles)
+			}
+		}
+		ticks, slept := sys.SleepStats()
+		switch {
+		case k == KernelStepped && slept != 0:
+			t.Errorf("stepped kernel slept %d core cycles", slept)
+		case k == KernelEvents && slept == 0:
+			t.Error("no core slept under the event kernel")
+		}
+		t.Logf("%v: %d cycles, %d core ticks, %d core cycles slept (%.1f%%)",
+			k, res.Cycles, ticks, slept, 100*float64(slept)/float64(ticks+slept))
+	}
 }
 
 // TestKernelConfigSurface pins the Kernel parse/validate vocabulary.

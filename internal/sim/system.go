@@ -62,6 +62,16 @@ type coreCtx struct {
 
 	pfqDropped uint64 // prefetch candidates dropped at issue (resources full)
 
+	// Per-core wake scheduling. wake is the first cycle at which the core
+	// may act (the event kernel leaves it asleep before then); settled is
+	// the last cycle whose stall accounting the core has applied. stamp
+	// versions the core's L1, L2 and MSHR file: every fill, allocate and
+	// release bumps it (cpu.Stamper). ticks and slept count the cycles the
+	// core executed and the cycles it slept through.
+	wake, settled uint64
+	stamp         uint64
+	ticks, slept  uint64
+
 	frozen bool
 	snap   stats.CoreResult
 	// Traffic snapshot at freeze, so post-freeze execution (kept running
@@ -112,6 +122,10 @@ type System struct {
 	domPrefUsed []uint64
 
 	cycle uint64
+
+	// park, set under KernelEvents, lets Load stamp MSHR-full rejections
+	// so their cores sleep until the stamp moves.
+	park bool
 
 	// Global service accounting.
 	serviced       uint64
@@ -264,7 +278,7 @@ func New(cfg Config) (*System, error) {
 
 	s.cores = make([]*coreCtx, len(cfg.Workload))
 	for i, prof := range cfg.Workload {
-		cc := &coreCtx{id: i, prof: prof}
+		cc := &coreCtx{id: i, prof: prof, stamp: 1}
 		if cfg.L1.Bytes > 0 {
 			cc.l1 = cache.New(cfg.L1)
 		}
@@ -500,6 +514,7 @@ func (s *System) Load(coreID int, seq, line, pc uint64, runahead bool, now uint6
 		}
 		if cs.l1 != nil {
 			cs.l1.Fill(g, false, false)
+			s.touch(cs)
 		}
 		if firstTry {
 			s.observe(cs, prefetch.AccessEvent{LineAddr: g, PC: pc, Miss: false, Cycle: now}, now)
@@ -548,7 +563,16 @@ func (s *System) Load(coreID int, seq, line, pc uint64, runahead bool, now uint6
 				})
 			}
 		}
-		return cpu.LoadResult{Retry: true}
+		// A retry of this load walks the L1, the L2 and the MSHR file and
+		// fails again here, touching nothing but LRU clocks, until one of
+		// them changes: the stamp promises exactly that. A buffer-full
+		// rejection below gets no stamp, since every retry of it books a
+		// reject at the controller.
+		res := cpu.LoadResult{Retry: true}
+		if s.park {
+			res.Stamp = cs.stamp
+		}
+		return res
 	}
 	addr := s.mapLine(g)
 	ctrl := s.ctrlFor(addr)
@@ -566,6 +590,7 @@ func (s *System) Load(coreID int, seq, line, pc uint64, runahead bool, now uint6
 		// Cannot happen after the Full check, but stay safe.
 		return cpu.LoadResult{Retry: true}
 	}
+	s.touch(cs)
 	e.Waiters = append(e.Waiters, cache.Waiter{Core: coreID, Seq: seq})
 	cs.demandReqs++
 	return cpu.LoadResult{Pending: true}
@@ -648,6 +673,7 @@ func (s *System) observe(cs *coreCtx, ev prefetch.AccessEvent, now uint64) {
 			continue
 		}
 		cs.mshr.Allocate(cand, true)
+		s.touch(cs)
 		cs.prefSent++
 		cs.prefInflight++
 		d := s.ctrlDom[addr.Channel]
@@ -762,6 +788,9 @@ func (s *System) complete(r *memctrl.Request, now uint64) {
 		}
 	}
 
+	// One touch covers the L2 fill, the L1 fill and the MSHR release:
+	// no load reaches the hierarchy in between.
+	s.touch(cs)
 	s.evicted(cs, cs.l2.Fill(r.Line, r.Prefetch, r.IssueHit), r.Prefetch)
 
 	if e := cs.mshr.Lookup(r.Line); e != nil {
@@ -769,7 +798,7 @@ func (s *System) complete(r *memctrl.Request, now uint64) {
 			cs.l1.Fill(r.Line, false, false)
 		}
 		for _, w := range e.Waiters {
-			s.cores[w.Core].core.Complete(w.Seq, r.FinishAt)
+			s.deliver(s.cores[w.Core], w.Seq, r.FinishAt)
 		}
 		cs.mshr.Release(r.Line)
 	}
@@ -828,6 +857,7 @@ func (s *System) completeMemSide(r *memctrl.Request) {
 	}
 
 	// No FDP pollution note: no core-side engine issued this fill.
+	s.touch(cs)
 	s.evicted(cs, cs.l2.Fill(r.Line, true, r.IssueHit), false)
 	cs.l2.Mark(r.Line)
 
@@ -839,7 +869,7 @@ func (s *System) completeMemSide(r *memctrl.Request) {
 			cs.l1.Fill(r.Line, false, false)
 		}
 		for _, w := range e.Waiters {
-			s.cores[w.Core].core.Complete(w.Seq, r.FinishAt)
+			s.deliver(s.cores[w.Core], w.Seq, r.FinishAt)
 		}
 		cs.mshr.Release(r.Line)
 	}
@@ -863,6 +893,7 @@ func (s *System) dropExpired(now uint64) {
 			} else {
 				cs := s.cores[r.Core]
 				cs.mshr.Release(r.Line)
+				s.touch(cs)
 				cs.prefDropped++
 				cs.prefInflight--
 			}
@@ -878,7 +909,56 @@ func (s *System) dropExpired(now uint64) {
 	}
 }
 
+// touch records a change to cs's L1, L2 or MSHR file: it bumps the
+// core's stamp, which voids its parked retries, and pulls its wake-up to
+// the current cycle so it is re-evaluated. If the change lands before the
+// core's tick slot in this cycle the core ticks now; otherwise the
+// end-of-cycle refresh recomputes its wake-up. A shared L2 and MSHR file
+// belong to every core.
+func (s *System) touch(cs *coreCtx) {
+	if s.cfg.SharedL2 {
+		for _, o := range s.cores {
+			o.stamp++
+			o.wake = min(o.wake, s.cycle)
+		}
+		return
+	}
+	cs.stamp++
+	cs.wake = min(cs.wake, s.cycle)
+}
+
+// Stamp implements cpu.Stamper.
+func (s *System) Stamp(coreID int) uint64 { return s.cores[coreID].stamp }
+
+// settle applies the stall accounting of the cycles cs slept through, up
+// to and including cycle now. Anything that reads a core's stall counters
+// settles it first.
+func (s *System) settle(cs *coreCtx, now uint64) {
+	if n := now - cs.settled; n > 0 {
+		cs.core.Skip(n)
+		cs.slept += n
+		cs.settled = now
+	}
+}
+
+// tick executes cycle now on cs and takes its next wake-up claim.
+func (s *System) tick(cs *coreCtx, now uint64) {
+	s.settle(cs, now-1)
+	cs.core.Tick(now)
+	cs.settled = now
+	cs.ticks++
+	cs.wake = cs.core.NextEvent(now)
+}
+
+// deliver completes the load seq on cs and re-takes its wake-up claim.
+func (s *System) deliver(cs *coreCtx, seq, at uint64) {
+	s.settle(cs, s.cycle)
+	cs.core.Complete(seq, at)
+	cs.wake = cs.core.NextEvent(s.cycle)
+}
+
 func (s *System) freeze(cs *coreCtx) {
+	s.settle(cs, s.cycle)
 	cs.frozen = true
 	cs.snap = stats.CoreResult{
 		Benchmark:    cs.prof.Name,
@@ -909,10 +989,13 @@ func (s *System) freeze(cs *coreCtx) {
 // methodology) and returns the collected results.
 //
 // Two kernels drive the same per-cycle body. KernelStepped executes every
-// cycle — the reference. KernelEvents executes the identical body, then
-// asks every component for its next interesting cycle (nextEvent) and
-// jumps straight there, applying the skipped cycles' stall accounting
-// arithmetically via Core.Skip. Both kernels produce identical results by
+// cycle and ticks every core — the reference. KernelEvents ticks a core
+// only from its wake-up claim on (its Core.NextEvent, pulled forward by
+// deliveries and stamp changes), lets MSHR-full retries park until their
+// core's stamp moves, and after each executed cycle jumps straight to the
+// next interesting cycle of any component (nextEvent). A sleeping core's
+// stall accounting is applied arithmetically via Core.Skip when it wakes
+// or when something reads it. Both kernels produce identical results by
 // construction, and the lockstep differential suite enforces it.
 func (s *System) Run() (stats.Results, error) {
 	cfg := s.cfg
@@ -921,6 +1004,7 @@ func (s *System) Run() (stats.Results, error) {
 	s.dramEvery = cfg.DRAM.EffectiveTickEvery()
 	s.apdActive = cfg.PADC.EnableAPD && (cfg.Prefetcher != PFNone || cfg.MemSide)
 	events := cfg.Kernel == KernelEvents
+	s.park = events
 
 	// The first accuracy samples come early (geometric warm-up) so APS
 	// escapes its optimistic cold-start quickly, then settle to the
@@ -956,7 +1040,11 @@ func (s *System) Run() (stats.Results, error) {
 		// (hardware arbiters round-robin equal-priority requesters).
 		start := int(now) % len(s.cores)
 		for i := range s.cores {
-			s.cores[(start+i)%len(s.cores)].core.Tick(now)
+			cs := s.cores[(start+i)%len(s.cores)]
+			if events && now < cs.wake {
+				continue // asleep: this cycle repeats its stall accounting
+			}
+			s.tick(cs, now)
 		}
 
 		if now%s.dramEvery == 0 {
@@ -978,6 +1066,7 @@ func (s *System) Run() (stats.Results, error) {
 		}
 
 		if now >= s.nextSample {
+			s.settleAll(now)
 			s.tel.Sample(now)
 			lastSample = now
 			s.nextSample += epoch
@@ -1014,6 +1103,11 @@ func (s *System) Run() (stats.Results, error) {
 				s.freeze(cs)
 				remaining--
 			}
+			if cs.wake <= now {
+				// A stamp change this cycle, after the core's tick slot:
+				// re-take its claim with the parked retries it voided.
+				cs.wake = cs.core.NextEvent(now)
+			}
 		}
 
 		if s.onCycle != nil {
@@ -1026,9 +1120,6 @@ func (s *System) Run() (stats.Results, error) {
 				// boundary can occur. Apply their stall accounting
 				// arithmetically and land the loop's increment on next.
 				n := next - now - 1
-				for _, cs := range s.cores {
-					cs.core.Skip(n)
-				}
 				s.cycle += n
 				s.skips++
 				s.skipped += n
@@ -1036,6 +1127,7 @@ func (s *System) Run() (stats.Results, error) {
 		}
 	}
 
+	s.settleAll(s.cycle)
 	// Close the partial last epoch so short runs still yield a series.
 	if epoch > 0 && s.cycle > lastSample {
 		s.tel.Sample(s.cycle)
@@ -1091,8 +1183,15 @@ func (s *System) updateHeadroom(now uint64) {
 	}
 }
 
+// settleAll settles every core through cycle now.
+func (s *System) settleAll(now uint64) {
+	for _, cs := range s.cores {
+		s.settle(cs, now)
+	}
+}
+
 // nextEvent computes the first cycle after now at which any component can
-// act: core retire/issue/fetch wake-ups, controller work (completion
+// act: core wake-up claims, controller work (completion
 // harvest, bank arbitration, refresh duties — lifted onto the DRAM tick
 // grid, since controllers only tick there), the APD drop scan, and the
 // telemetry/flight/PADC epoch boundaries. Every cycle strictly between
@@ -1101,8 +1200,8 @@ func (s *System) updateHeadroom(now uint64) {
 func (s *System) nextEvent(now uint64) uint64 {
 	next := s.runMax
 	for _, cs := range s.cores {
-		if e := cs.core.NextEvent(now); e < next {
-			next = e
+		if cs.wake < next {
+			next = cs.wake
 		}
 	}
 	nextGrid := now - now%s.dramEvery + s.dramEvery
@@ -1155,6 +1254,18 @@ func (s *System) nextEvent(now uint64) uint64 {
 // jumps covered (both zero under KernelStepped). Executed cycles plus
 // skipped cycles always equal Results.Cycles.
 func (s *System) SkipStats() (skips, skippedCycles uint64) { return s.skips, s.skipped }
+
+// SleepStats reports the core ticks the run executed and the core cycles
+// that slept instead, both summed over the cores. Each core either ticks
+// or sleeps through every cycle, so per core the two sum to
+// Results.Cycles; under KernelStepped no core sleeps.
+func (s *System) SleepStats() (ticks, slept uint64) {
+	for _, cs := range s.cores {
+		ticks += cs.ticks
+		slept += cs.slept
+	}
+	return ticks, slept
+}
 
 func (s *System) results() stats.Results {
 	r := stats.Results{
