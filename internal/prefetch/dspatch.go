@@ -171,6 +171,13 @@ func (d *DSPatch) CovAccuracy() float64 { return d.covMeter.value() }
 // pattern.
 func (d *DSPatch) AccAccuracy() float64 { return d.accMeter.value() }
 
+// Meters returns the raw predicted-bit counts behind CovAccuracy and
+// AccAccuracy (bits later touched, bits predicted), so readings can be
+// pooled across engines.
+func (d *DSPatch) Meters() (covGood, covPred, accGood, accPred uint64) {
+	return d.covMeter.good, d.covMeter.pred, d.accMeter.good, d.accMeter.pred
+}
+
 // signature mixes the trigger PC and its in-region offset, the standard
 // DSPatch trigger signature.
 func (d *DSPatch) signature(pc uint64, off uint) uint64 {

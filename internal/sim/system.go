@@ -1334,20 +1334,24 @@ func (s *System) results() stats.Results {
 		}
 		r.MemSide = ms
 	}
+	var covGood, covPred, accGood, accPred uint64
 	for _, cs := range s.cores {
 		if cs.dspatch == nil {
 			continue
 		}
 		if r.DSPatch == nil {
-			r.DSPatch = &stats.DSPatchStats{
-				CovAccuracy: cs.dspatch.CovAccuracy(),
-				AccAccuracy: cs.dspatch.AccAccuracy(),
-				Headroom:    cs.dspatch.BandwidthHeadroom(),
-			}
+			// Every selector is fed the same machine-wide sample.
+			r.DSPatch = &stats.DSPatchStats{Headroom: cs.dspatch.BandwidthHeadroom()}
 		}
 		r.DSPatch.Issued += cs.dspatch.Issued
 		r.DSPatch.CovPSelected += cs.dspatch.CovPSelected
 		r.DSPatch.AccPSelected += cs.dspatch.AccPSelected
+		cg, cp, ag, ap := cs.dspatch.Meters()
+		covGood, covPred, accGood, accPred = covGood+cg, covPred+cp, accGood+ag, accPred+ap
+	}
+	if r.DSPatch != nil {
+		r.DSPatch.CovAccuracy = ratio(covGood, covPred)
+		r.DSPatch.AccAccuracy = ratio(accGood, accPred)
 	}
 	if s.histUseful != nil {
 		// Prefetches still pending classification at the end of the run
@@ -1360,6 +1364,14 @@ func (s *System) results() stats.Results {
 	}
 	r.AccuracyTrace = append([]float64(nil), s.accTrace...)
 	return r
+}
+
+// ratio returns num/den, or 0 when den is 0.
+func ratio(num, den uint64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return float64(num) / float64(den)
 }
 
 // Run is the package-level convenience: build a System from cfg and run it.

@@ -165,8 +165,9 @@ func (m MemSideStats) ACC() float64 {
 // accuracy-biased pattern, each pattern's measured bit accuracy, and the
 // final bandwidth-headroom sample the selector acted on. Nil on Results
 // unless the dspatch prefetcher ran. The counts sum over every DSPatch
-// core, but CovAccuracy, AccAccuracy and Headroom are the first DSPatch
-// core's readings alone, whatever the other cores measured.
+// core; CovAccuracy and AccAccuracy pool every core's meter bits (bits
+// touched over bits predicted, machine-wide); Headroom is the sample every
+// core's selector shares.
 type DSPatchStats struct {
 	Issued       uint64 // prefetch candidates emitted
 	CovPSelected uint64 // triggers served by the coverage-biased pattern
