@@ -132,22 +132,25 @@ type Stamper interface {
 // cycle of its first rejection.
 const retryBackoff = 8
 
+// robEntry keeps its flags together after the words, so an entry packs
+// into 64 bytes.
 type robEntry struct {
-	seq      uint64
-	line     uint64
-	pc       uint64
+	seq     uint64
+	line    uint64
+	pc      uint64
+	depOn   uint64 // seq of the producing memory instruction when dep
+	readyAt uint64
+	retryAt uint64 // back-off deadline after a resource-full rejection
+	stamp   uint64 // the rejection's LoadResult.Stamp (0: not parked)
+
 	isLoad   bool
-	dep      bool   // depends on the previous memory instruction
-	depOn    uint64 // seq of the producing memory instruction when dep
+	dep      bool // depends on the previous memory instruction
 	ready    bool
-	readyAt  uint64
 	issued   bool
-	tried    bool   // reached the memory hierarchy at least once
-	rejected bool   // last issue attempt was a resource-full rejection
-	retryAt  uint64 // back-off deadline after a resource-full rejection
-	stamp    uint64 // the rejection's LoadResult.Stamp (0: not parked)
-	l2miss   bool   // became Pending (true long-latency miss)
-	runahead bool   // fetched during runahead mode
+	tried    bool // reached the memory hierarchy at least once
+	rejected bool // last issue attempt was a resource-full rejection
+	l2miss   bool // became Pending (true long-latency miss)
+	runahead bool // fetched during runahead mode
 }
 
 // Core is one simulated processor.
