@@ -123,10 +123,6 @@ type System struct {
 
 	cycle uint64
 
-	// park, set under KernelEvents, lets Load stamp MSHR-full rejections
-	// so their cores sleep until the stamp moves.
-	park bool
-
 	// Global service accounting.
 	serviced       uint64
 	rowHits        uint64
@@ -569,7 +565,7 @@ func (s *System) Load(coreID int, seq, line, pc uint64, runahead bool, now uint6
 		// rejection below gets no stamp, since every retry of it books a
 		// reject at the controller.
 		res := cpu.LoadResult{Retry: true}
-		if s.park {
+		if s.cfg.Kernel == KernelEvents {
 			res.Stamp = cs.stamp
 		}
 		return res
@@ -1004,7 +1000,6 @@ func (s *System) Run() (stats.Results, error) {
 	s.dramEvery = cfg.DRAM.EffectiveTickEvery()
 	s.apdActive = cfg.PADC.EnableAPD && (cfg.Prefetcher != PFNone || cfg.MemSide)
 	events := cfg.Kernel == KernelEvents
-	s.park = events
 
 	// The first accuracy samples come early (geometric warm-up) so APS
 	// escapes its optimistic cold-start quickly, then settle to the
