@@ -66,7 +66,8 @@ type coreCtx struct {
 	// may act (the event kernel leaves it asleep before then); settled is
 	// the last cycle whose stall accounting the core has applied. stamp
 	// versions the core's L1, L2 and MSHR file: every fill, allocate and
-	// release bumps it (cpu.Stamper). ticks and slept count the cycles the
+	// release bumps it (cpu.Stamper). It starts at 1, since a zero stamp
+	// promises nothing. ticks and slept count the cycles the
 	// core executed and the cycles it slept through.
 	wake, settled uint64
 	stamp         uint64
