@@ -270,17 +270,57 @@ func TestCrashAtEveryJournalCut(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Rows land in the order the two workers finish their jobs, which
+	// races, so the offsets of the cuts would change from run to run. The
+	// journal's rows are laid out again in two fixed completion orders the
+	// pool writes, and each order is cut; an offset both orders share ends
+	// with the same rows durable and is tested once.
 	headerEnd := bytes.IndexByte(journal, '\n') + 1
-	cuts := []int{0}
-	for i, b := range journal {
-		if b == '\n' {
-			cuts = append(cuts, i, i+1) // the line without, then with, its newline
+	lines := bytes.SplitAfter(journal[headerEnd:], []byte("\n"))
+	lines = lines[:len(lines)-1] // the empty tail after the last newline
+	rows := map[int][]byte{}
+	for _, l := range lines[:len(lines)-1] {
+		var rec struct {
+			Row *struct {
+				Index int `json:"index"`
+			} `json:"row"`
+		}
+		if err := json.Unmarshal(l, &rec); err != nil || rec.Row == nil {
+			t.Fatalf("journal line %q is not a row (%v)", l, err)
+		}
+		rows[rec.Row.Index] = l
+	}
+	var (
+		cuts     []int
+		journals = map[int][]byte{}
+	)
+	for _, order := range [][]int{{1, 0, 2, 3, 4, 5}, {1, 2, 0, 4, 3, 5}} {
+		if len(order) != len(rows) {
+			t.Fatalf("journal holds %d rows, want %d", len(rows), len(order))
+		}
+		j := append([]byte(nil), journal[:headerEnd]...)
+		for _, i := range order {
+			j = append(j, rows[i]...)
+		}
+		j = append(j, lines[len(lines)-1]...)
+		at := []int{0}
+		for i, b := range j {
+			if b == '\n' {
+				at = append(at, i, i+1) // the line without, then with, its newline
+			}
+		}
+		second := headerEnd + bytes.IndexByte(j[headerEnd:], '\n') + 1
+		at = append(at, second+(bytes.IndexByte(j[second:], '\n'))/2)
+		for _, cut := range at {
+			if _, seen := journals[cut]; !seen {
+				cuts = append(cuts, cut)
+				journals[cut] = j
+			}
 		}
 	}
-	second := headerEnd + bytes.IndexByte(journal[headerEnd:], '\n') + 1
-	cuts = append(cuts, second+(bytes.IndexByte(journal[second:], '\n'))/2)
 
 	for _, cut := range cuts {
+		journal := journals[cut]
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 			d := t.TempDir()
 			if err := os.MkdirAll(filepath.Join(d, c.ID), 0o755); err != nil {
