@@ -9,10 +9,18 @@ package cache
 //
 // The file is as bounded as the hardware: all capacity entries are built
 // up front and Release returns an entry to a free list, keeping its
-// Waiters backing array, so steady-state allocation is free.
+// Waiters backing array, so steady-state allocation is free. Outstanding
+// lines are found through a fixed open-addressed table over those
+// entries: a power-of-two number of slots, at least four times the
+// capacity, probed linearly, with backward-shift deletion so no
+// tombstones build up. A full file fills at most a quarter of the table,
+// so probe runs stay short: with twice the capacity, which a full file
+// (the common case under memory pressure) fills half of, a miss cost
+// about twice as much.
 type MSHR struct {
 	capacity int
-	entries  map[uint64]*MSHREntry
+	slots    []mshrSlot
+	shift    uint // home slot = (line * hashMul) >> shift
 	free     []*MSHREntry
 
 	// Stats.
@@ -22,6 +30,16 @@ type MSHR struct {
 	FullStallsPref   uint64 // ... of which the requester was a prefetch
 	HighWater        int    // peak simultaneous outstanding misses
 }
+
+// mshrSlot is one table slot; e is nil when the slot is empty.
+type mshrSlot struct {
+	line uint64
+	e    *MSHREntry
+}
+
+// hashMul is the Fibonacci-hashing multiplier: the top bits of
+// line*hashMul spread consecutive lines across the table.
+const hashMul = 0x9e3779b97f4a7c15
 
 // MSHREntry tracks one outstanding miss. An entry is valid until its line
 // is Released; the file then reuses it for a later Allocate.
@@ -42,15 +60,19 @@ type Waiter struct {
 // NewMSHR builds an MSHR file with the given number of entries.
 func NewMSHR(capacity int) *MSHR {
 	capacity = max(capacity, 0)
+	bits := uint(1)
+	for 1<<bits < 4*capacity {
+		bits++
+	}
 	m := &MSHR{
 		capacity: capacity,
-		entries:  make(map[uint64]*MSHREntry, 2*capacity),
+		slots:    make([]mshrSlot, 1<<bits),
+		shift:    64 - bits,
 		free:     make([]*MSHREntry, capacity),
 	}
-	// The entry map is sized well past capacity so insert/delete churn
-	// seldom forces it to grow. Each entry's waiter slots cover all but the
-	// deepest merges onto one line; a deeper merge grows that entry's
-	// array once, and Release keeps it.
+	// Each entry's waiter slots cover all but the deepest merges onto one
+	// line; a deeper merge grows that entry's array once, and Release
+	// keeps it.
 	slab := make([]MSHREntry, capacity)
 	waiters := make([]Waiter, capacity*waiterSlots)
 	for i := range slab {
@@ -64,17 +86,31 @@ func NewMSHR(capacity int) *MSHR {
 // waiterSlots is the waiter capacity each entry starts with.
 const waiterSlots = 32
 
+// home returns the slot where probing for lineAddr starts.
+func (m *MSHR) home(lineAddr uint64) int { return int((lineAddr * hashMul) >> m.shift) }
+
+// find returns the slot holding lineAddr, or the empty slot that ends its
+// probe sequence. The table is never full, so the probe terminates.
+func (m *MSHR) find(lineAddr uint64) int {
+	mask := len(m.slots) - 1
+	i := m.home(lineAddr)
+	for m.slots[i].e != nil && m.slots[i].line != lineAddr {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
 // Capacity returns the entry count the file was built with.
 func (m *MSHR) Capacity() int { return m.capacity }
 
 // Len returns the number of outstanding misses.
-func (m *MSHR) Len() int { return len(m.entries) }
+func (m *MSHR) Len() int { return m.capacity - len(m.free) }
 
 // Full reports whether no further misses can be tracked.
-func (m *MSHR) Full() bool { return len(m.entries) >= m.capacity }
+func (m *MSHR) Full() bool { return len(m.free) == 0 }
 
 // Lookup returns the outstanding entry for lineAddr, or nil.
-func (m *MSHR) Lookup(lineAddr uint64) *MSHREntry { return m.entries[lineAddr] }
+func (m *MSHR) Lookup(lineAddr uint64) *MSHREntry { return m.slots[m.find(lineAddr)].e }
 
 // Allocate creates an entry for lineAddr with no waiters. It returns nil
 // if the file is full or the line is already outstanding (callers merge
@@ -84,17 +120,16 @@ func (m *MSHR) Allocate(lineAddr uint64, prefetch bool) *MSHREntry {
 		m.NoteFullStall(prefetch)
 		return nil
 	}
-	if _, ok := m.entries[lineAddr]; ok {
+	i := m.find(lineAddr)
+	if m.slots[i].e != nil {
 		return nil
 	}
 	e := m.free[len(m.free)-1]
 	m.free = m.free[:len(m.free)-1]
 	e.LineAddr, e.Prefetch = lineAddr, prefetch
-	m.entries[lineAddr] = e
+	m.slots[i] = mshrSlot{line: lineAddr, e: e}
 	m.Allocs++
-	if len(m.entries) > m.HighWater {
-		m.HighWater = len(m.entries)
-	}
+	m.HighWater = max(m.HighWater, m.Len())
 	return e
 }
 
@@ -114,11 +149,21 @@ func (m *MSHR) NoteFullStall(prefetch bool) {
 // dropped) and returns it to the free list with its waiters cleared. It
 // is a no-op if the line is not outstanding.
 func (m *MSHR) Release(lineAddr uint64) {
-	e, ok := m.entries[lineAddr]
-	if !ok {
+	i := m.find(lineAddr)
+	e := m.slots[i].e
+	if e == nil {
 		return
 	}
-	delete(m.entries, lineAddr)
+	// Backward-shift delete: pull later members of the probe run into the
+	// hole unless that would move one before its home slot.
+	mask := len(m.slots) - 1
+	for j := (i + 1) & mask; m.slots[j].e != nil; j = (j + 1) & mask {
+		if (j-m.home(m.slots[j].line))&mask >= (j-i)&mask {
+			m.slots[i] = m.slots[j]
+			i = j
+		}
+	}
+	m.slots[i] = mshrSlot{}
 	e.Waiters = e.Waiters[:0]
 	m.free = append(m.free, e)
 }

@@ -19,6 +19,13 @@
 // may also carry a stamp (LoadResult.Stamp): while the memory's Stamper
 // reports the same stamp, the core knows the retry would fail again, so
 // it neither calls Load for it nor counts it as a reason to wake.
+//
+// Loads that cannot issue at dispatch are deferred. A rejected load
+// retries only every retryBackoff cycles from its first rejection, so the
+// core files it under that retry phase; loads waiting on a producer go on
+// one more list. A tick visits only the current phase and the
+// producer-waiters, and passes over a phase whose loads are all parked on
+// the current stamp without visiting them.
 package cpu
 
 import "padc/internal/trace"
@@ -129,18 +136,17 @@ type Stamper interface {
 
 // retryBackoff is the cycle gap between a rejected load's retries. Every
 // retry of a load lands on its lattice r0+retryBackoff*k, where r0 is the
-// cycle of its first rejection.
+// cycle of its first rejection, so its phase r0 % retryBackoff is fixed.
 const retryBackoff = 8
 
 // robEntry keeps its flags together after the words, so an entry packs
-// into 64 bytes.
+// into 56 bytes.
 type robEntry struct {
 	seq     uint64
 	line    uint64
 	pc      uint64
 	depOn   uint64 // seq of the producing memory instruction when dep
 	readyAt uint64
-	retryAt uint64 // back-off deadline after a resource-full rejection
 	stamp   uint64 // the rejection's LoadResult.Stamp (0: not parked)
 
 	isLoad   bool
@@ -152,6 +158,18 @@ type robEntry struct {
 	l2miss   bool // became Pending (true long-latency miss)
 	runahead bool // fetched during runahead mode
 }
+
+// deferList is a seq-ordered list of deferred loads threaded through the
+// ROB slots. On a phase list, mark is nonzero when every load on the list
+// holds that rejection stamp: while the memory reports it, the whole phase
+// is parked and a tick passes it over without visiting its loads.
+type deferList struct {
+	head, tail int32 // ROB slots; noSlot when the list is empty
+	mark       uint64
+}
+
+// noSlot ends a deferred list.
+const noSlot = -1
 
 // Core is one simulated processor.
 type Core struct {
@@ -170,10 +188,16 @@ type Core struct {
 	prevMemSeq  uint64 // seq of the most recent memory instruction fetched
 	havePrevMem bool
 
-	// deferred holds seqs of dispatched loads that could not issue yet
-	// (dependence not resolved, or memory resources full); retried each
-	// cycle. Keeping this list avoids scanning the whole window.
-	deferred []uint64
+	// Deferred loads are dispatched loads that could not issue yet. They
+	// stay in their ROB slots and are threaded by next into seq-ordered
+	// lists: one per retry phase (now % retryBackoff) for loads the memory
+	// rejected, which retry only on their phase's cycles, and waiters for
+	// loads whose producer has not resolved, which are checked every
+	// cycle. deferred counts the loads on all the lists.
+	next     []int32
+	phases   [retryBackoff]deferList
+	waiters  deferList
+	deferred int
 
 	// Runahead state.
 	inRunahead bool
@@ -242,18 +266,82 @@ func New(id int, cfg Config, gen trace.Gen, mem Memory) *Core {
 	if cfg.Width == 0 {
 		cfg.Width = def.Width
 	}
-	c := &Core{ID: id, cfg: cfg, gen: gen, mem: mem, buf: make([]robEntry, cfg.ROB), deferred: make([]uint64, 0, cfg.ROB)}
+	c := &Core{ID: id, cfg: cfg, gen: gen, mem: mem, buf: make([]robEntry, cfg.ROB), next: make([]int32, cfg.ROB)}
 	c.stamper, _ = mem.(Stamper)
+	c.clearDeferred()
 	return c
 }
 
-// at returns the entry pos slots behind the head; pos < len(buf).
-func (c *Core) at(pos int) *robEntry {
+// slot returns the ROB slot pos places behind the head; pos < len(buf).
+func (c *Core) slot(pos int) int32 {
 	i := c.head + pos
 	if i >= len(c.buf) {
 		i -= len(c.buf)
 	}
-	return &c.buf[i]
+	return int32(i)
+}
+
+// at returns the entry pos slots behind the head; pos < len(buf).
+func (c *Core) at(pos int) *robEntry { return &c.buf[c.slot(pos)] }
+
+// clearDeferred empties every deferred list.
+func (c *Core) clearDeferred() {
+	empty := deferList{head: noSlot, tail: noSlot}
+	for i := range c.phases {
+		c.phases[i] = empty
+	}
+	c.waiters = empty
+	c.deferred = 0
+}
+
+// file adds the load in slot s to l in seq order. Dispatch and a rejected
+// producer-waiter are the only callers, and dispatch always appends.
+func (c *Core) file(l *deferList, s int32) {
+	e := &c.buf[s]
+	switch {
+	case l.head == noSlot:
+		l.head, l.tail, l.mark = s, s, e.stamp
+		c.next[s] = noSlot
+		return
+	case l.mark != e.stamp:
+		l.mark = 0
+	}
+	if c.buf[l.tail].seq < e.seq {
+		c.next[l.tail], c.next[s], l.tail = s, noSlot, s
+		return
+	}
+	prev, p := int32(noSlot), l.head
+	for c.buf[p].seq < e.seq {
+		prev, p = p, c.next[p]
+	}
+	c.link(l, prev, s, p)
+}
+
+// link puts slot s between prev (noSlot: the head) and p (noSlot: the
+// tail) on l.
+func (c *Core) link(l *deferList, prev, s, p int32) {
+	c.next[s] = p
+	if prev == noSlot {
+		l.head = s
+	} else {
+		c.next[prev] = s
+	}
+	if p == noSlot {
+		l.tail = s
+	}
+}
+
+// unlink removes slot s, which follows prev (noSlot: s is the head), from l.
+func (c *Core) unlink(l *deferList, prev, s int32) {
+	n := c.next[s]
+	if prev == noSlot {
+		l.head = n
+	} else {
+		c.next[prev] = n
+	}
+	if l.tail == s {
+		l.tail = prev
+	}
 }
 
 // popHead retires the head slot from the ring.
@@ -271,14 +359,19 @@ func (c *Core) parked(e *robEntry) bool {
 	return e.stamp != 0 && c.stamper.Stamp(c.ID) == e.stamp
 }
 
-// retryFrom returns the first cycle >= t on the rejected entry's retry
-// lattice. A core that slept through lattice cycles of a parked load
-// resumes it where a core ticked every cycle would have retried it.
-func (e *robEntry) retryFrom(t uint64) uint64 {
-	if e.retryAt >= t {
-		return e.retryAt
+// unparked reports whether phase list l holds a load that is not parked
+// on stamp, the memory's current one. A marked phase answers without
+// visiting its loads.
+func (c *Core) unparked(l *deferList, stamp uint64) bool {
+	if l.mark != 0 && l.mark == stamp {
+		return false
 	}
-	return e.retryAt + (t-e.retryAt+retryBackoff-1)/retryBackoff*retryBackoff
+	for s := l.head; s != noSlot; s = c.next[s] {
+		if d := &c.buf[s]; d.stamp == 0 || d.stamp != stamp {
+			return true
+		}
+	}
+	return false
 }
 
 // entryBySeq returns the in-window entry with the given seq, or nil. Seqs
@@ -326,7 +419,7 @@ func (c *Core) exitRunahead() {
 	c.count = 0
 	c.nextIdx = c.raResume
 	c.havePrevMem = false
-	c.deferred = c.deferred[:0]
+	c.clearDeferred()
 }
 
 // Tick advances the core one cycle: retire up to Width ready instructions
@@ -374,24 +467,15 @@ func (c *Core) Tick(now uint64) {
 
 	// Issue any dispatched-but-unissued loads whose dependence or resource
 	// stall has cleared.
-	if len(c.deferred) > 0 {
-		keep := c.deferred[:0]
-		for _, seq := range c.deferred {
-			e := c.entryBySeq(seq)
-			if e == nil || e.issued {
-				continue // flushed by runahead exit, or issued meanwhile
-			}
-			if !c.tryIssue(e, now) {
-				keep = append(keep, seq)
-			}
-		}
-		c.deferred = keep
+	if c.deferred > 0 {
+		c.retryDeferred(now)
 	}
 
 	// Fetch/dispatch.
 	for w := 0; w < c.cfg.Width && c.count < len(c.buf); w++ {
 		inst := c.gen.At(c.nextIdx)
-		e := c.at(c.count)
+		s := c.slot(c.count)
+		e := &c.buf[s]
 		*e = robEntry{seq: c.nextIdx, runahead: c.inRunahead}
 		c.nextIdx++
 		c.count++
@@ -411,8 +495,93 @@ func (c *Core) Tick(now uint64) {
 		c.prevMemSeq = e.seq
 		c.havePrevMem = true
 		if !c.tryIssue(e, now) {
-			c.deferred = append(c.deferred, e.seq)
+			c.deferred++
+			if e.rejected {
+				c.file(&c.phases[now%retryBackoff], s)
+			} else {
+				c.file(&c.waiters, s)
+			}
 		}
+	}
+}
+
+// retryDeferred gives every deferred load that can act at cycle now its
+// turn, in seq order: the loads of the phase whose retry lattice lands on
+// now, merged with the producer-waiters. A rejected load's phase is fixed
+// for life, since it retries only on its lattice. A phase whose loads all
+// hold the stamp the memory reports is parked as a whole and passed over
+// without visiting them, unless a producer-waiter's Load moves the stamp
+// partway through: the phase's loads after that waiter then take their
+// turns, as they would have one by one.
+func (c *Core) retryDeferred(now uint64) {
+	ph := &c.phases[now%retryBackoff]
+	held := ph.mark
+	parked := ph.head != noSlot && held != 0 && c.stamper.Stamp(c.ID) == held
+	// p is the next phase load to visit and pprev the last one kept
+	// (p follows pprev on the list); mark folds the stamps of the loads
+	// kept, for a phase that is walked rather than passed over.
+	p, pprev := ph.head, int32(noSlot)
+	if parked {
+		p = noSlot
+	}
+	var mark uint64
+	marked := false
+	fold := func(stamp uint64) {
+		if !marked {
+			mark, marked = stamp, true
+		} else if mark != stamp {
+			mark = 0
+		}
+	}
+	w, wprev := c.waiters.head, int32(noSlot)
+	for {
+		if w != noSlot && (p == noSlot || c.buf[w].seq < c.buf[p].seq) {
+			e, nw := &c.buf[w], c.next[w]
+			switch {
+			case c.tryIssue(e, now):
+				c.unlink(&c.waiters, wprev, w)
+				c.deferred--
+			case e.rejected:
+				// Rejected at now: its phase is the one this tick serves.
+				c.unlink(&c.waiters, wprev, w)
+				if parked {
+					c.file(ph, w)
+				} else {
+					c.link(ph, pprev, w, p)
+					pprev = w
+					fold(e.stamp)
+				}
+			default:
+				wprev = w
+			}
+			if parked && e.tried && c.stamper.Stamp(c.ID) != held {
+				// The waiter's Load moved the stamp: the phase's loads
+				// after it are no longer parked.
+				parked = false
+				pprev, p = noSlot, ph.head
+				for p != noSlot && c.buf[p].seq <= e.seq {
+					fold(c.buf[p].stamp)
+					pprev, p = p, c.next[p]
+				}
+			}
+			w = nw
+			continue
+		}
+		if p == noSlot {
+			break
+		}
+		e, np := &c.buf[p], c.next[p]
+		if c.tryIssue(e, now) {
+			c.unlink(ph, pprev, p)
+			c.deferred--
+		} else {
+			pprev = p
+			fold(e.stamp)
+		}
+		p = np
+	}
+	if !parked {
+		ph.mark = mark
 	}
 }
 
@@ -420,18 +589,11 @@ func (c *Core) Tick(now uint64) {
 // load is settled (issued, or resolved without a memory access) as opposed
 // to needing a retry.
 func (c *Core) tryIssue(e *robEntry, now uint64) bool {
-	if e.rejected {
-		// A rejected load already resolved its dependence when it first
-		// reached memory; it retries only on its lattice, and not at all
-		// while parked.
-		e.retryAt = e.retryFrom(now)
-		if e.retryAt > now {
-			return false
-		}
-		if c.parked(e) {
-			e.retryAt = now + retryBackoff
-			return false
-		}
+	if e.rejected && c.parked(e) {
+		// A rejected load reaches here only on its lattice, from its
+		// phase list, and does not retry while parked. It resolved its
+		// dependence when it first reached memory.
+		return false
 	}
 	if e.dep {
 		p := c.entryBySeq(e.depOn)
@@ -453,7 +615,6 @@ func (c *Core) tryIssue(e *robEntry, now uint64) bool {
 		// Resources (MSHR or request buffer) are full; back off a few
 		// cycles rather than hammering the hierarchy every cycle.
 		e.rejected = true
-		e.retryAt = now + retryBackoff
 		if c.stamper != nil {
 			e.stamp = res.Stamp
 			if e.stamp != 0 {
@@ -507,20 +668,22 @@ func (c *Core) NextEvent(now uint64) uint64 {
 		}
 		// Otherwise the head waits on a DRAM fill: an external Complete.
 	}
-	for _, seq := range c.deferred {
-		d := c.entryBySeq(seq)
-		if d == nil || d.issued {
-			continue // flushed by runahead exit, or issued meanwhile
+	if c.deferred == 0 {
+		return next
+	}
+	var stamp uint64
+	if c.stamper != nil {
+		stamp = c.stamper.Stamp(c.ID)
+	}
+	// A phase acts on its next lattice cycle unless all its loads are
+	// parked; parked loads are woken by a stamp change.
+	for t := now + 1; t <= now+retryBackoff && t < next; t++ {
+		if c.unparked(&c.phases[t%retryBackoff], stamp) {
+			next = t
 		}
-		if d.rejected {
-			if c.parked(d) {
-				continue // woken by a stamp change
-			}
-			if r := d.retryFrom(now + 1); r < next {
-				next = r
-			}
-			continue
-		}
+	}
+	for s := c.waiters.head; s != noSlot; s = c.next[s] {
+		d := &c.buf[s]
 		if d.dep {
 			p := c.entryBySeq(d.depOn)
 			if p != nil && (!p.ready || p.readyAt > now) {
@@ -558,7 +721,7 @@ func (c *Core) Skip(n uint64) {
 // occupancy and the number of deferred loads. With Retired and Loads they
 // are the progress a sleeping core must leave untouched.
 func (c *Core) Window() (nextIdx uint64, rob, deferred int) {
-	return c.nextIdx, c.count, len(c.deferred)
+	return c.nextIdx, c.count, c.deferred
 }
 
 // InRunahead reports whether the core is currently in runahead mode.

@@ -199,3 +199,152 @@ func TestParkedRetrySleepsUntilStampMoves(t *testing.T) {
 		t.Fatalf("unparked load did not retry at its lattice cycle (%d retries)", m.retries-retries)
 	}
 }
+
+// countMem rejects every load with a fixed stamp, and counts the Load and
+// Stamp calls the core makes.
+type countMem struct {
+	stamp         uint64
+	loads, stamps int
+}
+
+func (m *countMem) Load(int, uint64, uint64, uint64, bool, uint64, bool) LoadResult {
+	m.loads++
+	return LoadResult{Retry: true, Stamp: m.stamp}
+}
+
+func (m *countMem) Stamp(int) uint64 {
+	m.stamps++
+	return m.stamp
+}
+
+// TestParkedLoadsCostNothing pins the cost of parked retries: with a full
+// window of loads parked under an unmoved stamp, a Tick or a NextEvent
+// makes no Load call and a constant number of Stamp calls, however many
+// loads are deferred.
+func TestParkedLoadsCostNothing(t *testing.T) {
+	for _, rob := range []int{128, 256, 512} {
+		m := &countMem{stamp: 7}
+		c := New(0, Config{ROB: rob, Width: 4}, trace.Gen{Pattern: pattern{}, MemEvery: 1}, m)
+		now := uint64(1)
+		for ; now <= uint64(rob); now++ {
+			c.Tick(now)
+		}
+		if _, n, deferred := c.Window(); n != rob || deferred != rob {
+			t.Fatalf("ROB %d: setup left %d entries, %d deferred; want a full window of rejected loads", rob, n, deferred)
+		}
+		for end := now + 4*retryBackoff; now < end; now++ {
+			m.loads, m.stamps = 0, 0
+			c.Tick(now)
+			if m.loads != 0 || m.stamps > 1 {
+				t.Fatalf("ROB %d: Tick(%d) made %d Load and %d Stamp calls over parked loads, want 0 and at most 1",
+					rob, now, m.loads, m.stamps)
+			}
+			m.stamps = 0
+			if e := c.NextEvent(now); e != NeverEvent {
+				t.Fatalf("ROB %d: NextEvent(%d) = %d behind parked loads, want NeverEvent", rob, now, e)
+			}
+			if m.loads != 0 || m.stamps > 1 {
+				t.Fatalf("ROB %d: NextEvent(%d) made %d Load and %d Stamp calls over parked loads, want 0 and at most 1",
+					rob, now, m.loads, m.stamps)
+			}
+		}
+	}
+}
+
+// chainMem rejects every load's first try with the current stamp and
+// hits every retry, allocating nothing.
+type chainMem struct {
+	stamp    uint64
+	rejected int
+}
+
+func (m *chainMem) Load(_ int, _, _, _ uint64, _ bool, now uint64, firstTry bool) LoadResult {
+	if firstTry {
+		m.rejected++
+		return LoadResult{Retry: true, Stamp: m.stamp}
+	}
+	return LoadResult{ReadyAt: now + 1}
+}
+
+func (m *chainMem) Stamp(int) uint64 { return m.stamp }
+
+// TestDeferredFilingAllocatesNothing runs a pointer chase in which every
+// load waits on its producer, is then rejected and filed under its retry
+// phase, and later issues: the steady state must not allocate.
+func TestDeferredFilingAllocatesNothing(t *testing.T) {
+	m := &chainMem{stamp: 1}
+	g := trace.Gen{Pattern: pattern{ops: []trace.MemOp{{Line: 1, Dep: true}, {Line: 2}, {Line: 3, Dep: true}}}, MemEvery: 2}
+	c := New(0, Config{ROB: 64, Width: 4}, g, m)
+	now := uint64(0)
+	tick := func() {
+		for end := now + 200; now < end; {
+			now++
+			c.Tick(now)
+			m.stamp++ // every retry finds the hierarchy changed
+		}
+	}
+	tick()
+	before, retired := m.rejected, c.Retired
+	if allocs := testing.AllocsPerRun(5, tick); allocs != 0 {
+		t.Fatalf("steady state allocated %.1f times per 200 cycles", allocs)
+	}
+	if m.rejected == before || c.Retired == retired {
+		t.Fatalf("no progress: %d rejections, %d retired", m.rejected-before, c.Retired-retired)
+	}
+}
+
+// scriptMem answers by line: line 1 hits after 8 cycles, line 2 allocates
+// a fill (Pending) and moves the stamp, and every other line is rejected
+// with the current stamp. It logs each Load call's cycle and seq.
+type scriptMem struct {
+	stamp uint64
+	calls [][2]uint64
+}
+
+func (m *scriptMem) Load(_ int, seq, line, _ uint64, _ bool, now uint64, _ bool) LoadResult {
+	m.calls = append(m.calls, [2]uint64{now, seq})
+	switch line {
+	case 1:
+		return LoadResult{ReadyAt: now + 8}
+	case 2:
+		m.stamp++
+		return LoadResult{Pending: true}
+	}
+	return LoadResult{Retry: true, Stamp: m.stamp}
+}
+
+func (m *scriptMem) Stamp(int) uint64 { return m.stamp }
+
+// TestWaiterReopensParkedPhase covers a producer-waiter whose Load moves
+// the stamp while the phase it shares a cycle with is parked: the phase's
+// later loads are no longer parked and must retry in that same tick, in
+// seq order after the waiter, as a scan of every deferred load retries
+// them.
+func TestWaiterReopensParkedPhase(t *testing.T) {
+	// seq 0 hits (ready at 9), seq 1 depends on it, seqs 2 and up are
+	// rejected: seqs 2 and 3 at cycle 1, on the phase of cycle 9.
+	ops := []trace.MemOp{{Line: 1}, {Line: 2, Dep: true}}
+	for l := uint64(3); l < 40; l++ {
+		ops = append(ops, trace.MemOp{Line: l})
+	}
+	m := &scriptMem{stamp: 5}
+	c := New(0, Config{ROB: 16, Width: 4}, trace.Gen{Pattern: pattern{ops: ops}, MemEvery: 1}, m)
+	for now := uint64(1); now <= 9; now++ {
+		c.Tick(now)
+	}
+	var at9 []uint64
+	for _, call := range m.calls {
+		if call[0] == 9 {
+			at9 = append(at9, call[1])
+		}
+	}
+	want := []uint64{1, 2, 3, 16}
+	if len(at9) != len(want) {
+		t.Fatalf("Load calls at cycle 9 for seqs %v, want %v", at9, want)
+	}
+	for i := range want {
+		if at9[i] != want[i] {
+			t.Fatalf("Load calls at cycle 9 for seqs %v, want %v", at9, want)
+		}
+	}
+}
