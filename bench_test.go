@@ -216,7 +216,7 @@ func BenchmarkSimulatorThroughputProfiled(b *testing.B) {
 		cfg := DefaultSystem(4)
 		cfg.TargetInsts = 50_000
 		cfg.Telemetry = NewTelemetry(10_000)
-		cfg.Lifecycle = NewLifecycle(0)
+		cfg.Lifecycle = NewLifecycle()
 		cfg.Profile = true
 		res, err := Run(cfg, []string{"swim", "art", "libquantum", "milc"})
 		if err != nil {

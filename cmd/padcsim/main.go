@@ -172,12 +172,12 @@ func main() {
 		}
 		var tracer *lifecycle.Tracer
 		if *profile || *spansOut != "" || *breakdownOut != "" {
-			tracer = padc.NewLifecycle(0)
+			tracer = padc.NewLifecycle()
 			cfg.Lifecycle = tracer
 		}
 		var rec *flight.Recorder
 		if *heatmapOut != "" {
-			rec = padc.NewFlightRecorder(*epoch, 0)
+			rec = padc.NewFlightRecorder(*epoch)
 			cfg.Flight = rec
 		}
 		cfg.Profile = *profile

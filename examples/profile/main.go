@@ -22,7 +22,7 @@ func main() {
 	cfg := padc.DefaultSystem(4)
 	cfg.TargetInsts = 250_000
 	cfg.Profile = true
-	tracer := padc.NewLifecycle(0)
+	tracer := padc.NewLifecycle()
 	cfg.Lifecycle = tracer
 
 	res, err := padc.Run(cfg, mix)

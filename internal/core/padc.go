@@ -140,9 +140,6 @@ func (p *PADC) TrackMemSide() {
 	}
 }
 
-// MemSideTracked reports whether TrackMemSide was called.
-func (p *PADC) MemSideTracked() bool { return p.msMeters != nil }
-
 // Config returns the effective configuration after defaulting.
 func (p *PADC) Config() Config { return p.cfg }
 
@@ -188,10 +185,6 @@ func (p *PADC) NoteMemSideSent(domain int) {
 // a line a memory-side prefetch filled.
 func (p *PADC) NoteMemSideUsed(domain int) { p.msMeters[domain].puc++ }
 
-// MemSideAccuracyIn returns the domain's memory-side PAR from the last
-// completed interval (1 until the path sends anything).
-func (p *PADC) MemSideAccuracyIn(domain int) float64 { return p.msMeters[domain].par }
-
 // MemSideDropThresholdIn returns the APD age limit for the domain's
 // memory-side prefetches: the same Table 6 ladder the core-side streams
 // use, driven by the tier's aggregate memory-side accuracy. ^uint64(0)
@@ -225,12 +218,6 @@ func (p *PADC) NoteSent(domain, core int) {
 // NoteUsed increments the (domain, core) PUC: a prefetched line from that
 // domain was hit by a demand, or a demand matched an in-buffer prefetch.
 func (p *PADC) NoteUsed(domain, core int) { p.meters[domain][core].puc++ }
-
-// NotePrefetchSent is the flat-machine spelling of NoteSent (domain 0).
-func (p *PADC) NotePrefetchSent(core int) { p.NoteSent(0, core) }
-
-// NotePrefetchUsed is the flat-machine spelling of NoteUsed (domain 0).
-func (p *PADC) NotePrefetchUsed(core int) { p.NoteUsed(0, core) }
 
 // EndInterval recomputes every meter's PAR from the interval's counters
 // and resets them (§4.1). Meters that sent nothing keep their previous
@@ -288,9 +275,6 @@ func (p *PADC) EndInterval() {
 // interval.
 func (p *PADC) AccuracyIn(domain, core int) float64 { return p.meters[domain][core].par }
 
-// Accuracy returns the core's domain-0 PAR (the flat-machine estimate).
-func (p *PADC) Accuracy(core int) float64 { return p.AccuracyIn(0, core) }
-
 // PrefetchCriticalIn reports whether the core's prefetches into the
 // domain are critical: measured tier-local accuracy meets the promotion
 // threshold.
@@ -326,9 +310,6 @@ func (p *PADC) ladder(par float64) uint64 {
 	}
 	return p.cfg.DropLadder[len(p.cfg.DropLadder)-1].Cycles
 }
-
-// DropThreshold returns the domain-0 APD age limit (flat machines).
-func (p *PADC) DropThreshold(core int) uint64 { return p.DropThresholdIn(0, core) }
 
 // TierView is one domain's slice of the PADC: it satisfies
 // memctrl.CoreState so each controller consults its own tier's accuracy

@@ -12,20 +12,20 @@ func TestAccuracyMetering(t *testing.T) {
 		t.Fatal("cold PAR should be optimistic")
 	}
 	for i := 0; i < 10; i++ {
-		p.NotePrefetchSent(0)
+		p.NoteSent(0, 0)
 	}
 	for i := 0; i < 9; i++ {
-		p.NotePrefetchUsed(0)
+		p.NoteUsed(0, 0)
 	}
 	for i := 0; i < 10; i++ {
-		p.NotePrefetchSent(1)
+		p.NoteSent(0, 1)
 	}
-	p.NotePrefetchUsed(1)
+	p.NoteUsed(0, 1)
 	p.EndInterval()
-	if got := p.Accuracy(0); got != 0.9 {
+	if got := p.AccuracyIn(0, 0); got != 0.9 {
 		t.Fatalf("core 0 PAR=%v", got)
 	}
-	if got := p.Accuracy(1); got != 0.1 {
+	if got := p.AccuracyIn(0, 1); got != 0.1 {
 		t.Fatalf("core 1 PAR=%v", got)
 	}
 	if !p.PrefetchCritical(0) || p.PrefetchCritical(1) {
@@ -35,28 +35,28 @@ func TestAccuracyMetering(t *testing.T) {
 
 func TestIntervalResetAndRetention(t *testing.T) {
 	p := New(1, Config{EnableAPS: true})
-	p.NotePrefetchSent(0)
+	p.NoteSent(0, 0)
 	p.EndInterval()
-	if p.Accuracy(0) != 0 {
-		t.Fatalf("0 used / 1 sent should give PAR 0, got %v", p.Accuracy(0))
+	if p.AccuracyIn(0, 0) != 0 {
+		t.Fatalf("0 used / 1 sent should give PAR 0, got %v", p.AccuracyIn(0, 0))
 	}
 	// An interval with no prefetches keeps the previous PAR.
 	p.EndInterval()
-	if p.Accuracy(0) != 0 {
+	if p.AccuracyIn(0, 0) != 0 {
 		t.Fatal("idle interval should retain PAR")
 	}
 }
 
 func TestPARClamped(t *testing.T) {
 	p := New(1, Config{EnableAPS: true})
-	p.NotePrefetchSent(0)
+	p.NoteSent(0, 0)
 	// Cross-interval uses can push PUC above PSC; PAR must clamp at 1.
-	p.NotePrefetchUsed(0)
-	p.NotePrefetchUsed(0)
-	p.NotePrefetchUsed(0)
+	p.NoteUsed(0, 0)
+	p.NoteUsed(0, 0)
+	p.NoteUsed(0, 0)
 	p.EndInterval()
-	if p.Accuracy(0) != 1 {
-		t.Fatalf("PAR should clamp to 1, got %v", p.Accuracy(0))
+	if p.AccuracyIn(0, 0) != 1 {
+		t.Fatalf("PAR should clamp to 1, got %v", p.AccuracyIn(0, 0))
 	}
 }
 
@@ -64,10 +64,10 @@ func TestDropThresholdLadder(t *testing.T) {
 	p := New(1, DefaultConfig())
 	set := func(used, sent int) {
 		for i := 0; i < sent; i++ {
-			p.NotePrefetchSent(0)
+			p.NoteSent(0, 0)
 		}
 		for i := 0; i < used; i++ {
-			p.NotePrefetchUsed(0)
+			p.NoteUsed(0, 0)
 		}
 		p.EndInterval()
 	}
@@ -83,7 +83,7 @@ func TestDropThresholdLadder(t *testing.T) {
 	}
 	for _, c := range cases {
 		set(c.used, c.sent)
-		if got := p.DropThreshold(0); got != c.want {
+		if got := p.DropThresholdIn(0, 0); got != c.want {
 			t.Errorf("acc %d%%: drop threshold %d, want %d", c.used, got, c.want)
 		}
 	}
@@ -94,7 +94,7 @@ func TestDisabledMechanisms(t *testing.T) {
 	if p.PrefetchCritical(0) {
 		t.Fatal("APS disabled should never promote")
 	}
-	if p.DropThreshold(0) != ^uint64(0) {
+	if p.DropThresholdIn(0, 0) != ^uint64(0) {
 		t.Fatal("APD disabled should never drop")
 	}
 	if p.UrgencyEnabled() {

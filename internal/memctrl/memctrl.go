@@ -134,7 +134,6 @@ type rowKey struct {
 // (row waiting counts, per-core outstanding counts) are maintained
 // incrementally on enqueue/promote/issue/complete/drop.
 type Controller struct {
-	policy   Policy // legacy label; PolicyCustom for explicit rule stacks
 	stack    sched.Stack
 	channel  *dram.Channel
 	state    CoreState
@@ -216,17 +215,11 @@ type Controller struct {
 	Dropped     uint64
 }
 
-// PolicyCustom is the Policy label reported by controllers built from an
-// explicit rule stack rather than a legacy enum value.
-const PolicyCustom Policy = -1
-
 // New builds a controller over channel with the given buffer capacity,
 // running the named legacy policy's rule stack. state may be nil for
 // rigid policies.
 func New(policy Policy, channel *dram.Channel, capacity int, state CoreState) *Controller {
-	c := NewStack(policy.Stack(), channel, capacity, state)
-	c.policy = policy
-	return c
+	return NewStack(policy.Stack(), channel, capacity, state)
 }
 
 // NewStack builds a controller scheduling with an explicit rule stack
@@ -235,7 +228,6 @@ func New(policy Policy, channel *dram.Channel, capacity int, state CoreState) *C
 func NewStack(stack sched.Stack, channel *dram.Channel, capacity int, state CoreState) *Controller {
 	n := max(capacity, 0)
 	c := &Controller{
-		policy:     PolicyCustom,
 		stack:      stack,
 		channel:    channel,
 		capacity:   capacity,
@@ -298,9 +290,6 @@ func (c *Controller) Recycle(r *Request) {
 // and its cores (a far pooled-memory tier behind a link). Call once after
 // construction, before the first Tick.
 func (c *Controller) SetLinkLatency(cycles uint64) { c.linkCycles = cycles }
-
-// LinkLatency returns the configured link delay.
-func (c *Controller) LinkLatency() uint64 { return c.linkCycles }
 
 // Instrument registers this controller's (and its channel's) metrics into
 // tel under "memctrl<id>/..." and "dram<id>/..." names and enables event
@@ -434,10 +423,6 @@ func (c *Controller) MemSide() *memsidepf.Engine { return c.memside }
 func (c *Controller) NeedsIdleTick() bool {
 	return c.refresh != nil || (c.memside != nil && c.memside.Pending() > 0)
 }
-
-// Policy returns the legacy policy label this controller was built from,
-// or PolicyCustom for explicit rule stacks.
-func (c *Controller) Policy() Policy { return c.policy }
 
 // Stack returns the scheduling rule stack in force.
 func (c *Controller) Stack() sched.Stack { return c.stack }

@@ -26,7 +26,7 @@ func flightSpec() Spec {
 // counts — which is what makes journaled heatmap artifacts safe to
 // merge from a sharded fleet.
 func TestFlightSummaryWorkerInvariance(t *testing.T) {
-	opts := Options{Flight: FlightOptions{Enabled: true}}
+	opts := Options{Flight: true}
 	opts.Workers = 1
 	serial, err := Run(flightSpec(), opts)
 	if err != nil {
@@ -72,7 +72,7 @@ func TestFlightSummaryWorkerInvariance(t *testing.T) {
 }
 
 // TestFlightOffKeepsArtifactsIdentical is the feature-off guard: a sweep
-// without FlightOptions records nothing, and the CSV/JSON artifacts stay
+// without Options.Flight records nothing, and the CSV/JSON artifacts stay
 // byte-identical whether the flight recorder ran or not (the CSV has
 // fixed columns; the JSON omits the flight field entirely when absent).
 func TestFlightOffKeepsArtifactsIdentical(t *testing.T) {
@@ -82,12 +82,12 @@ func TestFlightOffKeepsArtifactsIdentical(t *testing.T) {
 	}
 	for _, j := range plain.Jobs {
 		if j.Flight != nil {
-			t.Fatalf("job %s carries a flight summary without FlightOptions.Enabled", j.Key)
+			t.Fatalf("job %s carries a flight summary without Options.Flight", j.Key)
 		}
 	}
 	plainCSV, plainJSON := artifacts(t, plain)
 
-	recorded, err := Run(flightSpec(), Options{Workers: 2, Flight: FlightOptions{Enabled: true}})
+	recorded, err := Run(flightSpec(), Options{Workers: 2, Flight: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,22 +108,13 @@ type Options struct {
 	// just before a job actually executes; reused jobs never trigger it.
 	// It is the queued→running transition hook for live metrics.
 	Start func(Job)
-	// Flight, when enabled, attaches a bank-state flight recorder to every
-	// executed job and stores its summary on the row (JobResult.Flight).
-	Flight FlightOptions
-}
-
-// FlightOptions configures the optional per-job flight recorder (see
-// internal/telemetry/flight). The summary is a deterministic function of
-// the job's configuration, so enabling it never perturbs the metric
-// columns and the recorded roll-up is identical across worker counts.
-type FlightOptions struct {
-	// Enabled turns the recorder on; the zero value keeps jobs untouched.
-	Enabled bool
-	// EpochCycles overrides the rotation period; 0 uses the flight default.
-	EpochCycles uint64
-	// MaxEpochs overrides the retained-ring bound; 0 uses the flight default.
-	MaxEpochs int
+	// Flight attaches a bank-state flight recorder (see
+	// internal/telemetry/flight, default epoch and ring) to every executed
+	// job and stores its summary on the row (JobResult.Flight). The
+	// summary is a deterministic function of the job's configuration, so
+	// recording never perturbs the metric columns and the roll-up is
+	// identical across worker counts.
+	Flight bool
 }
 
 // JobResult is one job's merged row. Every field except the unexported
@@ -173,7 +164,7 @@ type JobResult struct {
 
 	// Flight is the bank-state flight-recorder roll-up (per-epoch ×
 	// per-bank row outcomes, transitions, rule-win attribution), present
-	// only when Options.Flight.Enabled — absent, artifacts stay
+	// only when Options.Flight is set — absent, artifacts stay
 	// byte-identical to their pre-flight form.
 	Flight *flight.Summary `json:"flight,omitempty"`
 
@@ -292,36 +283,27 @@ func RunContext(ctx context.Context, spec Spec, opts Options) (*SweepResult, err
 		mu.Unlock()
 	}
 
-	if workers == 1 {
-		for i := range jobs {
-			if ctx.Err() != nil {
-				break
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				runIdx(i)
 			}
-			runIdx(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					runIdx(i)
-				}
-			}()
-		}
-	dispatch:
-		for i := range jobs {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(next)
-		wg.Wait()
+		}()
 	}
+dispatch:
+	for i := range jobs {
+		select {
+		case next <- i:
+		case <-ctx.Done():
+			break dispatch
+		}
+	}
+	close(next)
+	wg.Wait()
 
 	rows := results
 	if err := ctx.Err(); err != nil {
@@ -432,7 +414,7 @@ func gatherStats(results []JobResult, workers int, wall time.Duration) RunStats 
 
 // runJob executes one job, converting panics and invariant violations
 // into a failed-row result.
-func runJob(j Job, verify bool, fo FlightOptions) (out JobResult) {
+func runJob(j Job, verify, recordFlight bool) (out JobResult) {
 	out = JobResult{Index: j.Index, Key: j.Key, Seed: j.Seed, Point: j.Point}
 	start := time.Now()
 	defer func() {
@@ -450,8 +432,8 @@ func runJob(j Job, verify bool, fo FlightOptions) (out JobResult) {
 		cfg.Lifecycle = lc
 	}
 	var rec *flight.Recorder
-	if fo.Enabled {
-		rec = flight.New(flight.Options{EpochCycles: fo.EpochCycles, MaxEpochs: fo.MaxEpochs})
+	if recordFlight {
+		rec = flight.New(flight.Options{})
 		cfg.Flight = rec
 	}
 	res, err := sim.Run(cfg)

@@ -156,13 +156,13 @@ func TestSweepPanicBecomesFailedRow(t *testing.T) {
 	// pattern) must be recovered.
 	j := jobs[0]
 	j.Config.Workload = nil // sim: empty workload -> error
-	r := runJob(j, false, FlightOptions{})
+	r := runJob(j, false, false)
 	if r.Err == "" {
 		t.Fatal("invalid config produced no error row")
 	}
 	j = jobs[1]
 	j.Config.Workload[0].Gen.Pattern = nil // nil pattern -> panic in trace.Gen.At
-	r = runJob(j, false, FlightOptions{})
+	r = runJob(j, false, false)
 	if r.Err == "" || !strings.Contains(r.Err, "panic") {
 		t.Fatalf("panicking job not recovered into a failed row: %q", r.Err)
 	}
@@ -242,58 +242,68 @@ func TestRunContextCancellation(t *testing.T) {
 			}
 			wantCSV, wantJSON := artifacts(t, full)
 
-			ctx, cancel := context.WithCancel(context.Background())
+			// A pool of one worker is cancelled too: it has no serial path
+			// of its own.
 			const stopAfter = 5
-			partial, err := RunContext(ctx, spec, Options{
-				Workers: 2,
-				Progress: func(done, total int, _ JobResult) {
-					if done == stopAfter {
-						cancel()
+			for _, workers := range []int{1, 2} {
+				ctx, cancel := context.WithCancel(context.Background())
+				partial, err := RunContext(ctx, spec, Options{
+					Workers: workers,
+					Progress: func(done, total int, _ JobResult) {
+						if done == stopAfter {
+							cancel()
+						}
+					},
+				})
+				if err != context.Canceled {
+					t.Fatalf("workers=%d: cancelled RunContext error = %v, want context.Canceled", workers, err)
+				}
+				if n := len(partial.Jobs); n < stopAfter || n >= len(full.Jobs) {
+					t.Fatalf("workers=%d: cancelled run completed %d of %d jobs, want in [%d, %d)", workers, n, len(full.Jobs), stopAfter, len(full.Jobs))
+				}
+				// One worker runs one job at a time, so a job it is handed
+				// after the cancel is skipped.
+				if n := len(partial.Jobs); workers == 1 && n != stopAfter {
+					t.Fatalf("one-worker cancelled run completed %d jobs, want %d", n, stopAfter)
+				}
+				for _, j := range partial.Jobs {
+					if j.Err != "" {
+						t.Fatalf("completed row %s carries error %q", j.Key, j.Err)
 					}
-				},
-			})
-			if err != context.Canceled {
-				t.Fatalf("cancelled RunContext error = %v, want context.Canceled", err)
-			}
-			if n := len(partial.Jobs); n < stopAfter || n >= len(full.Jobs) {
-				t.Fatalf("cancelled run completed %d of %d jobs, want in [%d, %d)", n, len(full.Jobs), stopAfter, len(full.Jobs))
-			}
-			for _, j := range partial.Jobs {
-				if j.Err != "" {
-					t.Fatalf("completed row %s carries error %q", j.Key, j.Err)
+					if j.Cycles == 0 {
+						t.Fatalf("cancelled run leaked an unexecuted zero row: %+v", j)
+					}
 				}
-				if j.Cycles == 0 {
-					t.Fatalf("cancelled run leaked an unexecuted zero row: %+v", j)
-				}
-			}
 
-			// Resume: journal-style reuse of the completed rows must re-run only
-			// the remainder and reproduce the uninterrupted artifacts exactly.
-			recovered := make(map[int]JobResult, len(partial.Jobs))
-			for _, j := range partial.Jobs {
-				recovered[j.Index] = j
-			}
-			executed := 0
-			resumed, err := Run(spec, Options{
-				Workers: 3,
-				Reuse: func(j Job) (JobResult, bool) {
-					r, ok := recovered[j.Index]
-					return r, ok
-				},
-				Start: func(Job) { executed++ },
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := len(full.Jobs) - len(partial.Jobs); executed != want {
-				t.Fatalf("resume executed %d jobs, want %d", executed, want)
-			}
-			csv, js := artifacts(t, resumed)
-			if csv != wantCSV {
-				t.Errorf("resumed CSV differs from uninterrupted run:\n%s", firstDiff(wantCSV, csv))
-			}
-			if js != wantJSON {
-				t.Errorf("resumed JSON differs from uninterrupted run:\n%s", firstDiff(wantJSON, js))
+				// Resume: journal-style reuse of the completed rows must
+				// re-run only the remainder and reproduce the uninterrupted
+				// artifacts exactly.
+				recovered := make(map[int]JobResult, len(partial.Jobs))
+				for _, j := range partial.Jobs {
+					recovered[j.Index] = j
+				}
+				executed := 0
+				resumed, err := Run(spec, Options{
+					Workers: 3,
+					Reuse: func(j Job) (JobResult, bool) {
+						r, ok := recovered[j.Index]
+						return r, ok
+					},
+					Start: func(Job) { executed++ },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := len(full.Jobs) - len(partial.Jobs); executed != want {
+					t.Fatalf("resume executed %d jobs, want %d", executed, want)
+				}
+				csv, js := artifacts(t, resumed)
+				if csv != wantCSV {
+					t.Errorf("resumed CSV differs from uninterrupted run:\n%s", firstDiff(wantCSV, csv))
+				}
+				if js != wantJSON {
+					t.Errorf("resumed JSON differs from uninterrupted run:\n%s", firstDiff(wantJSON, js))
+				}
 			}
 		})
 	}

@@ -37,8 +37,10 @@ const (
 )
 
 // Spec declares one sweep: every non-empty axis multiplies the grid.
-// Zero-valued fields fall back to the documented defaults, so the minimal
-// useful spec is `{"mixes": 4}`.
+// Each named axis but the promotion and drop knobs writes one sim.Machine
+// field, as the generic Axes do, and an empty one keeps DefaultMachine's
+// setting. Zero-valued fields fall back to the documented defaults, so
+// the minimal useful spec is `{"mixes": 4}`.
 type Spec struct {
 	Name string `json:"name,omitempty"` // sweep label (default "sweep")
 	Seed uint64 `json:"seed,omitempty"` // root seed for random mix draws
@@ -134,7 +136,8 @@ func ParseSpec(data []byte) (Spec, error) {
 	return s, nil
 }
 
-// withDefaults returns the spec with every zero-valued axis filled in.
+// withDefaults returns the spec with its name, size and policies filled
+// in. Every other empty named axis keeps DefaultMachine's setting.
 func (s Spec) withDefaults() Spec {
 	if s.Name == "" {
 		s.Name = "sweep"
@@ -148,37 +151,7 @@ func (s Spec) withDefaults() Spec {
 	if len(s.Policies) == 0 {
 		s.Policies = []string{"demand-first", "aps", "padc"}
 	}
-	if len(s.Prefetchers) == 0 {
-		s.Prefetchers = []string{"stream"}
-	}
-	if len(s.PromotionThresholds) == 0 {
-		s.PromotionThresholds = []float64{0}
-	}
-	if len(s.DropCycles) == 0 {
-		s.DropCycles = []uint64{0}
-	}
-	// The refresh and page axes normalize to "" (their disabled defaults)
-	// so job keys and artifacts stay byte-identical for specs that never
-	// mention them.
-	s.Refresh = normalizeAxis(s.Refresh, "off")
-	s.PagePolicies = normalizeAxis(s.PagePolicies, "open")
-	s.Topologies = normalizeAxis(s.Topologies, "flat")
-	s.MemSide = normalizeAxis(s.MemSide, "off")
 	return s
-}
-
-// normalizeAxis fills an empty axis with the single default value and
-// rewrites the default's explicit spelling to "" without mutating the
-// caller's slice.
-func normalizeAxis(vals []string, defaultName string) []string {
-	if len(vals) == 0 {
-		return []string{""}
-	}
-	out := make([]string, len(vals))
-	for i, v := range vals {
-		out[i] = normalize(v, defaultName)
-	}
-	return out
 }
 
 // Validate reports the first problem with the spec: unknown names on any
@@ -195,9 +168,10 @@ func (s Spec) Validate() error {
 	return err
 }
 
-// Point is one grid coordinate in the named axes' spellings, the
-// explicit defaults normalized to "" (or 0) so they never appear in keys.
-// Generic axis values appear only in the job key.
+// Point is one job's grid coordinates. The named axes' values are read
+// off the job's machine, each default spelled "" (or 0), so a default
+// never appears in a key. Promotion and Drop are the two sweep-only PADC
+// knobs; generic axis values appear only in the job key.
 type Point struct {
 	Policy     string   `json:"policy"`
 	Prefetcher string   `json:"prefetcher"`
@@ -316,10 +290,11 @@ func genericKey(m sim.Machine) string {
 }
 
 // gridPoint is one machine coordinate while the grid is crossed: the
-// named axes' spellings and the machine the generic axes have set.
+// machine every axis but two writes, and the two sweep-only PADC knobs.
 type gridPoint struct {
-	Point
-	m sim.Machine
+	m     sim.Machine
+	promo float64 // 0 = paper default
+	drop  uint64  // 0 = Table 6 ladder
 }
 
 // axis is one machine axis of the grid: its length and a setter writing
@@ -329,19 +304,35 @@ type axis struct {
 	set func(g *gridPoint, i int)
 }
 
+// namedAxis is the axis writing vals into a point. An empty axis is one
+// value that leaves the point as it is.
+func namedAxis[T any](vals []T, set func(g *gridPoint, v T)) axis {
+	if len(vals) == 0 {
+		return axis{1, func(*gridPoint, int) {}}
+	}
+	return axis{len(vals), func(g *gridPoint, i int) { set(g, vals[i]) }}
+}
+
 // axes lists the machine axes of a defaulted spec in grid order, slowest
 // first: the named axes, then the generic ones in Machine field order.
 // The mix axis varies fastest of all.
 func (d Spec) axes() ([]axis, error) {
+	memside := make([]bool, len(d.MemSide))
+	for i, v := range d.MemSide {
+		var err error
+		if memside[i], err = sim.ParseMemSide(v); err != nil {
+			return nil, fmt.Errorf("runner: %v", err)
+		}
+	}
 	out := []axis{
-		{len(d.Policies), func(g *gridPoint, i int) { g.Policy = d.Policies[i] }},
-		{len(d.Prefetchers), func(g *gridPoint, i int) { g.Prefetcher = d.Prefetchers[i] }},
-		{len(d.PromotionThresholds), func(g *gridPoint, i int) { g.Promotion = d.PromotionThresholds[i] }},
-		{len(d.DropCycles), func(g *gridPoint, i int) { g.Drop = d.DropCycles[i] }},
-		{len(d.Refresh), func(g *gridPoint, i int) { g.Refresh = d.Refresh[i] }},
-		{len(d.PagePolicies), func(g *gridPoint, i int) { g.Page = d.PagePolicies[i] }},
-		{len(d.Topologies), func(g *gridPoint, i int) { g.Topology = d.Topologies[i] }},
-		{len(d.MemSide), func(g *gridPoint, i int) { g.MemSide = d.MemSide[i] }},
+		namedAxis(d.Policies, func(g *gridPoint, v string) { g.m.Policy = v }),
+		namedAxis(d.Prefetchers, func(g *gridPoint, v string) { g.m.Prefetcher = v }),
+		namedAxis(d.PromotionThresholds, func(g *gridPoint, v float64) { g.promo = v }),
+		namedAxis(d.DropCycles, func(g *gridPoint, v uint64) { g.drop = v }),
+		namedAxis(d.Refresh, func(g *gridPoint, v string) { g.m.RefreshMode = v }),
+		namedAxis(d.PagePolicies, func(g *gridPoint, v string) { g.m.PagePolicy = v }),
+		namedAxis(d.Topologies, func(g *gridPoint, v string) { g.m.Topology = v }),
+		namedAxis(memside, func(g *gridPoint, v bool) { g.m.MemSide = v }),
 	}
 	names := make([]string, 0, len(d.Axes))
 	for name := range d.Axes {
@@ -455,28 +446,20 @@ func (d Spec) machines() ([]machine, error) {
 	seen := make(map[string]bool, len(points))
 	baselines := map[string]*machine{}
 	for i, g := range points {
-		key := g.namedKey()
-		if len(d.Axes) > 0 {
-			key += genericKey(g.m)
+		mc, err := g.lower()
+		if seen[mc.key] {
+			return nil, fmt.Errorf("runner: grid repeats the machine %q", mc.key)
 		}
-		if seen[key] {
-			return nil, fmt.Errorf("runner: grid repeats the machine %q", key)
-		}
-		seen[key] = true
-		m, err := g.machine()
+		seen[mc.key] = true
 		if err != nil {
 			return nil, fmt.Errorf("runner: %v", err)
 		}
-		cfg, err := lower(m, g.Point)
-		if err != nil {
-			return nil, fmt.Errorf("runner: %v", err)
-		}
-		out[i] = machine{point: g.Point, key: key, cfg: cfg}
 		if d.Alone != nil {
-			if out[i].alone, err = baseline(m, d.Alone, baselines); err != nil {
+			if mc.alone, err = baseline(g.m, d.Alone, baselines); err != nil {
 				return nil, err
 			}
 		}
+		out[i] = mc
 	}
 	return out, nil
 }
@@ -504,72 +487,67 @@ func (d Spec) checkAlone() error {
 }
 
 // baseline returns grid machine m's alone baseline: m with the overlay
-// written over it and the sweep-only PADC knobs at their defaults,
-// lowered once per distinct key into baselines.
+// written over it and the sweep-only PADC knobs at their defaults, kept
+// once per distinct key in baselines.
 func baseline(m sim.Machine, overlay json.RawMessage, baselines map[string]*machine) (*machine, error) {
 	if err := json.Unmarshal(overlay, &m); err != nil {
 		return nil, fmt.Errorf("runner: alone overlay: %v", err)
 	}
-	p := Point{
-		Policy:     m.Policy,
-		Prefetcher: m.Prefetcher,
-		Refresh:    normalize(m.RefreshMode, "off"),
-		Page:       normalize(m.PagePolicy, "open"),
-		Topology:   normalize(m.Topology, "flat"),
-	}
-	if m.MemSide {
-		p.MemSide = "on"
-	}
-	key := p.namedKey() + genericKey(m)
-	if b, ok := baselines[key]; ok {
-		return b, nil
-	}
-	cfg, err := lower(m, p)
+	b, err := gridPoint{m: m}.lower()
 	if err != nil {
-		return nil, fmt.Errorf("runner: alone machine %q: %v", key, err)
+		return nil, fmt.Errorf("runner: alone machine %q: %v", b.key, err)
 	}
-	b := &machine{point: p, key: key, cfg: cfg}
-	baselines[key] = b
-	return b, nil
+	if seen, ok := baselines[b.key]; ok {
+		return seen, nil
+	}
+	baselines[b.key] = &b
+	return &b, nil
 }
 
-// normalize rewrites an axis default's explicit spelling to "".
+// lower lowers one machine point, grid or baseline. It reads the point's
+// Point and key off its machine, each default spelled "", builds the
+// machine through sim.Machine.Config, applies the two sweep-only PADC
+// knobs, and checks the result is a runnable machine. The key is set even
+// when lowering fails.
+func (g gridPoint) lower() (machine, error) {
+	p := Point{
+		Policy:     g.m.Policy,
+		Prefetcher: g.m.Prefetcher,
+		Promotion:  g.promo,
+		Drop:       g.drop,
+		Refresh:    normalize(g.m.RefreshMode, "off"),
+		Page:       normalize(g.m.PagePolicy, "open"),
+		Topology:   normalize(g.m.Topology, "flat"),
+	}
+	if g.m.MemSide {
+		p.MemSide = "on"
+	}
+	mc := machine{point: p, key: p.namedKey() + genericKey(g.m)}
+	cfg, err := g.m.Config()
+	if err != nil {
+		return mc, err
+	}
+	if g.promo > 0 {
+		cfg.PADC.PromotionThreshold = g.promo
+	}
+	if g.drop > 0 {
+		cfg.PADC.DropLadder = []core.DropLevel{{AccuracyBelow: 1.01, Cycles: g.drop}}
+	}
+	probe := cfg
+	probe.Workload = make([]workload.Profile, 1)
+	if err := probe.Validate(); err != nil {
+		return mc, err
+	}
+	mc.cfg = cfg
+	return mc, nil
+}
+
+// normalize spells an axis default's explicit name "".
 func normalize(v, defaultName string) string {
 	if v == defaultName {
 		return ""
 	}
 	return v
-}
-
-// machine writes the named axes' spellings into the point's machine.
-func (g gridPoint) machine() (sim.Machine, error) {
-	m := g.m
-	m.Policy, m.Prefetcher = g.Policy, g.Prefetcher
-	m.RefreshMode, m.PagePolicy, m.Topology = g.Refresh, g.Page, g.Topology
-	var err error
-	m.MemSide, err = sim.ParseMemSide(g.MemSide)
-	return m, err
-}
-
-// lower builds a machine through sim.Machine.Config, applies the point's
-// two sweep-only PADC knobs, and checks the result is a runnable machine.
-func lower(m sim.Machine, p Point) (sim.Config, error) {
-	cfg, err := m.Config()
-	if err != nil {
-		return sim.Config{}, err
-	}
-	if p.Promotion > 0 {
-		cfg.PADC.PromotionThreshold = p.Promotion
-	}
-	if p.Drop > 0 {
-		cfg.PADC.DropLadder = []core.DropLevel{{AccuracyBelow: 1.01, Cycles: p.Drop}}
-	}
-	probe := cfg
-	probe.Workload = make([]workload.Profile, 1)
-	if err := probe.Validate(); err != nil {
-		return sim.Config{}, err
-	}
-	return cfg, nil
 }
 
 // alonePrefix starts every baseline job's key.

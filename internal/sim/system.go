@@ -218,12 +218,6 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Explicit rule stacks always see the PADC accuracy meter (rules that
-	// never consult it simply ignore it); the legacy enum path keeps its
-	// historical wiring of handing it only to the adaptive policies. Each
-	// controller sees its own domain's view, so APS criticality follows
-	// tier-local accuracy.
-	wantState := cfg.Rules != "" || cfg.Policy == memctrl.APS || cfg.Policy == memctrl.APSRank
 	if cfg.Flight != nil {
 		cfg.Flight.Configure(nchan, cfg.DRAM.Banks)
 		if len(topo.Domains) > 1 {
@@ -239,10 +233,10 @@ func New(cfg Config) (*System, error) {
 	gi := 0
 	for d, dom := range topo.Domains {
 		dc := s.domCfg[d]
-		var st memctrl.CoreState
-		if wantState {
-			st = s.padc.DomainView(d)
-		}
+		// Each controller sees its own domain's PADC view, so APS
+		// criticality follows tier-local accuracy. Only the critical,
+		// urgent and rank rules read it; rigid stacks never do.
+		st := s.padc.DomainView(d)
 		for lc := 0; lc < dom.Channels; lc++ {
 			s.chans[gi] = dram.NewChannel(dc)
 			s.ctrls[gi] = memctrl.NewStack(stack, s.chans[gi], cfg.BufferSlots, st)
@@ -1085,7 +1079,7 @@ func (s *System) Run() (stats.Results, error) {
 				cs.intervalMiss = 0
 			}
 			if cfg.TrackAccuracyTrace {
-				s.accTrace = append(s.accTrace, s.padc.Accuracy(0))
+				s.accTrace = append(s.accTrace, s.padc.AccuracyIn(0, 0))
 			}
 			if s.nextInterval < interval {
 				s.nextInterval *= 2

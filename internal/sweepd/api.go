@@ -88,9 +88,6 @@ type CampaignInfo struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Queued returns the jobs not yet started.
-func (ci CampaignInfo) Queued() int { return ci.Total - ci.Done - ci.Running }
-
 // Terminal reports whether the campaign reached a final state.
 func (ci CampaignInfo) Terminal() bool {
 	switch ci.State {

@@ -316,7 +316,7 @@ func (s *Service) start(c *Campaign, j *Journal, recovered map[int]runner.JobRes
 			Workers: c.workers,
 			Verify:  c.verify,
 			Shard:   c.shard,
-			Flight:  runner.FlightOptions{Enabled: c.telemetry},
+			Flight:  c.telemetry,
 			Start: func(runner.Job) {
 				c.mu.Lock()
 				c.running++

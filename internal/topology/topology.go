@@ -228,9 +228,6 @@ func (s *Steering) Domains() int { return len(s.topo.Domains) }
 // Topology returns the compiled spec.
 func (s *Steering) Topology() Topology { return s.topo }
 
-// ChannelOffset returns domain d's first global channel index.
-func (s *Steering) ChannelOffset(d int) int { return s.offsets[d] }
-
 // DomainOf returns the domain owning a global channel index.
 func (s *Steering) DomainOf(globalChan int) int {
 	for d := len(s.offsets) - 1; d > 0; d-- {

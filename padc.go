@@ -66,19 +66,18 @@ func NewTelemetry(epochCycles uint64) *telemetry.Telemetry {
 }
 
 // NewFlightRecorder builds a bank-state flight recorder rotating every
-// epochCycles cycles (0 uses the package default) and retaining the last
-// maxEpochs epochs (0 uses the default ring bound). Attach it to
-// SystemConfig.Flight before Run; memory stays O(maxEpochs × banks) on
-// arbitrarily long runs.
-func NewFlightRecorder(epochCycles uint64, maxEpochs int) *flight.Recorder {
-	return flight.New(flight.Options{EpochCycles: epochCycles, MaxEpochs: maxEpochs})
+// epochCycles cycles (0 uses the package default) and retaining the
+// default ring of epochs. Attach it to SystemConfig.Flight before Run;
+// memory stays bounded on arbitrarily long runs.
+func NewFlightRecorder(epochCycles uint64) *flight.Recorder {
+	return flight.New(flight.Options{EpochCycles: epochCycles})
 }
 
-// NewLifecycle builds a request-lifecycle tracer retaining up to
-// reservoirPerCore sampled spans per core (0 uses the default). Attach it
-// to SystemConfig.Lifecycle before Run.
-func NewLifecycle(reservoirPerCore int) *lifecycle.Tracer {
-	return lifecycle.New(lifecycle.Options{ReservoirPerCore: reservoirPerCore})
+// NewLifecycle builds a request-lifecycle tracer retaining the default
+// reservoir of sampled spans per core. Attach it to SystemConfig.Lifecycle
+// before Run.
+func NewLifecycle() *lifecycle.Tracer {
+	return lifecycle.New(lifecycle.Options{})
 }
 
 // CycleClassNames returns the cycle-accounting bucket names in the order
