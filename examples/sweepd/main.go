@@ -138,6 +138,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("artifact matches in-process sweep: %v (%d bytes)\n",
-		bytes.Equal(got, want.Bytes()), len(got))
+	if !bytes.Equal(got, want.Bytes()) {
+		log.Fatalf("artifact differs from the in-process sweep: %d bytes, want %d", len(got), want.Len())
+	}
+	fmt.Printf("artifact matches in-process sweep: true (%d bytes)\n", len(got))
 }

@@ -50,7 +50,6 @@ func (c Config) Lines() uint64 { return c.Bytes / c.LineBytes }
 // Cache is a single set-associative cache indexed by line address
 // (byte address >> log2 line size).
 type Cache struct {
-	cfg      Config
 	sets     [][]line
 	tagShift uint
 	setMask  uint64
@@ -67,7 +66,6 @@ func New(cfg Config) *Cache {
 	}
 	nsets := cfg.Bytes / (cfg.LineBytes * uint64(cfg.Ways))
 	c := &Cache{
-		cfg:      cfg,
 		sets:     make([][]line, nsets),
 		tagShift: uint(bits.Len64(nsets - 1)),
 		setMask:  nsets - 1,
@@ -78,9 +76,6 @@ func New(cfg Config) *Cache {
 	}
 	return c
 }
-
-// Config returns the geometry this cache was built with.
-func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) set(lineAddr uint64) []line { return c.sets[lineAddr&c.setMask] }
 
@@ -187,19 +182,4 @@ func (c *Cache) Mark(lineAddr uint64) {
 			return
 		}
 	}
-}
-
-// Invalidate drops lineAddr if present. It returns whether the line was
-// present and still carried its P bit (an unused prefetch).
-func (c *Cache) Invalidate(lineAddr uint64) (present, unusedPrefetch bool) {
-	tag := lineAddr >> c.tagShift
-	s := c.set(lineAddr)
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			present, unusedPrefetch = true, s[i].prefetch
-			s[i] = line{}
-			return
-		}
-	}
-	return
 }

@@ -92,18 +92,6 @@ func TestRefillKeepsDemandClassification(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(smallConfig())
-	c.Fill(5, true, false)
-	present, unused := c.Invalidate(5)
-	if !present || !unused {
-		t.Fatalf("invalidate: present=%v unused=%v", present, unused)
-	}
-	if present, _ := c.Invalidate(5); present {
-		t.Fatal("double invalidate")
-	}
-}
-
 // TestFillThenAccessProperty: anything filled is a hit until evicted by
 // enough same-set fills.
 func TestFillThenAccessProperty(t *testing.T) {

@@ -140,12 +140,6 @@ func (p *PADC) TrackMemSide() {
 	}
 }
 
-// Config returns the effective configuration after defaulting.
-func (p *PADC) Config() Config { return p.cfg }
-
-// Domains returns the number of memory domains metered.
-func (p *PADC) Domains() int { return len(p.meters) }
-
 // Instrument registers each (domain, core) accuracy estimate as a gauge —
 // "core<i>/acc_estimate" on a flat machine, "<domain>/core<i>/acc_estimate"
 // per tier otherwise — and arms promotion-flip events: whenever an

@@ -85,15 +85,6 @@ func CycleClassNames() []string {
 // CycleAccount is a per-class cycle tally.
 type CycleAccount [NumCycleClasses]uint64
 
-// Total returns the cycles accounted (equals the profiled cycle count).
-func (a *CycleAccount) Total() uint64 {
-	var t uint64
-	for _, v := range a {
-		t += v
-	}
-	return t
-}
-
 // Config shapes a core. Zero values fall back to the paper's baseline
 // (Table 3): 256-entry ROB, 4-wide retire.
 type Config struct {

@@ -50,7 +50,7 @@ func TestIssueBusSerialization(t *testing.T) {
 		t.Fatalf("BusBusyCycles = %d, want completed(%d) x Burst(%d) = %d",
 			ch.BusBusyCycles, completed, burst, want)
 	}
-	if ch.Completed() != completed {
-		t.Fatalf("channel completed %d, test counted %d", ch.Completed(), completed)
+	if hits, closed, conflicts := ch.Counts(); hits+closed+conflicts != completed {
+		t.Fatalf("channel completed %d, test counted %d", hits+closed+conflicts, completed)
 	}
 }

@@ -222,12 +222,11 @@ type Observer interface {
 // Channel is one memory controller's DRAM resources: its banks plus the
 // shared data bus.
 type Channel struct {
-	cfg       Config
-	pred      []pagePredictor // per-bank predictors (AdaptivePage only)
-	obs       Observer
-	Banks     []Bank
-	busUntil  uint64 // data bus reserved through this cycle
-	completed uint64
+	cfg      Config
+	pred     []pagePredictor // per-bank predictors (AdaptivePage only)
+	obs      Observer
+	Banks    []Bank
+	busUntil uint64 // data bus reserved through this cycle
 
 	// Command stats for telemetry: row activations, precharges (explicit
 	// on a conflict, hidden under the closed-row policy), and data-bus
@@ -257,9 +256,6 @@ func NewChannel(cfg Config) *Channel {
 	}
 	return ch
 }
-
-// Config returns the geometry this channel was built with.
-func (ch *Channel) Config() Config { return ch.cfg }
 
 // Observe attaches (or, with nil, detaches) the transition observer.
 func (ch *Channel) Observe(o Observer) { ch.obs = o }
@@ -333,7 +329,6 @@ func (ch *Channel) Issue(bank int, row, now uint64, keepOpen bool) (finish uint6
 	default: // open-page: the row stays open until a conflict evicts it
 		b.OpenRow = int64(row)
 	}
-	ch.completed++
 	if ch.obs != nil {
 		ch.obs.BankAccess(bank, state, opens, closes)
 	}
@@ -359,9 +354,6 @@ func (ch *Channel) Refresh(b int, until uint64) {
 	}
 }
 
-// Completed returns the number of requests this channel has serviced.
-func (ch *Channel) Completed() uint64 { return ch.completed }
-
 // Counts returns the channel-wide row-buffer outcome totals summed over
 // banks: (hits, closed, conflicts).
 func (ch *Channel) Counts() (hits, closed, conflicts uint64) {
@@ -371,14 +363,4 @@ func (ch *Channel) Counts() (hits, closed, conflicts uint64) {
 		conflicts += ch.Banks[i].Conflicts
 	}
 	return hits, closed, conflicts
-}
-
-// RowHitRate returns the fraction of serviced requests that were row hits.
-func (ch *Channel) RowHitRate() float64 {
-	hits, closed, conflicts := ch.Counts()
-	total := hits + closed + conflicts
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
 }

@@ -304,9 +304,6 @@ func (e *Engine) NextAccrual() uint64 {
 // which the unit can start its next refresh or unblock its bank.
 func (e *Engine) BusyUntil(bank int) uint64 { return e.unit(bank).BusyUntil }
 
-// Units returns a copy of the per-unit state (tests and invariants).
-func (e *Engine) Units() []Unit { return append([]Unit(nil), e.units...) }
-
 // Audit checks the refresh conservation invariant at cycle now (which
 // must be >= the last Advance): every unit's issued refreshes equal its
 // elapsed tREFI windows within the postpone/pull-in credit band. One

@@ -54,7 +54,7 @@ func TestConservationEagerIssue(t *testing.T) {
 			t.Fatalf("%v: %v", mode, err)
 		}
 		wantPerUnit := end / cfg.TREFI // +-1 for stagger
-		for ui, u := range e.Units() {
+		for ui, u := range e.units {
 			if u.Issued < wantPerUnit-1 || u.Issued > wantPerUnit+1 {
 				t.Errorf("%v unit %d: issued %d, want ~%d", mode, ui, u.Issued, wantPerUnit)
 			}
@@ -109,7 +109,7 @@ func TestPullInCreditsBounded(t *testing.T) {
 	if e.PulledIn == 0 {
 		t.Fatal("idle issue never pulled a refresh in")
 	}
-	u := e.Units()[0]
+	u := e.units[0]
 	if u.Owed < -cfg.MaxPostpone {
 		t.Fatalf("pulled in past the credit window: owed %d", u.Owed)
 	}

@@ -424,9 +424,6 @@ func (c *Controller) NeedsIdleTick() bool {
 	return c.refresh != nil || (c.memside != nil && c.memside.Pending() > 0)
 }
 
-// Stack returns the scheduling rule stack in force.
-func (c *Controller) Stack() sched.Stack { return c.stack }
-
 // RuleWins reports the per-rule decision counters: for each rule name in
 // stack order (plus a trailing implicit "fcfs" when the stack lacks an
 // explicit one), how many contested arbitrations that rule settled.
@@ -1031,9 +1028,6 @@ func (c *Controller) DropExpired(now uint64, threshold func(r *Request) uint64) 
 	c.Dropped += uint64(len(dropped))
 	return dropped
 }
-
-// Channel exposes the controller's DRAM channel (stats, tests).
-func (c *Controller) Channel() *dram.Channel { return c.channel }
 
 // Pending returns the number of waiting (not yet issued) requests.
 func (c *Controller) Pending() int { return c.pending }

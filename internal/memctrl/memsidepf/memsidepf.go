@@ -102,9 +102,6 @@ func New(cfg Config, linesPerRow uint64) *Engine {
 	}
 }
 
-// Config returns the resolved configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // SetFilter installs the dedupe predicate: true means the line is
 // already cached or in flight for that core and must not be fetched
 // again. The simulator wires this to its L2 + MSHR state.

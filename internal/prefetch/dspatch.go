@@ -163,17 +163,9 @@ func (d *DSPatch) SetBandwidthHeadroom(h float64) {
 // BandwidthHeadroom returns the latest headroom sample.
 func (d *DSPatch) BandwidthHeadroom() float64 { return d.headroom }
 
-// CovAccuracy returns the measured bit accuracy of the coverage-biased
-// pattern (predicted bits later touched / predicted bits).
-func (d *DSPatch) CovAccuracy() float64 { return d.covMeter.value() }
-
-// AccAccuracy returns the measured bit accuracy of the accuracy-biased
-// pattern.
-func (d *DSPatch) AccAccuracy() float64 { return d.accMeter.value() }
-
-// Meters returns the raw predicted-bit counts behind CovAccuracy and
-// AccAccuracy (bits later touched, bits predicted), so readings can be
-// pooled across engines.
+// Meters returns the raw predicted-bit counts of the coverage-biased and
+// accuracy-biased patterns (bits later touched, bits predicted), so bit
+// accuracy can be pooled across engines.
 func (d *DSPatch) Meters() (covGood, covPred, accGood, accPred uint64) {
 	return d.covMeter.good, d.covMeter.pred, d.accMeter.good, d.accMeter.pred
 }

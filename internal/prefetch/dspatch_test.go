@@ -86,8 +86,8 @@ func TestDSPatchCovPromoteOverridesPressure(t *testing.T) {
 	for r := uint64(0); r < 4; r++ {
 		trainRegion(d, r*RegionLines, pc, offs)
 	}
-	if acc := d.CovAccuracy(); acc < 0.99 {
-		t.Fatalf("CovAccuracy = %v, want ~1 on a regular stream", acc)
+	if good, pred, _, _ := d.Meters(); pred == 0 || float64(good)/float64(pred) < 0.99 {
+		t.Fatalf("CovP accuracy = %d/%d, want ~1 on a regular stream", good, pred)
 	}
 	d.SetBandwidthHeadroom(0) // pressure — but CovP has earned trust
 	trainRegion(d, 10*RegionLines, pc, offs)

@@ -97,9 +97,6 @@ func (f *FDP) Name() string { return f.inner.Name() + "+fdp" }
 // Observe implements Prefetcher.
 func (f *FDP) Observe(ev AccessEvent, budget int) []uint64 { return f.inner.Observe(ev, budget) }
 
-// Level returns the current aggressiveness rung (0 = least aggressive).
-func (f *FDP) Level() int { return f.level }
-
 func (f *FDP) apply() {
 	if t, ok := f.inner.(Throttleable); ok {
 		l := f.cfg.Levels[f.level]

@@ -154,22 +154,22 @@ func TestDDPFFiltersUseless(t *testing.T) {
 func TestFDPThrottlesDown(t *testing.T) {
 	inner := NewStream(StreamConfig{})
 	f := NewFDP(inner, FDPConfig{})
-	start := f.Level()
+	start := f.level
 	// A low-accuracy interval must lower aggressiveness.
 	for i := 0; i < 100; i++ {
 		f.CountSent()
 	}
 	f.CountUseful()
 	f.EndInterval(100)
-	if f.Level() >= start {
-		t.Fatalf("low accuracy should throttle down: %d -> %d", start, f.Level())
+	if f.level >= start {
+		t.Fatalf("low accuracy should throttle down: %d -> %d", start, f.level)
 	}
 }
 
 func TestFDPRampsUpWhenAccurateAndLate(t *testing.T) {
 	inner := NewStream(StreamConfig{})
 	f := NewFDP(inner, FDPConfig{})
-	start := f.Level()
+	start := f.level
 	for i := 0; i < 100; i++ {
 		f.CountSent()
 		f.CountUseful()
@@ -178,15 +178,15 @@ func TestFDPRampsUpWhenAccurateAndLate(t *testing.T) {
 		f.CountLate()
 	}
 	f.EndInterval(100)
-	if f.Level() <= start {
-		t.Fatalf("accurate+late should ramp up: %d -> %d", start, f.Level())
+	if f.level <= start {
+		t.Fatalf("accurate+late should ramp up: %d -> %d", start, f.level)
 	}
 }
 
 func TestFDPPollutionThrottles(t *testing.T) {
 	inner := NewStream(StreamConfig{})
 	f := NewFDP(inner, FDPConfig{})
-	start := f.Level()
+	start := f.level
 	for i := 0; i < 100; i++ {
 		f.CountSent()
 		f.CountUseful()
@@ -197,8 +197,8 @@ func TestFDPPollutionThrottles(t *testing.T) {
 		f.NoteDemandMiss(i)
 	}
 	f.EndInterval(100)
-	if f.Level() >= start {
-		t.Fatalf("pollution should throttle down: %d -> %d", start, f.Level())
+	if f.level >= start {
+		t.Fatalf("pollution should throttle down: %d -> %d", start, f.level)
 	}
 }
 

@@ -88,9 +88,6 @@ func (s *Stream) SetAggressiveness(degree int, distance uint64) {
 	}
 }
 
-// Config returns the current (possibly throttled) configuration.
-func (s *Stream) Config() StreamConfig { return s.cfg }
-
 // inStream reports whether a continues e's monitored stream: at most
 // Distance behind the newest demand, and not beyond the prefetch pointer
 // plus a small jump allowance.

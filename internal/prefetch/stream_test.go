@@ -121,8 +121,8 @@ func TestStreamLRUReplacement(t *testing.T) {
 func TestStreamSetAggressiveness(t *testing.T) {
 	s := NewStream(StreamConfig{})
 	s.SetAggressiveness(2, 8)
-	if s.Config().Degree != 2 || s.Config().Distance != 8 {
-		t.Fatalf("throttle not applied: %+v", s.Config())
+	if s.cfg.Degree != 2 || s.cfg.Distance != 8 {
+		t.Fatalf("throttle not applied: %+v", s.cfg)
 	}
 	observeAll(s, 10, true)
 	observeAll(s, 11, true)

@@ -1,0 +1,13 @@
+package sim
+
+// SleepStats reports the core ticks the run executed and the core cycles
+// that slept instead, both summed over the cores. Each core either ticks
+// or sleeps through every cycle, so per core the two sum to
+// Results.Cycles; under KernelStepped no core sleeps.
+func (s *System) SleepStats() (ticks, slept uint64) {
+	for _, cs := range s.cores {
+		ticks += cs.ticks
+		slept += cs.slept
+	}
+	return ticks, slept
+}

@@ -364,7 +364,7 @@ func TestTelemetryIntegration(t *testing.T) {
 		t.Fatal("no requests counted")
 	}
 
-	if tel.EventsTotal() == 0 {
+	if len(tel.Events()) == 0 {
 		t.Fatal("no events recorded")
 	}
 	counts := tel.EventCounts()

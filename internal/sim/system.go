@@ -1245,18 +1245,6 @@ func (s *System) nextEvent(now uint64) uint64 {
 // skipped cycles always equal Results.Cycles.
 func (s *System) SkipStats() (skips, skippedCycles uint64) { return s.skips, s.skipped }
 
-// SleepStats reports the core ticks the run executed and the core cycles
-// that slept instead, both summed over the cores. Each core either ticks
-// or sleeps through every cycle, so per core the two sum to
-// Results.Cycles; under KernelStepped no core sleeps.
-func (s *System) SleepStats() (ticks, slept uint64) {
-	for _, cs := range s.cores {
-		ticks += cs.ticks
-		slept += cs.slept
-	}
-	return ticks, slept
-}
-
 func (s *System) results() stats.Results {
 	r := stats.Results{
 		Cycles:         s.cycle,

@@ -312,15 +312,3 @@ func GeoMean(xs []float64) float64 {
 	}
 	return math.Exp(sum / float64(len(xs)))
 }
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}

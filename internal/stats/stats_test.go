@@ -159,18 +159,6 @@ func TestZeroIPCAloneBaseline(t *testing.T) {
 	}
 }
 
-func TestMeanEdgeCases(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean of nothing should be 0")
-	}
-	if got := Mean([]float64{1, 2, 3}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := Mean([]float64{1, math.NaN()}); !math.IsNaN(got) {
-		t.Errorf("Mean should propagate NaN, got %v", got)
-	}
-}
-
 func TestGeoMeanNaNPropagates(t *testing.T) {
 	// NaN is not <= 0, so it flows through the log/exp pipeline: garbage
 	// in, NaN out — callers see the poisoned input rather than a silently

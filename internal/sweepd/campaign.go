@@ -106,9 +106,6 @@ func (c *Campaign) Info() CampaignInfo {
 	}
 }
 
-// Spec returns the campaign's parsed sweep spec.
-func (c *Campaign) Spec() runner.Spec { return c.spec }
-
 // Telemetry reports whether the campaign journals per-job flight
 // telemetry with its rows.
 func (c *Campaign) Telemetry() bool { return c.telemetry }
@@ -140,17 +137,6 @@ func (c *Campaign) Result() *runner.SweepResult {
 	rows := append([]runner.JobResult(nil), c.rows...)
 	c.mu.Unlock()
 	return runner.MergeRows(c.spec, rows)
-}
-
-// Wait blocks until the run loop exits (terminal state reached or the
-// service shut down) or ctx is cancelled.
-func (c *Campaign) Wait(ctx context.Context) error {
-	select {
-	case <-c.done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // setState moves the state machine, broadcasting the terminal event to

@@ -2,6 +2,7 @@ package sweepd
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"testing"
 
@@ -35,7 +36,11 @@ func TestFigureThroughSweepd(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	info, err := cl.Submit(ctx, SubmitRequest{Spec: MarshalSpec(fig.Spec)})
+	spec, err := json.Marshal(fig.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := cl.Submit(ctx, SubmitRequest{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,6 @@ func (g *Gate) SetReady(h http.Handler) {
 	g.h.Store(&h)
 }
 
-// Ready reports whether SetReady has been called.
-func (g *Gate) Ready() bool { return g.h.Load() != nil }
-
 // ServeHTTP answers for the not-yet-ready server, or delegates once
 // ready.
 func (g *Gate) ServeHTTP(w http.ResponseWriter, r *http.Request) {

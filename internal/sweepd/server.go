@@ -7,8 +7,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-
-	"padc/internal/runner"
 )
 
 // Handler returns the service's HTTP surface (see the package comment
@@ -264,20 +262,4 @@ func (s *Service) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.reg.WritePrometheus(w)
-}
-
-// ShardPlan is a convenience for cooperating submitters: the SubmitRequest
-// for each of count shards of one spec.
-func ShardPlan(spec json.RawMessage, count, workers int, verify bool) []SubmitRequest {
-	if count < 1 {
-		count = 1
-	}
-	out := make([]SubmitRequest, count)
-	for i := range out {
-		out[i] = SubmitRequest{
-			Spec: spec, Workers: workers, Verify: verify,
-			Shard: runner.Shard{Index: i, Count: count},
-		}
-	}
-	return out
 }

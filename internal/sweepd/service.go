@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -474,14 +473,4 @@ func (s *Service) Close() {
 		cancel()
 	}
 	s.wg.Wait()
-}
-
-// MarshalSpec is a convenience for clients: the canonical JSON encoding
-// of a parsed spec (what the journal stores and artifacts embed).
-func MarshalSpec(spec runner.Spec) []byte {
-	data, err := json.Marshal(spec)
-	if err != nil {
-		panic(err) // Spec contains only marshalable fields
-	}
-	return data
 }

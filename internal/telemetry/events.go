@@ -77,8 +77,6 @@ type ring struct {
 	buf     []Event
 	next    int
 	wrapped bool
-	dropped uint64 // events overwritten after the ring wrapped
-	total   uint64
 }
 
 func (r *ring) init(capacity int) {
@@ -91,12 +89,8 @@ func (r *ring) add(ev Event) {
 	if len(r.buf) == 0 {
 		return
 	}
-	if r.wrapped {
-		r.dropped++
-	}
 	r.buf[r.next] = ev
 	r.next++
-	r.total++
 	if r.next == len(r.buf) {
 		r.next = 0
 		r.wrapped = true
@@ -123,8 +117,7 @@ func (t *Telemetry) Emit(ev Event) {
 }
 
 // Events returns the retained events in chronological order. When the run
-// produced more events than the ring holds, the oldest were overwritten;
-// EventsDropped reports how many.
+// produced more events than the ring holds, the oldest were overwritten.
 func (t *Telemetry) Events() []Event {
 	if t == nil {
 		return nil
@@ -132,18 +125,15 @@ func (t *Telemetry) Events() []Event {
 	return t.ring.events()
 }
 
-// EventsTotal returns how many events were emitted over the run.
-func (t *Telemetry) EventsTotal() uint64 {
+// EventCounts returns, per event kind, how many retained events the ring
+// holds.
+func (t *Telemetry) EventCounts() map[string]uint64 {
 	if t == nil {
-		return 0
+		return nil
 	}
-	return t.ring.total
-}
-
-// EventsDropped returns how many emitted events were overwritten.
-func (t *Telemetry) EventsDropped() uint64 {
-	if t == nil {
-		return 0
+	out := make(map[string]uint64)
+	for _, ev := range t.Events() {
+		out[ev.Kind.String()]++
 	}
-	return t.ring.dropped
+	return out
 }

@@ -200,14 +200,6 @@ func (r *Recorder) LabelDomains(names []string) {
 	r.domains = append([]string(nil), names...)
 }
 
-// Domain returns the channel's domain label ("" when unlabeled).
-func (r *Recorder) Domain(ch int) string {
-	if r == nil || ch < 0 || ch >= len(r.domains) {
-		return ""
-	}
-	return r.domains[ch]
-}
-
 // AttachRules registers a channel's rule-win sampler: names label the
 // scheduler's rules, sample returns the cumulative win counters in the
 // same order. Rotate stores per-epoch deltas.
@@ -376,15 +368,6 @@ func (r *Recorder) Epochs() []Epoch {
 		out = append(out, r.ring[(r.head+i)%r.opts.MaxEpochs])
 	}
 	return out
-}
-
-// Retained returns (retained, completed, evicted) epoch counts — the
-// bounds contract: retained never exceeds MaxEpochs.
-func (r *Recorder) Retained() (retained, completed, evicted int) {
-	if r == nil {
-		return 0, 0, 0
-	}
-	return r.count, r.done, r.drop
 }
 
 // Summary is the recorder's portable roll-up: what a sweep job ships to

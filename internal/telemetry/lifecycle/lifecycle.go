@@ -161,19 +161,6 @@ func (b *CoreBreakdown) Total(c Class) Cell {
 	return t
 }
 
-// Spans returns the total spans folded into this breakdown.
-func (b *CoreBreakdown) Spans() uint64 {
-	var n uint64
-	for c := Class(0); c < NumClasses; c++ {
-		n += b.Total(c).Count
-	}
-	return n
-}
-
-// HistBounds returns the shared histogram bucket bounds (inclusive upper
-// edges; the last bucket is overflow).
-func HistBounds() []uint64 { return histBounds[:] }
-
 func histBucket(v uint64) int {
 	for i, b := range histBounds {
 		if v <= b {
@@ -224,9 +211,6 @@ func New(opts Options) *Tracer {
 	}
 	return &Tracer{opts: opts, resCap: cap, rng: 0x9e3779b97f4a7c15}
 }
-
-// Enabled reports whether this tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 func (t *Tracer) next() uint64 {
 	// xorshift64*: deterministic, seeded at construction, good enough for

@@ -16,8 +16,8 @@ import (
 // long-running processes (the sweep service) need metrics that many
 // goroutines update concurrently and that carry labels (one series per
 // campaign). The simulator registry stays single-threaded and unlabeled
-// on purpose — its counters are plain uint64 adds on the Tick hot path —
-// so the live registry is a separate, lock-free-on-update type rather
+// on purpose — it only reads each subsystem's own counters at epoch
+// boundaries — so the live registry is a separate, lock-free-on-update type rather
 // than a retrofit.
 
 // LiveMetric is one labeled series: a float64 updated atomically, usable

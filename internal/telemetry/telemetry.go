@@ -7,8 +7,11 @@
 // The whole package is disabled-by-default and nil-safe: every method has
 // a nil-receiver fast path, so instrumented subsystems hold a possibly-nil
 // *Telemetry and call it unconditionally. With telemetry off the hot-path
-// cost is one pointer compare per call site; with it on, counter updates
-// are plain uint64 adds (registry lookups happen only at construction).
+// cost is one pointer compare per call site. Metrics are read functions
+// (CounterFunc, GaugeFunc) over counters the subsystems keep anyway,
+// registered once at construction and called only when the epoch sampler
+// or an exporter reads them; events and histogram observations are
+// recorded as they happen.
 //
 // Metric names are slash-scoped, instance-indexed strings following the
 // DROPLET convention ("memctrl0/drops", "dram0/row_conflicts",
@@ -32,34 +35,6 @@ const (
 	// at the epoch boundary.
 	KindGauge
 )
-
-// Counter is a monotonically increasing metric. The zero of *Counter (nil)
-// is a valid no-op counter, so disabled telemetry costs one branch.
-type Counter struct {
-	v uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Value returns the accumulated count (0 for a nil counter).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
 
 // Histogram counts observations into fixed buckets. Bounds are inclusive
 // upper edges; one implicit overflow bucket catches everything beyond the
@@ -102,29 +77,17 @@ func (h *Histogram) Total() uint64 {
 	return t
 }
 
-// Buckets returns (bounds, counts); counts has one more entry than bounds
-// (the overflow bucket).
-func (h *Histogram) Buckets() ([]uint64, []uint64) {
-	if h == nil {
-		return nil, nil
-	}
-	return h.bounds, h.counts
-}
-
 // metric is one registered, sampleable metric.
 type metric struct {
 	name string
 	kind MetricKind
-	// Exactly one of counter / counterFn / gaugeFn is set.
-	counter   *Counter
+	// Exactly one of counterFn / gaugeFn is set.
 	counterFn func() uint64
 	gaugeFn   func() float64
 }
 
 func (m *metric) read() float64 {
 	switch {
-	case m.counter != nil:
-		return float64(m.counter.v)
 	case m.counterFn != nil:
 		return float64(m.counterFn())
 	default:
@@ -172,9 +135,6 @@ func New(opts Options) *Telemetry {
 	return t
 }
 
-// Enabled reports whether this instance records anything.
-func (t *Telemetry) Enabled() bool { return t != nil }
-
 // EpochCycles returns the sampling period (0 when sampling is off or the
 // receiver is nil).
 func (t *Telemetry) EpochCycles() uint64 {
@@ -190,18 +150,6 @@ func (t *Telemetry) register(m *metric) {
 	}
 	t.byName[m.name] = m
 	t.metrics = append(t.metrics, m)
-}
-
-// Counter registers (or returns, for a nil receiver, nil) a counter
-// metric. Call once at construction; the returned *Counter is the
-// zero-allocation hot-path handle.
-func (t *Telemetry) Counter(name string) *Counter {
-	if t == nil {
-		return nil
-	}
-	c := &Counter{}
-	t.register(&metric{name: name, kind: KindCounter, counter: c})
-	return c
 }
 
 // CounterFunc registers a counter metric backed by an existing
