@@ -158,6 +158,7 @@ type Controller struct {
 	// memory-side traffic never perturbs the §6.5 ranking.
 	memside *memsidepf.Engine
 	msCnt   int
+	msIdle  []memsidepf.Window // per-tick scratch: this tick's idle row-hit windows
 
 	banks    [][]*Request // waiting requests bucketed by bank
 	pending  int          // total waiting requests across buckets
@@ -410,7 +411,10 @@ func (c *Controller) Refresh() *refresh.Engine { return c.refresh }
 // memory-side prefetch candidates into idle row-hit windows. Call before
 // Instrument so the memside counters register; a nil engine leaves the
 // path disabled.
-func (c *Controller) AttachMemSide(eng *memsidepf.Engine) { c.memside = eng }
+func (c *Controller) AttachMemSide(eng *memsidepf.Engine) {
+	c.memside = eng
+	c.msIdle = make([]memsidepf.Window, 0, len(c.banks))
+}
 
 // MemSide returns the attached memory-side prefetch engine, nil when the
 // path is disabled.
@@ -707,6 +711,8 @@ func (c *Controller) Tick(now uint64, ncores int) []*Request {
 // per tick is admitted into an idle row-hit window — a bank with no
 // waiting work, ready, not refresh-blocked, whose open row matches — so
 // memory-side prefetches only ever turn bus idle slots into row hits.
+// The windows are collected once per tick, O(banks), and the engine
+// answers from its per-(bank, row) index without scanning its list.
 func (c *Controller) memsidePass(now uint64) {
 	e := c.memside
 	if e.Pending() == 0 {
@@ -730,16 +736,19 @@ func (c *Controller) memsidePass(now uint64) {
 	if c.Full() {
 		return
 	}
-	cand, ok := e.Take(now, func(a dram.Address) bool {
-		b := a.Bank
-		if len(c.banks[b]) != 0 || !c.channel.BankReady(b, now) {
-			return false
+	idle := c.msIdle[:0]
+	for b := range c.banks {
+		bank := &c.channel.Banks[b]
+		if len(c.banks[b]) != 0 || bank.OpenRow < 0 || !c.channel.BankReady(b, now) {
+			continue
 		}
-		if c.channel.Banks[b].OpenRow != int64(a.Row) {
-			return false
+		if c.refresh != nil && c.refresh.Blocked(b, now) {
+			continue
 		}
-		return c.refresh == nil || !c.refresh.Blocked(b, now)
-	})
+		idle = append(idle, memsidepf.Window{Bank: b, Row: uint64(bank.OpenRow)})
+	}
+	c.msIdle = idle
+	cand, ok := e.Take(now, idle) // drops stale candidates even with no window
 	if !ok {
 		return
 	}
@@ -771,6 +780,9 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 		// Conservative: any tick may open an idle row-hit window for a
 		// waiting candidate, shed the list on pressure, or age one out,
 		// so no cycle is provably inert while candidates are pending.
+		// An exact wake-up (earliest of those three) was measured on
+		// stress8: it kept every result but only moved the skip ratio
+		// from 0.009 to 0.011, and it cost a walk of the list per call.
 		return now + 1
 	}
 	next := NeverEvent

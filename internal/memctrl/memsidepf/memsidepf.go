@@ -48,12 +48,50 @@ type Candidate struct {
 	Born uint64
 }
 
-// Engine is one controller's memory-side prefetch state.
+// Window is one idle row-hit window the controller offers to Take: a
+// bank with no waiting work, ready and not refresh-blocked, and the row
+// it holds open.
+type Window struct {
+	Bank int
+	Row  uint64
+}
+
+// none marks an empty index bucket and the end of a slot chain.
+const none int32 = -1
+
+// slot is one entry of the engine's fixed candidate table. A live slot
+// sits on two FIFOs: the global one (prev/next), which orders overflow
+// eviction and staleness, and the one of its (bank, row) (rnext), which
+// lets Take reach a window's oldest candidate directly. A free slot is
+// chained to the next free one through next.
+type slot struct {
+	c          Candidate
+	seq        uint64 // admission order: smaller is older
+	prev, next int32
+	rnext      int32
+	rtail      int32 // youngest slot of this (bank, row) FIFO; kept on its head
+}
+
+// Engine is one controller's memory-side prefetch state. Its candidates
+// live in a fixed table of ListSize slots, found through two fixed
+// open-addressing hash indexes: byLine maps a line to its slot (the
+// dedupe check; a line is queued at most once) and byRow maps a
+// (bank, row) to the head of its FIFO. A bucket holds a slot number and
+// the key is read from that slot, so neither index stores keys. After
+// New the engine never allocates.
 type Engine struct {
-	cfg    Config
-	lpr    uint64 // lines per DRAM row
-	list   []Candidate
-	have   map[uint64]int // line -> count in list (dedupe)
+	cfg Config
+	lpr uint64 // lines per DRAM row
+
+	slots      []slot
+	free       int32 // first free slot
+	head, tail int32 // global FIFO: oldest and youngest live slot
+	n          int   // live slots
+	seq        uint64
+
+	byLine, byRow []int32
+	shift         uint // 64 - log2(index size), for Fibonacci hashing
+
 	filter func(core int, line uint64) bool
 	gate   func() bool
 
@@ -94,11 +132,36 @@ func New(cfg Config, linesPerRow uint64) *Engine {
 	if linesPerRow == 0 {
 		linesPerRow = 1
 	}
-	return &Engine{
-		cfg:  cfg,
-		lpr:  linesPerRow,
-		list: make([]Candidate, 0, cfg.ListSize),
-		have: make(map[uint64]int, cfg.ListSize),
+	// Each index has at least twice as many buckets as slots, so probe
+	// runs stay short.
+	size, shift := 2, uint(63)
+	for size < 2*cfg.ListSize {
+		size, shift = size*2, shift-1
+	}
+	idx := make([]int32, 2*size)
+	e := &Engine{
+		cfg:    cfg,
+		lpr:    linesPerRow,
+		slots:  make([]slot, cfg.ListSize),
+		byLine: idx[:size:size],
+		byRow:  idx[size:],
+		shift:  shift,
+	}
+	e.reset()
+	return e
+}
+
+// reset empties the list and both indexes.
+func (e *Engine) reset() {
+	e.head, e.tail, e.n = none, none, 0
+	for i := range e.slots {
+		e.slots[i].next = int32(i) + 1
+	}
+	e.slots[len(e.slots)-1].next = none
+	e.free = 0
+	for i := range e.byLine {
+		e.byLine[i] = none
+		e.byRow[i] = none
 	}
 }
 
@@ -113,20 +176,113 @@ func (e *Engine) SetFilter(f func(core int, line uint64) bool) { e.filter = f }
 func (e *Engine) SetGate(g func() bool) { e.gate = g }
 
 // Pending returns the number of buffered candidates.
-func (e *Engine) Pending() int { return len(e.list) }
+func (e *Engine) Pending() int { return e.n }
 
-// remove deletes list[i] preserving FIFO order and keeps the dedupe
-// index in sync.
-func (e *Engine) remove(i int) Candidate {
-	c := e.list[i]
-	copy(e.list[i:], e.list[i+1:])
-	e.list = e.list[:len(e.list)-1]
-	if n := e.have[c.Line] - 1; n <= 0 {
-		delete(e.have, c.Line)
-	} else {
-		e.have[c.Line] = n
+func (e *Engine) lineHome(line uint64) int {
+	return int(line * 0x9E3779B97F4A7C15 >> e.shift)
+}
+
+func (e *Engine) rowHome(bank int, row uint64) int {
+	return int((row<<8 ^ uint64(bank)) * 0x9E3779B97F4A7C15 >> e.shift)
+}
+
+// findLine returns the bucket holding line's slot, or the empty bucket
+// where it would go, and the slot (none when absent).
+func (e *Engine) findLine(line uint64) (int, int32) {
+	mask := len(e.byLine) - 1
+	for i := e.lineHome(line); ; i = (i + 1) & mask {
+		if s := e.byLine[i]; s == none || e.slots[s].c.Line == line {
+			return i, s
+		}
 	}
-	return c
+}
+
+// findRow is findLine for the (bank, row) index: the slot is the head of
+// that row's FIFO.
+func (e *Engine) findRow(bank int, row uint64) (int, int32) {
+	mask := len(e.byRow) - 1
+	for i := e.rowHome(bank, row); ; i = (i + 1) & mask {
+		s := e.byRow[i]
+		if s == none {
+			return i, none
+		}
+		if a := e.slots[s].c.Addr; a.Bank == bank && a.Row == row {
+			return i, s
+		}
+	}
+}
+
+// unindex empties bucket i of idx, shifting later entries of its probe
+// run back so every entry stays reachable from its home bucket.
+func (e *Engine) unindex(idx []int32, i int, rows bool) {
+	mask := len(idx) - 1
+	for j := (i + 1) & mask; idx[j] != none; j = (j + 1) & mask {
+		c := &e.slots[idx[j]].c
+		h := e.lineHome(c.Line)
+		if rows {
+			h = e.rowHome(c.Addr.Bank, c.Addr.Row)
+		}
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically in (i, j].
+		if (j-h)&mask >= (j-i)&mask {
+			idx[i] = idx[j]
+			i = j
+		}
+	}
+	idx[i] = none
+}
+
+// push appends c to the global FIFO and to its (bank, row) FIFO; lb is
+// the empty byLine bucket findLine returned for c.Line.
+func (e *Engine) push(c Candidate, lb int) {
+	s := e.free
+	e.free = e.slots[s].next
+	e.slots[s] = slot{c: c, seq: e.seq, prev: e.tail, next: none, rnext: none, rtail: s}
+	e.seq++
+	if e.tail == none {
+		e.head = s
+	} else {
+		e.slots[e.tail].next = s
+	}
+	e.tail = s
+	e.byLine[lb] = s
+	if rb, h := e.findRow(c.Addr.Bank, c.Addr.Row); h == none {
+		e.byRow[rb] = s
+	} else {
+		e.slots[e.slots[h].rtail].rnext = s
+		e.slots[h].rtail = s
+	}
+	e.n++
+}
+
+// remove unlinks slot s, which heads its (bank, row) FIFO, and frees it.
+// Every removal the engine makes is of such a slot: the global oldest
+// candidate is the oldest on its row, and Take picks a row's oldest.
+func (e *Engine) remove(s int32) Candidate {
+	sl := &e.slots[s]
+	if sl.prev == none {
+		e.head = sl.next
+	} else {
+		e.slots[sl.prev].next = sl.next
+	}
+	if sl.next == none {
+		e.tail = sl.prev
+	} else {
+		e.slots[sl.next].prev = sl.prev
+	}
+	rb, _ := e.findRow(sl.c.Addr.Bank, sl.c.Addr.Row)
+	if sl.rnext == none {
+		e.unindex(e.byRow, rb, true)
+	} else {
+		e.byRow[rb] = sl.rnext
+		e.slots[sl.rnext].rtail = sl.rtail
+	}
+	lb, _ := e.findLine(sl.c.Line)
+	e.unindex(e.byLine, lb, false)
+	sl.next = e.free
+	e.free = s
+	e.n--
+	return sl.c
 }
 
 // Train observes one demand admitted at the controller and generates up
@@ -135,7 +291,9 @@ func (e *Engine) remove(i int) Candidate {
 // granularity, so a same-row neighbor provably shares the demand's
 // channel, bank, and row: its address is the trigger's with the column
 // advanced, no re-mapping needed — and each candidate is a row hit while
-// that row stays open.
+// that row stays open. now must never decrease from one call to the
+// next (the controller passes each demand's arrival cycle), so Born
+// never decreases along the list.
 func (e *Engine) Train(core int, line uint64, addr dram.Address, now uint64) {
 	if e.gate != nil && !e.gate() {
 		e.GateClosed++
@@ -144,55 +302,62 @@ func (e *Engine) Train(core int, line uint64, addr dram.Address, now uint64) {
 	for i := uint64(1); i <= uint64(e.cfg.Degree) && addr.Col+i < e.lpr; i++ {
 		cand := line + i
 		e.Generated++
-		if e.have[cand] > 0 {
+		lb, dup := e.findLine(cand)
+		if dup != none {
 			continue // already queued
 		}
 		if e.filter != nil && e.filter(core, cand) {
 			e.Filtered++
 			continue
 		}
-		if len(e.list) >= e.cfg.ListSize {
-			e.remove(0)
+		if e.n >= e.cfg.ListSize {
+			e.remove(e.head)
 			e.DroppedOverflow++
+			lb, _ = e.findLine(cand) // the eviction may have moved the empty bucket
 		}
 		a := addr
 		a.Col += i
-		e.list = append(e.list, Candidate{Core: core, Line: cand, Addr: a, Born: now})
-		e.have[cand]++
+		e.push(Candidate{Core: core, Line: cand, Addr: a, Born: now}, lb)
 		e.Enqueued++
 	}
 }
 
-// Take returns the oldest still-fresh candidate whose DRAM coordinates
-// the controller accepts (idle bank, matching open row), removing it
-// from the list; ok=false when no candidate qualifies. Stale candidates
-// encountered during the scan are dropped as a side effect.
-func (e *Engine) Take(now uint64, accept func(a dram.Address) bool) (Candidate, bool) {
-	for i := 0; i < len(e.list); {
-		c := e.list[i]
-		if now > c.Born+e.cfg.MaxAge {
-			e.remove(i)
-			e.DroppedStale++
-			continue
-		}
-		if accept(c.Addr) {
-			e.remove(i)
-			e.Issued++
-			return c, true
-		}
-		i++
+// Take drops the stale candidates, then returns the oldest remaining
+// candidate that falls in one of the idle windows (same bank, row equal
+// to the open row), removing it from the list; ok=false when none does.
+// Born never decreases along the list (see Train), so the stale
+// candidates are always a prefix of it: dropping from the head until a
+// fresh candidate appears sheds exactly the candidates a full scan would
+// find stale. Each window costs one lookup of its (bank, row) FIFO,
+// whose head is that window's oldest candidate, so a call costs
+// O(len(idle)) plus the candidates it drops, never O(Pending).
+func (e *Engine) Take(now uint64, idle []Window) (Candidate, bool) {
+	for e.head != none && now > e.slots[e.head].c.Born+e.cfg.MaxAge {
+		e.remove(e.head)
+		e.DroppedStale++
 	}
-	return Candidate{}, false
+	if e.n == 0 {
+		return Candidate{}, false
+	}
+	best := none
+	for _, w := range idle {
+		_, h := e.findRow(w.Bank, w.Row)
+		if h != none && (best == none || e.slots[h].seq < e.slots[best].seq) {
+			best = h
+		}
+	}
+	if best == none {
+		return Candidate{}, false
+	}
+	e.Issued++
+	return e.remove(best), true
 }
 
 // DropPressure empties the candidate list (demand occupancy crossed the
 // pressure threshold) and returns how many candidates were shed.
 func (e *Engine) DropPressure() int {
-	n := len(e.list)
-	e.list = e.list[:0]
-	for k := range e.have {
-		delete(e.have, k)
-	}
+	n := e.n
+	e.reset()
 	e.DroppedPressure += uint64(n)
 	return n
 }

@@ -17,7 +17,10 @@ import (
 //     request buffer);
 //  3. span decomposition: for every recorded lifecycle span, queue wait
 //     plus DRAM service equals the span's total latency, and the stage
-//     stamps are monotone.
+//     stamps are monotone;
+//  4. memory-side conservation, when the path ran: no stage of the
+//     candidate pipeline (generated, admitted, issued, serviced, used)
+//     accounts for more than the stage before it.
 //
 // The sweep engine runs these on every job when Options.Verify is set, so
 // a regression in any accounting path turns sweeps red rather than
@@ -48,10 +51,39 @@ func VerifyResults(res stats.Results, spans []lifecycle.Span) []error {
 				i, c.Benchmark, c.PrefUsed, c.PrefSent))
 		}
 	}
+	if m := res.MemSide; m != nil {
+		errs = append(errs, verifyMemSide(*m)...)
+	}
 	for _, sp := range spans {
 		if err := verifySpan(sp); err != nil {
 			errs = append(errs, err)
 		}
+	}
+	return errs
+}
+
+// verifyMemSide checks the memory-side pipeline's conservation. Each is
+// an inequality because the remainder is still pending: a candidate
+// admitted but neither issued nor dropped waits in a list, and an issued
+// prefetch neither serviced nor dropped is still in a request buffer.
+func verifyMemSide(m stats.MemSideStats) []error {
+	var errs []error
+	if m.Enqueued+m.Filtered > m.Generated {
+		errs = append(errs, fmt.Errorf(
+			"memside: enqueued %d + filtered %d exceed %d generated",
+			m.Enqueued, m.Filtered, m.Generated))
+	}
+	if out := m.Issued + m.DroppedOverflow + m.DroppedStale + m.DroppedPressure; out > m.Enqueued {
+		errs = append(errs, fmt.Errorf(
+			"memside: issued %d + dropped overflow %d + stale %d + pressure %d exceed %d enqueued",
+			m.Issued, m.DroppedOverflow, m.DroppedStale, m.DroppedPressure, m.Enqueued))
+	}
+	if m.Serviced+m.Dropped > m.Issued {
+		errs = append(errs, fmt.Errorf(
+			"memside: serviced %d + dropped %d exceed %d issued", m.Serviced, m.Dropped, m.Issued))
+	}
+	if m.Used > m.Serviced {
+		errs = append(errs, fmt.Errorf("memside: %d used exceed %d serviced", m.Used, m.Serviced))
 	}
 	return errs
 }
