@@ -4,9 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"padc/internal/dram"
+	"padc/internal/dram/refresh"
+	"padc/internal/memctrl/sched"
 )
 
 // This file holds the differential test layer guarding the rule-stack
@@ -36,10 +39,10 @@ func legacyNew(policy Policy, channel *dram.Channel, capacity int, state CoreSta
 	return &legacyController{policy: policy, channel: channel, capacity: capacity, state: state}
 }
 
-func (c *legacyController) occupancy() int { return len(c.queue) + len(c.inflight) }
-func (c *legacyController) full() bool     { return c.occupancy() >= c.capacity }
+func (c *legacyController) Occupancy() int { return len(c.queue) + len(c.inflight) }
+func (c *legacyController) full() bool     { return c.Occupancy() >= c.capacity }
 
-func (c *legacyController) enqueue(r *Request) bool {
+func (c *legacyController) Enqueue(r *Request) bool {
 	if c.full() {
 		return false
 	}
@@ -49,7 +52,7 @@ func (c *legacyController) enqueue(r *Request) bool {
 	return true
 }
 
-func (c *legacyController) matchPrefetch(core int, line uint64, now uint64) *Request {
+func (c *legacyController) MatchPrefetch(core int, line uint64, now uint64) *Request {
 	for _, r := range c.queue {
 		if r.Core == core && r.Line == line && r.Prefetch {
 			r.Prefetch = false
@@ -145,7 +148,7 @@ func (c *legacyController) ranks(ncores int) []int {
 	return rank
 }
 
-func (c *legacyController) tick(now uint64, ncores int) []*Request {
+func (c *legacyController) Tick(now uint64, ncores int) []*Request {
 	var done []*Request
 	keep := c.inflight[:0]
 	for _, r := range c.inflight {
@@ -228,7 +231,7 @@ func (c *legacyController) legacyMoreRowWork(r *Request, skip int) bool {
 	return false
 }
 
-func (c *legacyController) dropExpired(now uint64, threshold func(r *Request) uint64) []*Request {
+func (c *legacyController) DropExpired(now uint64, threshold func(r *Request) uint64) []*Request {
 	var dropped []*Request
 	keep := c.queue[:0]
 	for _, r := range c.queue {
@@ -292,21 +295,51 @@ func sortedLines(reqs []*Request) []uint64 {
 	return lines
 }
 
-// runDifferential drives the legacy reference and the rule-stack
-// controller through one identical randomized schedule and fails on the
-// first divergence.
-func runDifferential(t *testing.T, pol Policy, seed int64, banks int, closedRow bool, cycles uint64) {
-	t.Helper()
+// diffSide is one scheduler under differential test: the legacy
+// reference or a rule-stack Controller.
+type diffSide interface {
+	Enqueue(r *Request) bool
+	MatchPrefetch(core int, line uint64, now uint64) *Request
+	DropExpired(now uint64, threshold func(r *Request) uint64) []*Request
+	Tick(now uint64, ncores int) []*Request
+	Occupancy() int
+	issued(now uint64) []issueTuple
+	totals() (serviced, dropped uint64)
+}
+
+func (c *legacyController) issued(now uint64) []issueTuple { return issuedAt(c.inflight, now) }
+func (c *legacyController) totals() (uint64, uint64)       { return c.serviced, c.dropped }
+func (c *Controller) issued(now uint64) []issueTuple       { return issuedAt(c.inflight, now) }
+func (c *Controller) totals() (uint64, uint64)             { return c.Serviced, c.Dropped }
+
+// diffChannelConfig is the DRAM geometry of one differential run.
+func diffChannelConfig(banks int, closedRow bool) dram.Config {
 	cfg := dram.DefaultConfig()
 	cfg.Banks = banks
 	if closedRow {
 		cfg.Page = dram.ClosedPage
 	}
+	return cfg
+}
 
+// runDifferential drives the legacy reference and the rule-stack
+// controller through one identical randomized schedule and fails on the
+// first divergence.
+func runDifferential(t *testing.T, pol Policy, seed int64, banks int, closedRow bool, cycles uint64) {
+	t.Helper()
+	cfg := diffChannelConfig(banks, closedRow)
 	state := &flipState{}
 	ref := legacyNew(pol, dram.NewChannel(cfg), 32, state)
 	cur := New(pol, dram.NewChannel(cfg), 32, state)
+	runSchedule(t, pol.String(), ref, cur, state, seed, banks, cycles)
+}
 
+// runSchedule drives two schedulers sharing state through one identical
+// randomized schedule (enqueues, promotions, drops and state flips) and
+// fails on the first divergence in accepts, promotions, drop sets,
+// completion order, issue decisions, occupancy or totals.
+func runSchedule(t *testing.T, label string, ref, cur diffSide, state *flipState, seed int64, banks int, cycles uint64) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	threshold := func(r *Request) uint64 { return uint64(20 + 10*r.Core) }
 	var lineCtr uint64
@@ -338,10 +371,10 @@ func runDifferential(t *testing.T, pol Policy, seed int64, banks int, closedRow 
 					Arrival: now, Addr: dram.Address{Bank: bank, Row: row},
 				}
 			}
-			okRef := ref.enqueue(mk())
+			okRef := ref.Enqueue(mk())
 			okCur := cur.Enqueue(mk())
 			if okRef != okCur {
-				t.Fatalf("%v seed=%d cycle=%d: enqueue accept diverged ref=%v cur=%v", pol, seed, now, okRef, okCur)
+				t.Fatalf("%s seed=%d cycle=%d: enqueue accept diverged ref=%v cur=%v", label, seed, now, okRef, okCur)
 			}
 			if pref && okRef {
 				prefs = append(prefs, prefRef{core, lineCtr})
@@ -354,10 +387,10 @@ func runDifferential(t *testing.T, pol Policy, seed int64, banks int, closedRow 
 			p := prefs[i]
 			prefs[i] = prefs[len(prefs)-1]
 			prefs = prefs[:len(prefs)-1]
-			gotRef := ref.matchPrefetch(p.core, p.line, now)
+			gotRef := ref.MatchPrefetch(p.core, p.line, now)
 			gotCur := cur.MatchPrefetch(p.core, p.line, now)
 			if (gotRef == nil) != (gotCur == nil) {
-				t.Fatalf("%v seed=%d cycle=%d: promotion diverged ref=%v cur=%v", pol, seed, now, gotRef != nil, gotCur != nil)
+				t.Fatalf("%s seed=%d cycle=%d: promotion diverged ref=%v cur=%v", label, seed, now, gotRef != nil, gotCur != nil)
 			}
 		}
 
@@ -365,37 +398,39 @@ func runDifferential(t *testing.T, pol Policy, seed int64, banks int, closedRow 
 		// buffer by bank, so drop *order* legitimately changed; the drop
 		// *set* must not.
 		if rng.Intn(16) == 0 {
-			dRef := sortedLines(ref.dropExpired(now, threshold))
+			dRef := sortedLines(ref.DropExpired(now, threshold))
 			dCur := sortedLines(cur.DropExpired(now, threshold))
 			if fmt.Sprint(dRef) != fmt.Sprint(dCur) {
-				t.Fatalf("%v seed=%d cycle=%d: drop sets diverged ref=%v cur=%v", pol, seed, now, dRef, dCur)
+				t.Fatalf("%s seed=%d cycle=%d: drop sets diverged ref=%v cur=%v", label, seed, now, dRef, dCur)
 			}
 		}
 
-		doneRef := ref.tick(now, diffCores)
+		doneRef := ref.Tick(now, diffCores)
 		doneCur := cur.Tick(now, diffCores)
 		for i := range doneRef {
 			if i >= len(doneCur) || doneRef[i].Line != doneCur[i].Line {
-				t.Fatalf("%v seed=%d cycle=%d: completion order diverged ref=%v cur=%v",
-					pol, seed, now, sortedLines(doneRef), sortedLines(doneCur))
+				t.Fatalf("%s seed=%d cycle=%d: completion order diverged ref=%v cur=%v",
+					label, seed, now, sortedLines(doneRef), sortedLines(doneCur))
 			}
 		}
 		if len(doneRef) != len(doneCur) {
-			t.Fatalf("%v seed=%d cycle=%d: completions ref=%d cur=%d", pol, seed, now, len(doneRef), len(doneCur))
+			t.Fatalf("%s seed=%d cycle=%d: completions ref=%d cur=%d", label, seed, now, len(doneRef), len(doneCur))
 		}
 
-		isRef := issuedAt(ref.inflight, now)
-		isCur := issuedAt(cur.inflight, now)
+		isRef := ref.issued(now)
+		isCur := cur.issued(now)
 		if fmt.Sprint(isRef) != fmt.Sprint(isCur) {
-			t.Fatalf("%v seed=%d cycle=%d: issue decisions diverged\nref: %+v\ncur: %+v", pol, seed, now, isRef, isCur)
+			t.Fatalf("%s seed=%d cycle=%d: issue decisions diverged\nref: %+v\ncur: %+v", label, seed, now, isRef, isCur)
 		}
-		if ref.occupancy() != cur.Occupancy() {
-			t.Fatalf("%v seed=%d cycle=%d: occupancy ref=%d cur=%d", pol, seed, now, ref.occupancy(), cur.Occupancy())
+		if ref.Occupancy() != cur.Occupancy() {
+			t.Fatalf("%s seed=%d cycle=%d: occupancy ref=%d cur=%d", label, seed, now, ref.Occupancy(), cur.Occupancy())
 		}
 	}
-	if ref.serviced != cur.Serviced || ref.dropped != cur.Dropped {
-		t.Fatalf("%v seed=%d: totals diverged serviced ref=%d cur=%d dropped ref=%d cur=%d",
-			pol, seed, ref.serviced, cur.Serviced, ref.dropped, cur.Dropped)
+	sRef, dRef := ref.totals()
+	sCur, dCur := cur.totals()
+	if sRef != sCur || dRef != dCur {
+		t.Fatalf("%s seed=%d: totals diverged serviced ref=%d cur=%d dropped ref=%d cur=%d",
+			label, seed, sRef, sCur, dRef, dCur)
 	}
 }
 
@@ -411,6 +446,51 @@ func TestDifferentialSchedulerEquivalence(t *testing.T) {
 				for _, closed := range []bool{false, true} {
 					for seed := int64(1); seed <= 3; seed++ {
 						runDifferential(t, pol, seed, banks, closed, 600)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestExplicitFCFSEquivalence pins that a stack which does not list fcfs
+// schedules exactly as the same stack with ",fcfs" appended: the same
+// issue orders and the same per-rule win counts under the same names.
+// The refresh stack runs with a per-bank refresh engine, so the refresh
+// pseudo-candidate's wins are counted too.
+func TestExplicitFCFSEquivalence(t *testing.T) {
+	for _, spec := range []string{
+		"rules:rowhit",
+		"rules:critical,rowhit,urgent",
+		"rules:rank,urgent,prefetchfirst",
+		"rules:rowhit,refresh",
+	} {
+		t.Run(spec, func(t *testing.T) {
+			withRefresh := strings.Contains(spec, "refresh")
+			for _, banks := range []int{1, 8} {
+				for _, closed := range []bool{false, true} {
+					for seed := int64(1); seed <= 3; seed++ {
+						cfg := diffChannelConfig(banks, closed)
+						state := &flipState{}
+						build := func(stack string) *Controller {
+							c := NewStack(sched.MustParse(stack), dram.NewChannel(cfg), 32, state)
+							if withRefresh {
+								c.AttachRefresh(refresh.NewEngine(testRefreshCfg(refresh.PerBank), banks))
+							}
+							return c
+						}
+						implicit, explicit := build(spec), build(spec+",fcfs")
+						runSchedule(t, spec, implicit, explicit, state, seed, banks, 2000)
+						in, iw := implicit.RuleWins()
+						en, ew := explicit.RuleWins()
+						if fmt.Sprint(in, iw) != fmt.Sprint(en, ew) {
+							t.Fatalf("seed=%d banks=%d closed=%v: rule wins diverged\nimplicit: %v %v\nexplicit: %v %v",
+								seed, banks, closed, in, iw, en, ew)
+						}
+						if withRefresh && iw[1] == 0 {
+							t.Fatalf("seed=%d banks=%d closed=%v: the refresh rule never won, so the run did not exercise it",
+								seed, banks, closed)
+						}
 					}
 				}
 			}

@@ -17,6 +17,7 @@ package memctrl
 
 import (
 	"fmt"
+	"slices"
 
 	"padc/internal/dram"
 	"padc/internal/dram/refresh"
@@ -187,10 +188,9 @@ type Controller struct {
 	urgFlags  []bool
 	rankBuf   []int
 
-	// ruleWins counts scheduling decisions by the rule that settled them:
-	// index i is the stack's i-th rule, the last slot the implicit
-	// admission-order tiebreak. Only contested arbitrations (bucket held
-	// more than one candidate) are counted.
+	// ruleWins counts scheduling decisions by the rule that settled them,
+	// index i the stack's i-th rule (its Names). Only contested
+	// arbitrations (bucket held more than one candidate) are counted.
 	ruleWins []uint64
 
 	tel   *telemetry.Telemetry // nil unless Instrument was called
@@ -239,7 +239,7 @@ func NewStack(stack sched.Stack, channel *dram.Channel, capacity int, state Core
 		useRefresh: stack.Uses("refresh"),
 		banks:      make([][]*Request, len(channel.Banks)),
 		rowWait:    make(map[rowKey]int, n),
-		ruleWins:   make([]uint64, len(stack.Rules())+1),
+		ruleWins:   make([]uint64, len(stack.Names())),
 	}
 	// Every request list is bounded by the buffer, and any one bank may
 	// hold all of it: size them up front so none grows mid-run, and stock
@@ -310,14 +310,7 @@ func (c *Controller) Instrument(tel *telemetry.Telemetry, id int) {
 	tel.GaugeFunc(pre+"/occupancy", func() float64 { return float64(c.Occupancy()) })
 	// Per-rule "decision won by" counters: how often each rule of the
 	// stack settled a contested arbitration.
-	for i := range c.ruleWins {
-		i := i
-		name := c.stack.DeciderName(sched.ImplicitFCFS)
-		if i < len(c.stack.Rules()) {
-			name = c.stack.DeciderName(i)
-		} else if c.stack.Uses("fcfs") {
-			continue // explicit fcfs already registered; implicit slot stays unused
-		}
+	for i, name := range c.stack.Names() {
 		tel.CounterFunc(fmt.Sprintf("%s/rule_wins/%s", pre, name), func() uint64 { return c.ruleWins[i] })
 	}
 
@@ -341,6 +334,7 @@ func (c *Controller) Instrument(tel *telemetry.Telemetry, id int) {
 		tel.CounterFunc(pre+"/memside/enqueued", func() uint64 { return eng.Enqueued })
 		tel.CounterFunc(pre+"/memside/issued", func() uint64 { return eng.Issued })
 		tel.CounterFunc(pre+"/memside/filtered", func() uint64 { return eng.Filtered })
+		tel.CounterFunc(pre+"/memside/dropped_overflow", func() uint64 { return eng.DroppedOverflow })
 		tel.CounterFunc(pre+"/memside/dropped_pressure", func() uint64 { return eng.DroppedPressure })
 		tel.CounterFunc(pre+"/memside/dropped_stale", func() uint64 { return eng.DroppedStale })
 		tel.CounterFunc(pre+"/memside/gate_closed", func() uint64 { return eng.GateClosed })
@@ -429,18 +423,11 @@ func (c *Controller) NeedsIdleTick() bool {
 }
 
 // RuleWins reports the per-rule decision counters: for each rule name in
-// stack order (plus a trailing implicit "fcfs" when the stack lacks an
-// explicit one), how many contested arbitrations that rule settled.
+// stack order (ending in fcfs, appended when the stack does not list it),
+// how many contested arbitrations that rule settled. wins is a copy, so a
+// caller may keep it as a previous sample.
 func (c *Controller) RuleWins() (names []string, wins []uint64) {
-	for i, r := range c.stack.Rules() {
-		names = append(names, r.Name())
-		wins = append(wins, c.ruleWins[i])
-	}
-	if !c.stack.Uses("fcfs") {
-		names = append(names, "fcfs")
-		wins = append(wins, c.ruleWins[len(c.ruleWins)-1])
-	}
-	return names, wins
+	return c.stack.Names(), slices.Clone(c.ruleWins)
 }
 
 // Occupancy returns how many buffer entries are in use.
@@ -597,7 +584,6 @@ func (c *Controller) refreshRanks(ncores int) {
 func (c *Controller) cand(r *Request, bank *dram.Bank) sched.Cand {
 	cd := sched.Cand{
 		Seq:  r.seq,
-		Core: r.Core,
 		Pref: r.Prefetch,
 		Hit:  bank.State(r.Addr.Row) == dram.RowHit,
 	}
@@ -670,7 +656,7 @@ func (c *Controller) Tick(now uint64, ncores int) []*Request {
 		bank := &c.channel.Banks[b]
 		bestIdx := 0
 		best := c.cand(bucket[0], bank)
-		decider := -1 // uncontested unless a comparison happens
+		decider := 0
 		for i := 1; i < len(bucket); i++ {
 			cd := c.cand(bucket[i], bank)
 			better, by := c.stack.Better(cd, best)
@@ -679,10 +665,7 @@ func (c *Controller) Tick(now uint64, ncores int) []*Request {
 			}
 			decider = by
 		}
-		if decider != -1 || len(bucket) > 1 {
-			if decider == sched.ImplicitFCFS {
-				decider = len(c.ruleWins) - 1
-			}
+		if len(bucket) > 1 {
 			c.ruleWins[decider]++
 		}
 		// With the "refresh" rule in the stack, a due refresh contends as a

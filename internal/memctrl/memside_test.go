@@ -5,6 +5,7 @@ import (
 
 	"padc/internal/dram"
 	"padc/internal/memctrl/memsidepf"
+	"padc/internal/telemetry"
 )
 
 // memsideCtrl builds a one-bank controller with an attached memory-side
@@ -133,5 +134,61 @@ func TestMemSideDropExpiredUsesOwnThreshold(t *testing.T) {
 	c2 := c.Occupancy()
 	if c2 != 1 {
 		t.Fatalf("occupancy after drop = %d, want the surviving core prefetch", c2)
+	}
+}
+
+// TestMemSideTelemetryPartitionsEnqueued checks that the registered
+// memside counters account for every admitted candidate, overflow
+// evictions included: enqueued = issued + dropped_overflow +
+// dropped_stale + dropped_pressure + pending.
+func TestMemSideTelemetryPartitionsEnqueued(t *testing.T) {
+	ch := oneBank()
+	ch.Banks[0].OpenRow = 5
+	c := New(DemandPrefEqual, ch, 16, nil)
+	eng := memsidepf.New(memsidepf.Config{ListSize: 4, MaxAge: 40}, 64)
+	c.AttachMemSide(eng)
+	tel := telemetry.New(telemetry.Options{})
+	c.Instrument(tel, 0)
+
+	line := uint64(1000)
+	for now := uint64(1); now <= 400; now++ {
+		switch {
+		case now < 200 && now%7 == 0, now > 320 && now%9 == 0:
+			// Four candidates per trigger overflow the four-entry list;
+			// those on the closed row 9 can only overflow or go stale.
+			row := uint64(5)
+			if now%2 == 0 {
+				row = 9
+			}
+			eng.Train(0, line, dram.Address{Bank: 0, Row: row}, now)
+			line += 16
+		case now == 210:
+			eng.Train(0, line, dram.Address{Bank: 0, Row: 9}, now) // left to go stale
+			line += 16
+		case now == 300:
+			// A demand burst past half the buffer sheds the list.
+			for i := 0; i < 9; i++ {
+				c.Enqueue(&Request{Core: 1, Line: line, Addr: dram.Address{Bank: 0, Row: 5, Col: 60}, Arrival: now})
+				line += 16
+			}
+		}
+		c.Tick(now, 2)
+	}
+
+	v := map[string]uint64{}
+	for _, name := range []string{"enqueued", "issued", "dropped_overflow", "dropped_stale", "dropped_pressure", "pending"} {
+		x, ok := tel.Value("memctrl0/memside/" + name)
+		if !ok {
+			t.Fatalf("memside/%s is not registered", name)
+		}
+		v[name] = uint64(x)
+	}
+	for _, name := range []string{"issued", "dropped_overflow", "dropped_stale", "dropped_pressure", "pending"} {
+		if v[name] == 0 {
+			t.Fatalf("the run never exercised memside/%s: %v", name, v)
+		}
+	}
+	if got := v["issued"] + v["dropped_overflow"] + v["dropped_stale"] + v["dropped_pressure"] + v["pending"]; got != v["enqueued"] {
+		t.Fatalf("enqueued = %d, but issued + drops + pending = %d: %v", v["enqueued"], got, v)
 	}
 }

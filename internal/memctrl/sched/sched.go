@@ -1,6 +1,6 @@
-// Package sched is the memory controller's scheduling kernel: a small
-// vocabulary of composable priority rules and an ordered rule stack that
-// compares schedulable requests.
+// Package sched is the memory controller's scheduling kernel: one table
+// of priority rules and an ordered rule stack that compares schedulable
+// requests.
 //
 // The paper's contribution is literally a priority ordering (Critical >
 // Row-hit > Urgent > Rank > FCFS, §5–6), so every scheduling policy is
@@ -12,7 +12,11 @@
 // (e.g. "rules:critical,rowhit,urgent,fcfs"), which makes §6-style
 // priority-order ablations a configuration grid instead of new code.
 //
-// The package is deliberately free of controller internals: rules compare
+// Each rule is a row of the table: a name and a key over one candidate,
+// where a higher key schedules first. A stack that does not list `fcfs`
+// gets the `fcfs` row appended, so every comparison ends at a real rule.
+//
+// The package is deliberately free of controller internals: rules key on
 // Cand values whose fields (row-hit status, criticality, urgency, rank)
 // the controller derives from its indexes before arbitration.
 package sched
@@ -24,145 +28,91 @@ import (
 )
 
 // Cand is one schedulable request's priority inputs, precomputed by the
-// controller so each rule is a pure field comparison.
+// controller so each rule's key is a pure field read.
 type Cand struct {
 	Seq      uint64 // admission order, the universal FCFS tiebreak
 	Rank     int    // per-core shortest-job rank (higher schedules first)
-	Core     int
-	Pref     bool // currently a prefetch (promoted prefetches are demands)
-	Hit      bool // request targets its bank's open row
-	Critical bool // demand, or prefetch of an accurate core (rule 1)
-	Urgent   bool // demand of a core whose prefetching is inaccurate (rule 3)
+	Pref     bool   // currently a prefetch (promoted prefetches are demands)
+	Hit      bool   // request targets its bank's open row
+	Critical bool   // demand, or prefetch of an accurate core (rule 1)
+	Urgent   bool   // demand of a core whose prefetching is inaccurate (rule 3)
 
 	// IsRefresh marks the pseudo-candidate the controller synthesizes for a
 	// bank with a due refresh when the stack contains the "refresh" rule.
-	// Every other field is zero, so rules ahead of "refresh" in the stack
-	// define exactly which request classes a due refresh yields to.
+	// Every other field is zero and Seq is the maximum, so rules ahead of
+	// "refresh" in the stack define exactly which request classes a due
+	// refresh yields to, and the fcfs tiebreak always rejects it.
 	IsRefresh bool
 }
 
-// Rule is one priority comparator in a stack. Compare returns a positive
-// value when a outranks b, a negative value when b outranks a, and 0 when
-// the rule has no opinion (the next rule in the stack decides).
-type Rule interface {
-	Name() string
-	Compare(a, b Cand) int
+// rule is one row of the vocabulary: a name and the key it orders
+// candidates by. A higher key schedules first; equal keys leave the
+// decision to the next rule in the stack.
+type rule struct {
+	name string
+	key  func(Cand) uint64
 }
 
-// boolCmp orders true before false.
-func boolCmp(a, b bool) int {
-	switch {
-	case a == b:
-		return 0
-	case a:
+// flag keys a boolean rule: true schedules first.
+func flag(b bool) uint64 {
+	if b {
 		return 1
-	default:
-		return -1
 	}
+	return 0
 }
 
-// criticalRule is priority rule 1: critical requests (demands, and
-// prefetches of cores whose measured accuracy promoted them) first.
-type criticalRule struct{}
-
-func (criticalRule) Name() string          { return "critical" }
-func (criticalRule) Compare(a, b Cand) int { return boolCmp(a.Critical, b.Critical) }
-
-// rowHitRule is priority rule 2: row-buffer hits first (the FR of FR-FCFS).
-type rowHitRule struct{}
-
-func (rowHitRule) Name() string          { return "rowhit" }
-func (rowHitRule) Compare(a, b Cand) int { return boolCmp(a.Hit, b.Hit) }
-
-// urgentRule is priority rule 3: demands of cores with inaccurate
-// prefetching outrank requests of equal criticality and row-hit status.
-type urgentRule struct{}
-
-func (urgentRule) Name() string          { return "urgent" }
-func (urgentRule) Compare(a, b Cand) int { return boolCmp(a.Urgent, b.Urgent) }
-
-// demandFirstRule is the rigid demand-first class split: any demand
-// outranks any prefetch.
-type demandFirstRule struct{}
-
-func (demandFirstRule) Name() string          { return "demandfirst" }
-func (demandFirstRule) Compare(a, b Cand) int { return boolCmp(!a.Pref, !b.Pref) }
-
-// prefetchFirstRule is the footnote-2 strawman: prefetches first.
-type prefetchFirstRule struct{}
-
-func (prefetchFirstRule) Name() string          { return "prefetchfirst" }
-func (prefetchFirstRule) Compare(a, b Cand) int { return boolCmp(a.Pref, b.Pref) }
-
-// refreshRule arbitrates a due refresh against waiting requests: the
-// refresh pseudo-candidate outranks any request once no rule ahead of it
-// in the stack objects. Placing the rule after critical/rowhit, say,
-// yields the paper-style "refresh when the bank has no urgent work"
-// policy; stacks without the rule never see a refresh candidate (the
-// engine then refreshes only idle banks and at forced deadlines).
-type refreshRule struct{}
-
-func (refreshRule) Name() string          { return "refresh" }
-func (refreshRule) Compare(a, b Cand) int { return boolCmp(a.IsRefresh, b.IsRefresh) }
-
-// rankRule is the §6.5 shortest-job ranking stage: among critical
-// requests, cores with fewer outstanding critical requests first. A
-// non-critical request competes with rank 0, matching the paper's rule
-// table (ranking applies to critical requests only).
-type rankRule struct{}
-
-func (rankRule) Name() string { return "rank" }
-func (rankRule) Compare(a, b Cand) int {
-	ra, rb := 0, 0
-	if a.Critical {
-		ra = a.Rank
-	}
-	if b.Critical {
-		rb = b.Rank
-	}
-	switch {
-	case ra == rb:
-		return 0
-	case ra > rb:
-		return 1
-	default:
-		return -1
-	}
+// rules is the rule vocabulary Parse accepts.
+var rules = []rule{
+	// Rule 1: critical requests (demands, and prefetches of cores whose
+	// measured accuracy promoted them) first.
+	{"critical", func(c Cand) uint64 { return flag(c.Critical) }},
+	// Rule 2: row-buffer hits first (the FR of FR-FCFS).
+	{"rowhit", func(c Cand) uint64 { return flag(c.Hit) }},
+	// Rule 3: demands of cores with inaccurate prefetching outrank
+	// requests of equal criticality and row-hit status.
+	{"urgent", func(c Cand) uint64 { return flag(c.Urgent) }},
+	// The rigid demand-first class split: any demand outranks any prefetch.
+	{"demandfirst", func(c Cand) uint64 { return flag(!c.Pref) }},
+	// The footnote-2 strawman: prefetches first.
+	{"prefetchfirst", func(c Cand) uint64 { return flag(c.Pref) }},
+	// A due refresh's pseudo-candidate outranks any request once no rule
+	// ahead of it in the stack objects. Placing the rule after
+	// critical/rowhit, say, yields the paper-style "refresh when the bank
+	// has no urgent work" policy; stacks without the rule never see a
+	// refresh candidate (the engine then refreshes only idle banks and at
+	// forced deadlines).
+	{"refresh", func(c Cand) uint64 { return flag(c.IsRefresh) }},
+	// The §6.5 shortest-job ranking stage: among critical requests, cores
+	// with fewer outstanding critical requests first. A non-critical
+	// request competes with rank 0, matching the paper's rule table
+	// (ranking applies to critical requests only). Flipping the sign bit
+	// maps signed order onto unsigned order.
+	{"rank", func(c Cand) uint64 {
+		if !c.Critical {
+			return 1 << 63
+		}
+		return uint64(int64(c.Rank)) ^ 1<<63
+	}},
+	// The final oldest-first tiebreak. Sequence numbers are unique per
+	// controller, so this rule is always decisive.
+	{"fcfs", func(c Cand) uint64 { return ^c.Seq }},
 }
 
-// fcfsRule is the final oldest-first tiebreak. Sequence numbers are unique
-// per controller, so this rule is always decisive.
-type fcfsRule struct{}
-
-func (fcfsRule) Name() string { return "fcfs" }
-func (fcfsRule) Compare(a, b Cand) int {
-	switch {
-	case a.Seq == b.Seq:
-		return 0
-	case a.Seq < b.Seq:
-		return 1
-	default:
-		return -1
+// lookup returns the vocabulary row named name.
+func lookup(name string) (rule, bool) {
+	for _, r := range rules {
+		if r.name == name {
+			return r, true
+		}
 	}
-}
-
-// ruleByName is the rule vocabulary Parse accepts.
-var ruleByName = map[string]Rule{
-	"critical":      criticalRule{},
-	"rowhit":        rowHitRule{},
-	"urgent":        urgentRule{},
-	"demandfirst":   demandFirstRule{},
-	"prefetchfirst": prefetchFirstRule{},
-	"refresh":       refreshRule{},
-	"rank":          rankRule{},
-	"fcfs":          fcfsRule{},
+	return rule{}, false
 }
 
 // RuleNames returns the accepted rule vocabulary, sorted.
 func RuleNames() []string {
-	out := make([]string, 0, len(ruleByName))
-	for n := range ruleByName {
-		out = append(out, n)
+	out := make([]string, len(rules))
+	for i, r := range rules {
+		out[i] = r.name
 	}
 	sort.Strings(out)
 	return out
@@ -183,18 +133,19 @@ var aliases = map[string]string{
 	"aps-rank":          "critical,rowhit,urgent,rank,fcfs",
 }
 
-// Stack is an ordered chain of priority rules; earlier rules dominate.
-// The zero Stack is invalid — build one with Parse or MustParse.
+// Stack is an ordered chain of priority rules; earlier rules dominate,
+// and the last rule is always fcfs. The zero Stack is invalid — build one
+// with Parse or MustParse.
 type Stack struct {
-	spec  string // canonical "rules:..." form
-	rules []Rule
+	spec  string // canonical "rules:..." form, as listed
+	rules []rule // as listed, then fcfs when the list lacks it
 }
 
 // Parse builds a Stack from a policy string: either a legacy alias
 // (demand-pref-equal, equal, demand-first, prefetch-first, aps, aps-rank)
 // or an explicit "rules:" list such as "rules:critical,rowhit,urgent,fcfs".
 // Unknown names, empty lists, duplicate rules and rules listed after the
-// always-decisive fcfs are rejected.
+// always-decisive fcfs are rejected. A list without fcfs gets it appended.
 func Parse(policy string) (Stack, error) {
 	list, ok := aliases[policy]
 	if !ok {
@@ -206,14 +157,14 @@ func Parse(policy string) (Stack, error) {
 		list = strings.TrimPrefix(policy, Prefix)
 	}
 	parts := strings.Split(list, ",")
-	s := Stack{rules: make([]Rule, 0, len(parts))}
+	s := Stack{rules: make([]rule, 0, len(parts)+1)}
 	seen := map[string]bool{}
 	for _, p := range parts {
 		name := strings.TrimSpace(p)
 		if name == "" {
 			return Stack{}, fmt.Errorf("sched: empty rule name in %q", policy)
 		}
-		r, ok := ruleByName[name]
+		r, ok := lookup(name)
 		if !ok {
 			return Stack{}, fmt.Errorf("sched: unknown rule %q (known: %s)", name, strings.Join(RuleNames(), ", "))
 		}
@@ -229,11 +180,11 @@ func Parse(policy string) (Stack, error) {
 	if len(s.rules) == 0 {
 		return Stack{}, fmt.Errorf("sched: empty rule stack %q", policy)
 	}
-	names := make([]string, len(s.rules))
-	for i, r := range s.rules {
-		names[i] = r.Name()
+	s.spec = Prefix + strings.Join(s.Names(), ",")
+	if !seen["fcfs"] {
+		fcfs, _ := lookup("fcfs")
+		s.rules = append(s.rules, fcfs)
 	}
-	s.spec = Prefix + strings.Join(names, ",")
 	return s, nil
 }
 
@@ -256,44 +207,39 @@ func AliasNames() []string {
 	return out
 }
 
-// String returns the canonical "rules:..." spelling of the stack.
+// String returns the canonical "rules:..." spelling of the stack, as
+// listed (an appended fcfs is not spelled out).
 func (s Stack) String() string { return s.spec }
 
-// Rules returns the chain in priority order. Callers must not mutate it.
-func (s Stack) Rules() []Rule { return s.rules }
+// Names returns the rule names in priority order, ending in fcfs.
+func (s Stack) Names() []string {
+	out := make([]string, len(s.rules))
+	for i, r := range s.rules {
+		out[i] = r.name
+	}
+	return out
+}
 
 // Uses reports whether the stack contains the named rule; the controller
 // consults it to skip maintaining inputs no rule reads.
 func (s Stack) Uses(name string) bool {
 	for _, r := range s.rules {
-		if r.Name() == name {
+		if r.name == name {
 			return true
 		}
 	}
 	return false
 }
 
-// ImplicitFCFS is the decider index Better returns when no rule in the
-// stack had an opinion and the admission-order tiebreak decided.
-const ImplicitFCFS = -1
-
 // Better reports whether a should be scheduled before b, and which rule
-// decided: the index into Rules, or ImplicitFCFS for the trailing
-// admission-order tiebreak every stack falls back to. Sequence numbers are
-// unique, so the result is a strict total order regardless of scan order.
+// decided: the index into Names of the first rule whose keys differ.
+// Sequence numbers are unique and fcfs is always last, so for distinct
+// candidates the result is a strict total order regardless of scan order.
 func (s Stack) Better(a, b Cand) (better bool, decider int) {
 	for i, r := range s.rules {
-		if d := r.Compare(a, b); d != 0 {
-			return d > 0, i
+		if ka, kb := r.key(a), r.key(b); ka != kb {
+			return ka > kb, i
 		}
 	}
-	return a.Seq < b.Seq, ImplicitFCFS
-}
-
-// DeciderName names a decider index returned by Better.
-func (s Stack) DeciderName(i int) string {
-	if i >= 0 && i < len(s.rules) {
-		return s.rules[i].Name()
-	}
-	return "fcfs"
+	return false, len(s.rules) - 1
 }

@@ -66,6 +66,23 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// compareKeys orders a and b by rule name's key alone: 1 when a
+// schedules first, -1 when b does, 0 when the rule leaves it to the next.
+func compareKeys(t *testing.T, name string, a, b Cand) int {
+	t.Helper()
+	r, ok := lookup(name)
+	if !ok {
+		t.Fatalf("rule %q not in the vocabulary", name)
+	}
+	switch ka, kb := r.key(a), r.key(b); {
+	case ka > kb:
+		return 1
+	case ka < kb:
+		return -1
+	}
+	return 0
+}
+
 func TestRuleSemantics(t *testing.T) {
 	// Each rule orders its attribute and abstains otherwise.
 	cases := []struct {
@@ -92,9 +109,8 @@ func TestRuleSemantics(t *testing.T) {
 		{"rank", Cand{Critical: true, Rank: -2}, Cand{Critical: true, Rank: -2}, 0},
 	}
 	for _, c := range cases {
-		r := ruleByName[c.rule]
-		if got := r.Compare(c.a, c.b); got != c.want {
-			t.Errorf("%s.Compare(%+v, %+v) = %d, want %d", c.rule, c.a, c.b, got, c.want)
+		if got := compareKeys(t, c.rule, c.a, c.b); got != c.want {
+			t.Errorf("%s keys order %+v vs %+v as %d, want %d", c.rule, c.a, c.b, got, c.want)
 		}
 	}
 }
@@ -104,27 +120,35 @@ func TestStackBetterOrderAndDecider(t *testing.T) {
 	// Criticality dominates row-hit status.
 	crit := Cand{Seq: 2, Critical: true}
 	hit := Cand{Seq: 1, Hit: true}
-	if better, by := s.Better(crit, hit); !better || s.DeciderName(by) != "critical" {
-		t.Errorf("critical should dominate: better=%v by=%s", better, s.DeciderName(by))
+	if better, by := s.Better(crit, hit); !better || s.Names()[by] != "critical" {
+		t.Errorf("critical should dominate: better=%v by=%s", better, s.Names()[by])
 	}
 	// Fully tied candidates fall to the explicit fcfs rule.
 	a := Cand{Seq: 1, Critical: true}
 	b := Cand{Seq: 2, Critical: true}
-	if better, by := s.Better(a, b); !better || s.DeciderName(by) != "fcfs" {
-		t.Errorf("fcfs tiebreak: better=%v by=%s", better, s.DeciderName(by))
+	if better, by := s.Better(a, b); !better || s.Names()[by] != "fcfs" {
+		t.Errorf("fcfs tiebreak: better=%v by=%s", better, s.Names()[by])
 	}
 	if better, _ := s.Better(b, a); better {
 		t.Error("younger request won the fcfs tiebreak")
 	}
 }
 
+// TestImplicitFCFSFallback checks that a stack without fcfs gets the fcfs
+// row appended, decides ties there, and still spells itself as listed.
 func TestImplicitFCFSFallback(t *testing.T) {
 	s := MustParse("rules:rowhit") // no explicit fcfs
+	if got := strings.Join(s.Names(), ","); got != "rowhit,fcfs" {
+		t.Errorf("Names = %s, want rowhit,fcfs", got)
+	}
+	if s.String() != "rules:rowhit" {
+		t.Errorf("String = %q, want the spelling as listed", s)
+	}
 	a := Cand{Seq: 1}
 	b := Cand{Seq: 2}
 	better, by := s.Better(a, b)
-	if !better || by != ImplicitFCFS || s.DeciderName(by) != "fcfs" {
-		t.Errorf("implicit fallback: better=%v by=%d name=%s", better, by, s.DeciderName(by))
+	if !better || by != 1 || s.Names()[by] != "fcfs" {
+		t.Errorf("implicit fallback: better=%v by=%d name=%s", better, by, s.Names()[by])
 	}
 }
 
@@ -184,8 +208,8 @@ func TestRefreshRuleOrdering(t *testing.T) {
 	if !better {
 		t.Error("refresh must beat a plain request below it in the stack")
 	}
-	if s.DeciderName(by) != "refresh" {
-		t.Errorf("decider = %s, want refresh", s.DeciderName(by))
+	if s.Names()[by] != "refresh" {
+		t.Errorf("decider = %s, want refresh", s.Names()[by])
 	}
 	// Stacks without the rule never prefer the pseudo-candidate: its Seq
 	// is the maximum, so even the FCFS fallback rejects it.
