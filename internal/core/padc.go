@@ -16,9 +16,11 @@ import (
 	"padc/internal/telemetry"
 )
 
-// Config holds the PADC knobs. Zero values fall back to the paper's
-// evaluation settings: 85% promotion threshold, 100K-cycle accuracy
-// interval, and the Table 6 drop-threshold ladder.
+// Config holds the PADC knobs, taken as written: DefaultConfig holds the
+// paper's evaluation settings (85% promotion threshold, 100K-cycle
+// accuracy interval, the Table 6 drop-threshold ladder). Any promotion
+// threshold is valid; at 0 or below every measured accuracy is critical,
+// above 1 none is.
 type Config struct {
 	PromotionThreshold float64
 	IntervalCycles     uint64
@@ -61,18 +63,16 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c Config) withDefaults() Config {
-	def := DefaultConfig()
-	if c.PromotionThreshold == 0 {
-		c.PromotionThreshold = def.PromotionThreshold
-	}
+// Validate reports a config the adaptive machinery cannot run: a zero
+// accuracy interval, or APD on with no drop-threshold levels.
+func (c Config) Validate() error {
 	if c.IntervalCycles == 0 {
-		c.IntervalCycles = def.IntervalCycles
+		return fmt.Errorf("core: IntervalCycles must be positive")
 	}
-	if c.DropLadder == nil {
-		c.DropLadder = def.DropLadder
+	if c.EnableAPD && len(c.DropLadder) == 0 {
+		return fmt.Errorf("core: APD needs at least one DropLadder level")
 	}
-	return c
+	return nil
 }
 
 // coreMeter is one (domain, core) accuracy state: the PSC/PUC counters of
@@ -113,7 +113,7 @@ func NewTiered(domains []string, ncores int, cfg Config) *PADC {
 		domains = []string{""}
 	}
 	p := &PADC{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		domains: append([]string(nil), domains...),
 		meters:  make([][]coreMeter, len(domains)),
 	}

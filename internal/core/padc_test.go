@@ -6,7 +6,7 @@ import (
 )
 
 func TestAccuracyMetering(t *testing.T) {
-	p := New(2, Config{EnableAPS: true, EnableAPD: true, EnableUrgency: true})
+	p := New(2, DefaultConfig())
 	// Optimistic before any measurement.
 	if !p.PrefetchCritical(0) {
 		t.Fatal("cold PAR should be optimistic")
@@ -34,7 +34,7 @@ func TestAccuracyMetering(t *testing.T) {
 }
 
 func TestIntervalResetAndRetention(t *testing.T) {
-	p := New(1, Config{EnableAPS: true})
+	p := New(1, DefaultConfig())
 	p.NoteSent(0, 0)
 	p.EndInterval()
 	if p.AccuracyIn(0, 0) != 0 {
@@ -48,7 +48,7 @@ func TestIntervalResetAndRetention(t *testing.T) {
 }
 
 func TestPARClamped(t *testing.T) {
-	p := New(1, Config{EnableAPS: true})
+	p := New(1, DefaultConfig())
 	p.NoteSent(0, 0)
 	// Cross-interval uses can push PUC above PSC; PAR must clamp at 1.
 	p.NoteUsed(0, 0)
@@ -90,7 +90,9 @@ func TestDropThresholdLadder(t *testing.T) {
 }
 
 func TestDisabledMechanisms(t *testing.T) {
-	p := New(1, Config{EnableAPS: false, EnableAPD: false})
+	cfg := DefaultConfig()
+	cfg.EnableAPS, cfg.EnableAPD, cfg.EnableUrgency = false, false, false
+	p := New(1, cfg)
 	if p.PrefetchCritical(0) {
 		t.Fatal("APS disabled should never promote")
 	}
@@ -99,6 +101,48 @@ func TestDisabledMechanisms(t *testing.T) {
 	}
 	if p.UrgencyEnabled() {
 		t.Fatal("urgency flag wrong")
+	}
+}
+
+// TestPromotionThresholdAsWritten pins that a threshold of 0 reaches the
+// meters unchanged: every core is critical, even one whose measured
+// accuracy is 0, and a threshold above 1 promotes none.
+func TestPromotionThresholdAsWritten(t *testing.T) {
+	for _, c := range []struct {
+		threshold float64
+		critical  bool
+	}{{0, true}, {-1, true}, {1.5, false}} {
+		cfg := DefaultConfig()
+		cfg.PromotionThreshold = c.threshold
+		p := New(1, cfg)
+		p.NoteSent(0, 0)
+		p.EndInterval()
+		if p.AccuracyIn(0, 0) != 0 {
+			t.Fatalf("0 used / 1 sent should give PAR 0, got %v", p.AccuracyIn(0, 0))
+		}
+		if got := p.PrefetchCritical(0); got != c.critical {
+			t.Errorf("threshold %v: a core at accuracy 0 is critical=%v, want %v", c.threshold, got, c.critical)
+		}
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config invalid: %v", err)
+	}
+	noInterval := DefaultConfig()
+	noInterval.IntervalCycles = 0
+	noLadder := DefaultConfig()
+	noLadder.DropLadder = nil
+	for name, c := range map[string]Config{"zero interval": noInterval, "APD without a ladder": noLadder} {
+		if c.Validate() == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// Without APD the ladder is never read.
+	noLadder.EnableAPD = false
+	if err := noLadder.Validate(); err != nil {
+		t.Errorf("APD off with no ladder rejected: %v", err)
 	}
 }
 

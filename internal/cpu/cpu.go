@@ -28,7 +28,11 @@
 // the current stamp without visiting them.
 package cpu
 
-import "padc/internal/trace"
+import (
+	"fmt"
+
+	"padc/internal/trace"
+)
 
 // CycleClass attributes one core cycle to the resource that bounded it.
 // The profiler classifies every cycle into exactly one class, so over any
@@ -85,16 +89,25 @@ func CycleClassNames() []string {
 // CycleAccount is a per-class cycle tally.
 type CycleAccount [NumCycleClasses]uint64
 
-// Config shapes a core. Zero values fall back to the paper's baseline
-// (Table 3): 256-entry ROB, 4-wide retire.
+// Config shapes a core, taken as written; DefaultConfig is the paper's
+// baseline (Table 3).
 type Config struct {
 	ROB      int
 	Width    int
 	Runahead bool
 }
 
-// DefaultConfig returns the paper's per-core baseline.
+// DefaultConfig returns the paper's per-core baseline: 256-entry ROB,
+// 4-wide retire.
 func DefaultConfig() Config { return Config{ROB: 256, Width: 4} }
+
+// Validate reports a core that cannot hold or retire an instruction.
+func (c Config) Validate() error {
+	if c.ROB < 1 || c.Width < 1 {
+		return fmt.Errorf("cpu: ROB (%d) and Width (%d) must be at least 1", c.ROB, c.Width)
+	}
+	return nil
+}
 
 // LoadResult is the memory hierarchy's immediate answer to a load.
 type LoadResult struct {
@@ -248,15 +261,8 @@ func (c *Core) classifyCycle() CycleClass {
 	return CycleCompute
 }
 
-// New builds a core executing gen against mem.
+// New builds a core executing gen against mem; cfg must pass Validate.
 func New(id int, cfg Config, gen trace.Gen, mem Memory) *Core {
-	def := DefaultConfig()
-	if cfg.ROB == 0 {
-		cfg.ROB = def.ROB
-	}
-	if cfg.Width == 0 {
-		cfg.Width = def.Width
-	}
 	c := &Core{ID: id, cfg: cfg, gen: gen, mem: mem, buf: make([]robEntry, cfg.ROB), next: make([]int32, cfg.ROB)}
 	c.stamper, _ = mem.(Stamper)
 	c.clearDeferred()

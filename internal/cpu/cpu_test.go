@@ -56,6 +56,17 @@ func run(c *Core, cycles uint64) {
 	}
 }
 
+func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config invalid: %v", err)
+	}
+	for _, c := range []Config{{Width: 4}, {ROB: 256}, {ROB: -1, Width: 4}} {
+		if c.Validate() == nil {
+			t.Errorf("%+v accepted", c)
+		}
+	}
+}
+
 func TestRetireWidth(t *testing.T) {
 	// Pure compute: IPC approaches the width.
 	g := trace.Gen{Pattern: pattern{}, MemEvery: 1 << 60}
@@ -135,8 +146,6 @@ func TestDependentLoadWaitsForProducer(t *testing.T) {
 		}
 	}
 	c.Complete(0, 50) // seq 0 = instruction 0 = the producer
-	run2 := New(0, Config{}, g, m)
-	_ = run2
 	for now := uint64(51); now <= 80; now++ {
 		c.Tick(now)
 	}

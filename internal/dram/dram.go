@@ -90,17 +90,9 @@ type Config struct {
 	Refresh refresh.Config
 }
 
-// EffectiveTickEvery resolves the controller scheduling period: the
-// historical default of one decision per DRAM bus cycle when TickEvery is
-// left zero. Everything that quantizes cycles onto the controller grid
-// (the sim loop, the event kernel, refresh delta accounting) must use
-// this resolved value.
-func (c Config) EffectiveTickEvery() uint64 {
-	if c.TickEvery == 0 {
-		return 4
-	}
-	return c.TickEvery
-}
+// EffectiveTickEvery returns the controller scheduling period, TickEvery
+// as written; Validate rejects 0.
+func (c Config) EffectiveTickEvery() uint64 { return c.TickEvery }
 
 // DefaultConfig is the paper's baseline: one channel, 8 banks, 4KB rows,
 // 64B lines, open-row policy.
@@ -128,6 +120,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dram: row size %d not a multiple of line size %d", c.RowBytes, c.LineBytes)
 	case c.Channels&(c.Channels-1) != 0:
 		return fmt.Errorf("dram: channels must be a power of two, got %d", c.Channels)
+	case c.TickEvery == 0:
+		return fmt.Errorf("dram: TickEvery must be positive")
 	case c.Page < OpenPage || c.Page > AdaptivePage:
 		return fmt.Errorf("dram: unknown page policy %d", int(c.Page))
 	}

@@ -5,7 +5,7 @@
 // prefetch dropping, form the Prefetch-Aware DRAM Controller.
 //
 // Scheduling itself is delegated to the composable rule kernel in
-// internal/memctrl/sched: every policy — the legacy enum values and
+// internal/memctrl/sched: every policy — the named enum values and
 // arbitrary "rules:" stacks — is an ordered chain of small priority rules
 // arbitrating per-bank request buckets. The controller maintains the
 // rules' inputs incrementally (per-(bank,row) waiting counts for the
@@ -27,10 +27,10 @@ import (
 	"padc/internal/telemetry/flight"
 )
 
-// Policy selects the scheduling priority order. The enum values are the
-// paper's named policies, kept as aliases for the rule stacks they expand
-// to (see Stack); custom orderings come in through NewStack / sim.Config's
-// Rules string instead of new enum values.
+// Policy selects one of the paper's named scheduling policies. Each value
+// is a row of policyTable: a name and the rule stack it schedules by.
+// Custom orderings come in through NewStack / sim.Config's Rules string
+// instead of new enum values.
 type Policy int
 
 const (
@@ -51,36 +51,42 @@ const (
 	APSRank
 )
 
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case DemandPrefEqual:
-		return "demand-pref-equal"
-	case DemandFirst:
-		return "demand-first"
-	case PrefetchFirst:
-		return "prefetch-first"
-	case APS:
-		return "aps"
-	case APSRank:
-		return "aps-rank"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
+// policyTable names each Policy and spells the rule stack it schedules by
+// (DESIGN.md maps each onto the paper's §5.1/§6.5 priority tables).
+var policyTable = [...]struct{ name, rules string }{
+	DemandPrefEqual: {"demand-pref-equal", "rules:rowhit,fcfs"},
+	DemandFirst:     {"demand-first", "rules:demandfirst,rowhit,fcfs"},
+	PrefetchFirst:   {"prefetch-first", "rules:prefetchfirst,rowhit,fcfs"},
+	APS:             {"aps", "rules:critical,rowhit,urgent,fcfs"},
+	APSRank:         {"aps-rank", "rules:critical,rowhit,urgent,rank,fcfs"},
 }
 
-// Stack returns the rule stack the legacy policy name aliases.
-func (p Policy) Stack() sched.Stack { return sched.MustParse(p.String()) }
+// known reports whether p is one of the Policy constants.
+func (p Policy) known() bool { return p >= 0 && int(p) < len(policyTable) }
+
+// String implements fmt.Stringer.
+func (p Policy) String() string {
+	if !p.known() {
+		return fmt.Sprintf("Policy(%d)", int(p))
+	}
+	return policyTable[p].name
+}
+
+// Stack returns the rule stack the policy schedules by; p must be one of
+// the Policy constants.
+func (p Policy) Stack() sched.Stack { return sched.MustParse(policyTable[p].rules) }
 
 // ResolveStack maps the configuration surface onto a scheduling stack:
-// rules, when non-empty, is parsed (legacy aliases or a "rules:" list) and
-// wins; otherwise the enum policy's canonical stack is used. An
-// out-of-range policy is an error.
+// rules, when non-empty, is parsed as a "rules:" list and wins; otherwise
+// the enum policy's stack is used. An out-of-range policy is an error.
 func ResolveStack(p Policy, rules string) (sched.Stack, error) {
-	if rules == "" {
-		rules = p.String()
+	if rules != "" {
+		return sched.Parse(rules)
 	}
-	return sched.Parse(rules)
+	if !p.known() {
+		return sched.Stack{}, fmt.Errorf("memctrl: unknown policy %v", p)
+	}
+	return p.Stack(), nil
 }
 
 // Request is one entry of the memory request buffer.
@@ -217,14 +223,14 @@ type Controller struct {
 }
 
 // New builds a controller over channel with the given buffer capacity,
-// running the named legacy policy's rule stack. state may be nil for
+// running the named policy's rule stack. state may be nil for
 // rigid policies.
 func New(policy Policy, channel *dram.Channel, capacity int, state CoreState) *Controller {
 	return NewStack(policy.Stack(), channel, capacity, state)
 }
 
 // NewStack builds a controller scheduling with an explicit rule stack
-// (sched.Parse accepts legacy aliases and "rules:" lists). state may be
+// (a Policy's Stack, or a "rules:" list sched.Parse accepts). state may be
 // nil when no rule in the stack consults core accuracy.
 func NewStack(stack sched.Stack, channel *dram.Channel, capacity int, state CoreState) *Controller {
 	n := max(capacity, 0)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"padc/internal/dram"
+	"padc/internal/memctrl/sched"
 	"padc/internal/telemetry"
 )
 
@@ -27,6 +28,75 @@ func req(core int, line uint64, row uint64, prefetch bool) *Request {
 		Core: core, Line: line,
 		Addr:     dram.Address{Bank: 0, Row: row},
 		Prefetch: prefetch, WasPref: prefetch,
+	}
+}
+
+// TestPolicyStacks pins each named policy's rule stack, the spelling
+// -dump-config's rule_stack and rule-win names print, and ResolveStack's
+// choice between the enum and a rules: list.
+func TestPolicyStacks(t *testing.T) {
+	want := map[Policy]string{
+		DemandPrefEqual: "rules:rowhit,fcfs",
+		DemandFirst:     "rules:demandfirst,rowhit,fcfs",
+		PrefetchFirst:   "rules:prefetchfirst,rowhit,fcfs",
+		APS:             "rules:critical,rowhit,urgent,fcfs",
+		APSRank:         "rules:critical,rowhit,urgent,rank,fcfs",
+	}
+	if len(want) != len(policyTable) {
+		t.Fatalf("%d policies pinned, the table has %d", len(want), len(policyTable))
+	}
+	for p, canon := range want {
+		if got := p.Stack().String(); got != canon {
+			t.Errorf("%v.Stack() = %q, want %q", p, got, canon)
+		}
+		if s, err := ResolveStack(p, ""); err != nil || s.String() != canon {
+			t.Errorf("ResolveStack(%v, \"\") = %q, %v", p, s, err)
+		}
+		if s, err := ResolveStack(p, "rules:rowhit"); err != nil || s.String() != "rules:rowhit" {
+			t.Errorf("ResolveStack(%v, rules:rowhit) = %q, %v", p, s, err)
+		}
+	}
+	for _, bad := range []Policy{-1, APSRank + 1} {
+		if _, err := ResolveStack(bad, ""); err == nil {
+			t.Errorf("ResolveStack(%v) accepted", bad)
+		}
+	}
+}
+
+// TestPolicyStacksAreStrictTotalOrders checks antisymmetry of every named
+// policy's stack over a candidate cross product: exactly one of
+// Better(a,b) / Better(b,a) holds for a != b.
+func TestPolicyStacksAreStrictTotalOrders(t *testing.T) {
+	var cands []sched.Cand
+	seq := uint64(0)
+	for _, crit := range []bool{false, true} {
+		for _, hit := range []bool{false, true} {
+			for _, urg := range []bool{false, true} {
+				for _, pref := range []bool{false, true} {
+					for _, rank := range []int{-2, 0} {
+						cands = append(cands, sched.Cand{
+							Seq: seq, Critical: crit, Hit: hit, Urgent: urg, Pref: pref, Rank: rank,
+						})
+						seq++
+					}
+				}
+			}
+		}
+	}
+	for p := range Policy(len(policyTable)) {
+		s := p.Stack()
+		for i, a := range cands {
+			for j, b := range cands {
+				if i == j {
+					continue
+				}
+				ab, _ := s.Better(a, b)
+				ba, _ := s.Better(b, a)
+				if ab == ba {
+					t.Fatalf("%v: Better not antisymmetric for %+v vs %+v (both %v)", p, a, b, ab)
+				}
+			}
+		}
 	}
 }
 

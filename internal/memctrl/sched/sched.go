@@ -122,17 +122,6 @@ func RuleNames() []string {
 // (sim config, sweep specs, the -policy flag): "rules:critical,rowhit,fcfs".
 const Prefix = "rules:"
 
-// aliases maps the legacy policy names onto their canonical rule lists
-// (DESIGN.md maps each onto the paper's §5.1/§6.5 priority tables).
-var aliases = map[string]string{
-	"demand-pref-equal": "rowhit,fcfs",
-	"equal":             "rowhit,fcfs",
-	"demand-first":      "demandfirst,rowhit,fcfs",
-	"prefetch-first":    "prefetchfirst,rowhit,fcfs",
-	"aps":               "critical,rowhit,urgent,fcfs",
-	"aps-rank":          "critical,rowhit,urgent,rank,fcfs",
-}
-
 // Stack is an ordered chain of priority rules; earlier rules dominate,
 // and the last rule is always fcfs. The zero Stack is invalid — build one
 // with Parse or MustParse.
@@ -141,20 +130,15 @@ type Stack struct {
 	rules []rule // as listed, then fcfs when the list lacks it
 }
 
-// Parse builds a Stack from a policy string: either a legacy alias
-// (demand-pref-equal, equal, demand-first, prefetch-first, aps, aps-rank)
-// or an explicit "rules:" list such as "rules:critical,rowhit,urgent,fcfs".
-// Unknown names, empty lists, duplicate rules and rules listed after the
+// Parse builds a Stack from a "rules:" list such as
+// "rules:critical,rowhit,urgent,fcfs". Other prefixes, unknown names,
+// empty elements, duplicate rules and rules listed after the
 // always-decisive fcfs are rejected. A list without fcfs gets it appended.
 func Parse(policy string) (Stack, error) {
-	list, ok := aliases[policy]
+	list, ok := strings.CutPrefix(policy, Prefix)
 	if !ok {
-		if !strings.HasPrefix(policy, Prefix) {
-			return Stack{}, fmt.Errorf(
-				"sched: unknown policy %q (aliases: %s; or %s<list> over %s)",
-				policy, strings.Join(AliasNames(), ", "), Prefix, strings.Join(RuleNames(), ", "))
-		}
-		list = strings.TrimPrefix(policy, Prefix)
+		return Stack{}, fmt.Errorf("sched: policy %q is not a %s<list> stack over %s",
+			policy, Prefix, strings.Join(RuleNames(), ", "))
 	}
 	parts := strings.Split(list, ",")
 	s := Stack{rules: make([]rule, 0, len(parts)+1)}
@@ -177,9 +161,6 @@ func Parse(policy string) (Stack, error) {
 		seen[name] = true
 		s.rules = append(s.rules, r)
 	}
-	if len(s.rules) == 0 {
-		return Stack{}, fmt.Errorf("sched: empty rule stack %q", policy)
-	}
 	s.spec = Prefix + strings.Join(s.Names(), ",")
 	if !seen["fcfs"] {
 		fcfs, _ := lookup("fcfs")
@@ -188,23 +169,13 @@ func Parse(policy string) (Stack, error) {
 	return s, nil
 }
 
-// MustParse is Parse for statically-known policies; it panics on error.
+// MustParse is Parse for statically-known stacks; it panics on error.
 func MustParse(policy string) Stack {
 	s, err := Parse(policy)
 	if err != nil {
 		panic(err)
 	}
 	return s
-}
-
-// AliasNames returns the accepted legacy policy aliases, sorted.
-func AliasNames() []string {
-	out := make([]string, 0, len(aliases))
-	for n := range aliases {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // String returns the canonical "rules:..." spelling of the stack, as

@@ -5,26 +5,6 @@ import (
 	"testing"
 )
 
-func TestParseAliases(t *testing.T) {
-	want := map[string]string{
-		"demand-pref-equal": "rules:rowhit,fcfs",
-		"equal":             "rules:rowhit,fcfs",
-		"demand-first":      "rules:demandfirst,rowhit,fcfs",
-		"prefetch-first":    "rules:prefetchfirst,rowhit,fcfs",
-		"aps":               "rules:critical,rowhit,urgent,fcfs",
-		"aps-rank":          "rules:critical,rowhit,urgent,rank,fcfs",
-	}
-	for alias, canon := range want {
-		s, err := Parse(alias)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", alias, err)
-		}
-		if s.String() != canon {
-			t.Errorf("Parse(%q) = %q, want %q", alias, s, canon)
-		}
-	}
-}
-
 func TestParseRulesString(t *testing.T) {
 	s, err := Parse("rules:critical, rowhit ,urgent,fcfs")
 	if err != nil {
@@ -47,6 +27,7 @@ func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
 		"",                      // unknown
 		"padc",                  // APD is not a scheduling rule
+		"aps",                   // a policy name, not a rules: list
 		"rules:",                // empty list
 		"rules:frobnicate",      // unknown rule
 		"rules:rowhit,rowhit",   // duplicate
@@ -116,7 +97,7 @@ func TestRuleSemantics(t *testing.T) {
 }
 
 func TestStackBetterOrderAndDecider(t *testing.T) {
-	s := MustParse("aps")
+	s := MustParse("rules:critical,rowhit,urgent,fcfs")
 	// Criticality dominates row-hit status.
 	crit := Cand{Seq: 2, Critical: true}
 	hit := Cand{Seq: 1, Hit: true}
@@ -154,6 +135,8 @@ func TestImplicitFCFSFallback(t *testing.T) {
 
 // TestStackIsStrictTotalOrder checks antisymmetry over a candidate cross
 // product: exactly one of Better(a,b) / Better(b,a) holds for a != b.
+// memctrl's TestPolicyStacksAreStrictTotalOrders checks the named
+// policies' stacks the same way.
 func TestStackIsStrictTotalOrder(t *testing.T) {
 	var cands []Cand
 	seq := uint64(0)
@@ -171,18 +154,16 @@ func TestStackIsStrictTotalOrder(t *testing.T) {
 			}
 		}
 	}
-	for _, spec := range append(AliasNames(), "rules:rank,urgent,prefetchfirst") {
-		s := MustParse(spec)
-		for i, a := range cands {
-			for j, b := range cands {
-				if i == j {
-					continue
-				}
-				ab, _ := s.Better(a, b)
-				ba, _ := s.Better(b, a)
-				if ab == ba {
-					t.Fatalf("%s: Better not antisymmetric for %+v vs %+v (both %v)", spec, a, b, ab)
-				}
+	s := MustParse("rules:rank,urgent,prefetchfirst")
+	for i, a := range cands {
+		for j, b := range cands {
+			if i == j {
+				continue
+			}
+			ab, _ := s.Better(a, b)
+			ba, _ := s.Better(b, a)
+			if ab == ba {
+				t.Fatalf("%s: Better not antisymmetric for %+v vs %+v (both %v)", s, a, b, ab)
 			}
 		}
 	}

@@ -20,7 +20,7 @@ func FuzzMachine(f *testing.F) {
 	// Seeds: the paper's 2-core PADC; every optional feature on the
 	// stepped kernel; 8 cores over 4 channels; bogus names with no cores;
 	// non-power-of-two row buffer and L2.
-	f.Add(uint8(2), uint8(1), uint8(8), uint8(0), uint8(0), uint8(6), uint8(5), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0x10), uint8(1))
+	f.Add(uint8(2), uint8(1), uint8(8), uint8(6), uint8(4), uint8(6), uint8(5), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0x10), uint8(1))
 	f.Add(uint8(4), uint8(2), uint8(16), uint8(4), uint8(5), uint8(7), uint8(2), uint8(2), uint8(1), uint8(2), uint8(3), uint8(2), uint8(0x39), uint8(0x1f))
 	f.Add(uint8(8), uint8(4), uint8(4), uint8(2), uint8(4), uint8(3), uint8(3), uint8(3), uint8(2), uint8(3), uint8(2), uint8(1), uint8(200), uint8(0x0a))
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(9), uint8(7), uint8(4), uint8(3), uint8(4), uint8(4), uint8(3), uint8(0), uint8(0))
@@ -39,7 +39,7 @@ func FuzzMachine(f *testing.F) {
 	refreshModes := withEdges(refresh.ModeNames())
 	pages := withEdges(dram.PagePolicyNames())
 	kernels := withEdges(sim.KernelNames())
-	rowKBs := []uint64{0, 1, 2, 3, 8, 100}
+	rowKBs := []uint64{0, 1, 2, 3, 8, 100, 4}
 	l2KBs := []uint64{0, 3, 64, 100, 512, 1024}
 	benches := workload.Names()
 	pick := func(names []string, sel uint8) string { return names[int(sel)%len(names)] }

@@ -243,7 +243,7 @@ type Config struct {
 	BufferSlots int // memory request buffer entries per controller
 	Policy      memctrl.Policy
 	// Rules, when non-empty, overrides Policy with an explicit scheduling
-	// rule stack: a legacy alias ("aps") or a "rules:" list such as
+	// rule stack: a "rules:" list such as
 	// "rules:critical,rowhit,urgent,fcfs" (see internal/memctrl/sched).
 	// Priority-order ablations vary this string instead of adding enum
 	// values.
@@ -351,6 +351,12 @@ func (c Config) Validate() error {
 		return err
 	}
 	if err := c.DRAM.Validate(); err != nil {
+		return err
+	}
+	if err := c.Core.Validate(); err != nil {
+		return err
+	}
+	if err := c.PADC.Validate(); err != nil {
 		return err
 	}
 	if c.Topology != nil {

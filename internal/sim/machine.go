@@ -52,7 +52,7 @@ type Machine struct {
 	MemSide bool `json:"memside"`
 
 	Channels    int    `json:"channels"`      // independent memory controllers
-	Banks       int    `json:"banks"`         // banks per channel (0 = the default of 8)
+	Banks       int    `json:"banks"`         // banks per channel
 	RowBufferKB uint64 `json:"row_buffer_kb"` // DRAM row-buffer size per bank
 
 	// Topology selects the memory wiring: "" or "flat" (default, one
@@ -156,18 +156,10 @@ func (m Machine) Config() (Config, error) {
 	cfg.PADC.EnableUrgency = m.Urgency
 	cfg.MemSide = m.MemSide
 
-	if m.Channels > 0 {
-		cfg.DRAM.Channels = m.Channels
-	}
-	if m.Banks > 0 {
-		cfg.DRAM.Banks = m.Banks
-	}
-	if m.RowBufferKB > 0 {
-		cfg.DRAM.RowBytes = m.RowBufferKB << 10
-	}
-	if m.L2KB > 0 {
-		cfg.L2.Bytes = m.L2KB << 10
-	}
+	cfg.DRAM.Channels = m.Channels
+	cfg.DRAM.Banks = m.Banks
+	cfg.DRAM.RowBytes = m.RowBufferKB << 10
+	cfg.L2.Bytes = m.L2KB << 10
 	cfg.SharedL2 = m.SharedL2
 	if m.SharedL2 {
 		cfg.L2.Ways = 4 * m.Cores
@@ -184,9 +176,7 @@ func (m Machine) Config() (Config, error) {
 	if cfg.Topology, err = topology.Resolve(strings.TrimSpace(m.Topology), cfg.DRAM.Channels); err != nil {
 		return Config{}, err
 	}
-	if m.TargetInsts > 0 {
-		cfg.TargetInsts = m.TargetInsts
-	}
+	cfg.TargetInsts = m.TargetInsts
 	if cfg.Kernel, err = ParseKernel(m.Kernel); err != nil {
 		return Config{}, err
 	}

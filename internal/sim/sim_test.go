@@ -42,12 +42,40 @@ func TestValidation(t *testing.T) {
 		func(c *Config) { c.TargetInsts = 0 },
 		func(c *Config) { c.L2.Ways = 0 },
 		func(c *Config) { c.DRAM.Banks = 3 },
+		func(c *Config) { c.DRAM.TickEvery = 0 },
+		func(c *Config) { c.Core.ROB = 0 },
+		func(c *Config) { c.Core.Width = 0 },
+		func(c *Config) { c.PADC.IntervalCycles = 0 },
+		func(c *Config) { c.PADC.DropLadder = nil },
 	}
 	for i, mod := range bad {
 		cfg := quickCfg(1, "swim")
 		mod(&cfg)
 		if _, err := New(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// TestMachineZeroIsAValue: a Machine size written as 0 lowers as 0 and
+// is rejected, never run at the baseline's size.
+func TestMachineZeroIsAValue(t *testing.T) {
+	for name, mod := range map[string]func(*Machine){
+		"channels":      func(m *Machine) { m.Channels = 0 },
+		"banks":         func(m *Machine) { m.Banks = 0 },
+		"row_buffer_kb": func(m *Machine) { m.RowBufferKB = 0 },
+		"l2_kb":         func(m *Machine) { m.L2KB = 0 },
+		"target_insts":  func(m *Machine) { m.TargetInsts = 0 },
+	} {
+		m := DefaultMachine(1)
+		mod(&m)
+		cfg, err := m.Config()
+		if err != nil {
+			continue
+		}
+		cfg.Workload = []workload.Profile{workload.MustByName("swim")}
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("%s = 0 ran", name)
 		}
 	}
 }

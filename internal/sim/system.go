@@ -245,12 +245,12 @@ func New(cfg Config) (*System, error) {
 			s.ctrlLink[gi] = dom.LinkCycles
 			if dc.Refresh.Enabled() {
 				eng := refresh.NewEngine(dc.Refresh, dc.Banks)
-				// The run loop ticks controllers every EffectiveTickEvery
-				// cycles while they have work, so each Advance normally covers
+				// The run loop ticks controllers every TickEvery cycles
+				// while they have work, so each Advance normally covers
 				// exactly one tick period. The event kernel may skip across
 				// provably-idle gaps; capping the delta at the period keeps the
 				// first post-gap blocked-cycle charge identical to stepping.
-				eng.CapDelta(dc.EffectiveTickEvery())
+				eng.CapDelta(dc.TickEvery)
 				s.ctrls[gi].AttachRefresh(eng)
 			}
 			if cfg.Flight != nil {
@@ -992,7 +992,7 @@ func (s *System) Run() (stats.Results, error) {
 	cfg := s.cfg
 	s.runMax = cfg.maxCycles()
 	interval := s.padc.IntervalCycles()
-	s.dramEvery = cfg.DRAM.EffectiveTickEvery()
+	s.dramEvery = cfg.DRAM.TickEvery
 	s.apdActive = cfg.PADC.EnableAPD && (cfg.Prefetcher != PFNone || cfg.MemSide)
 	events := cfg.Kernel == KernelEvents
 
