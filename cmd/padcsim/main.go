@@ -65,6 +65,7 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"slices"
 	"strings"
 
 	"padc"
@@ -80,7 +81,8 @@ import (
 
 func main() {
 	var (
-		list    = flag.Bool("list", false, "list benchmarks and experiment ids")
+		// -list and -dump-config are read through chosenMode only.
+		_       = flag.Bool("list", false, "list benchmarks and experiment ids")
 		expID   = flag.String("exp", "", "experiment id (fig1, fig16, tab8, ...) or 'all'")
 		full    = flag.Bool("full", false, "paper-scale workload counts (slow)")
 		bench   = flag.String("bench", "", "comma-separated benchmark names, one per core")
@@ -94,8 +96,7 @@ func main() {
 		refreshMode = flag.String("refresh", "off", "DRAM refresh mode: "+strings.Join(refresh.ModeNames(), "|"))
 		pagePolicy  = flag.String("page", "open", "row-buffer management: "+strings.Join(dram.PagePolicyNames(), "|"))
 		topoSpec    = flag.String("topology", "", "memory topology: a preset name ("+strings.Join(padc.TopologyNames(), "|")+"), a JSON topology file, or inline JSON")
-		kernel      = flag.String("kernel", "events", "simulation kernel: "+strings.Join(sim.KernelNames(), "|")+" (events skips inert cycles; stepped is the cycle-by-cycle reference)")
-		dumpConfig  = flag.Bool("dump-config", false, "print the resolved machine configuration as JSON and exit")
+		_           = flag.Bool("dump-config", false, "print the resolved machine configuration as JSON and exit")
 
 		metricsOut = flag.String("metrics", "", "write the epoch metric time series as CSV to this file")
 		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON to this file")
@@ -116,12 +117,23 @@ func main() {
 		sweepJSON   = flag.String("sweep-json", "", "with -sweep: write the merged sweep as JSON to this file")
 	)
 	flag.Parse()
+	var set []string
+	flag.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	mode := chosenMode()
+	if mode == "" {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if name := unreadFlag(mode, set); name != "" {
+		fmt.Fprintf(os.Stderr, "padcsim: -%s has no effect with -%s\n", name, mode)
+		os.Exit(2)
+	}
 	if *jobs > 0 {
 		padc.SetJobs(*jobs)
 	}
 
-	switch {
-	case *list:
+	switch mode {
+	case "list":
 		fmt.Println("benchmarks:")
 		for _, b := range padc.Benchmarks() {
 			fmt.Printf("  %s\n", b)
@@ -130,15 +142,15 @@ func main() {
 		for _, id := range padc.ExperimentIDs() {
 			fmt.Printf("  %s\n", id)
 		}
-	case *dumpConfig:
-		cfg, names, err := buildConfig(*bench, *policy, *pf, *refreshMode, *pagePolicy, *topoSpec, *kernel, *memside, *insts, *cores)
+	case "dump-config":
+		cfg, names, err := buildConfig(*bench, *policy, *pf, *refreshMode, *pagePolicy, *topoSpec, *memside, *insts, *cores)
 		if err != nil {
 			fatal(err)
 		}
 		if err := writeResolvedConfig(os.Stdout, cfg, names); err != nil {
 			fatal(err)
 		}
-	case *sweepSpec != "":
+	case "sweep":
 		if *sweepRemote != "" {
 			if err := runSweepRemote(*sweepRemote, *sweepSpec, *jobs, *verify, *sweepCSV, *sweepJSON); err != nil {
 				fatal(err)
@@ -146,22 +158,20 @@ func main() {
 		} else if err := runSweep(*sweepSpec, *verify, *sweepCSV, *sweepJSON); err != nil {
 			fatal(err)
 		}
-	case *expID == "all":
-		for _, id := range padc.ExperimentIDs() {
+	case "exp":
+		ids := []string{*expID}
+		if *expID == "all" {
+			ids = padc.ExperimentIDs()
+		}
+		for _, id := range ids {
 			out, err := padc.Experiment(id, *full)
 			if err != nil {
 				fatal(err)
 			}
 			fmt.Print(out)
 		}
-	case *expID != "":
-		out, err := padc.Experiment(*expID, *full)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(out)
-	case *bench != "":
-		cfg, names, err := buildConfig(*bench, *policy, *pf, *refreshMode, *pagePolicy, *topoSpec, *kernel, *memside, *insts, *cores)
+	case "bench":
+		cfg, names, err := buildConfig(*bench, *policy, *pf, *refreshMode, *pagePolicy, *topoSpec, *memside, *insts, *cores)
 		if err != nil {
 			fatal(err)
 		}
@@ -209,10 +219,52 @@ func main() {
 			fmt.Print(exp.ProfileTable(res))
 			fmt.Print(tracer.BreakdownTable())
 		}
-	default:
-		flag.Usage()
-		os.Exit(2)
 	}
+}
+
+// machineFlags are the flags that describe the simulated machine.
+var machineFlags = []string{"bench", "policy", "prefetcher", "memside", "insts", "cores", "refresh", "page", "topology"}
+
+// modes lists padcsim's modes in precedence order, each with the flags it
+// reads besides its own. A flag the chosen mode does not read is a usage
+// error rather than silently ignored.
+var modes = []struct {
+	flag  string
+	reads []string
+}{
+	{"list", nil},
+	{"dump-config", machineFlags},
+	{"sweep", []string{"sweep-remote", "jobs", "verify", "sweep-csv", "sweep-json"}},
+	{"exp", []string{"full", "jobs"}},
+	{"bench", append([]string{"v", "metrics", "trace", "events", "heatmap", "epoch",
+		"profile", "spans", "breakdown", "http"}, machineFlags...)},
+}
+
+// chosenMode returns the first mode whose flag is on (true or non-empty),
+// or "" when none is.
+func chosenMode() string {
+	for _, m := range modes {
+		if v := flag.Lookup(m.flag).Value.String(); v != "" && v != "false" {
+			return m.flag
+		}
+	}
+	return ""
+}
+
+// unreadFlag returns the first of the set flags that mode does not read,
+// or "" when it reads them all.
+func unreadFlag(mode string, set []string) string {
+	for _, m := range modes {
+		if m.flag != mode {
+			continue
+		}
+		for _, name := range set {
+			if name != mode && !slices.Contains(m.reads, name) {
+				return name
+			}
+		}
+	}
+	return ""
 }
 
 // runSweep executes the JSON sweep spec at path on the worker pool,
@@ -325,7 +377,7 @@ func runSweepRemote(server, path string, jobs int, verify bool, csvOut, jsonOut 
 // returns it with the benchmark list. With no -bench and no -cores it
 // provisions a single core, which is enough for -dump-config. Names are
 // checked when the config is lowered (Describe or Run).
-func buildConfig(bench, policy, pf, refreshMode, page, topo, kernel string, memside bool, insts uint64, cores int) (padc.SystemConfig, []string, error) {
+func buildConfig(bench, policy, pf, refreshMode, page, topo string, memside bool, insts uint64, cores int) (padc.SystemConfig, []string, error) {
 	var names []string
 	if bench != "" {
 		names = strings.Split(bench, ",")
@@ -350,7 +402,6 @@ func buildConfig(bench, policy, pf, refreshMode, page, topo, kernel string, mems
 		return cfg, nil, err
 	}
 	cfg.Topology = topo
-	cfg.Kernel = kernel
 	cfg.MemSide = memside
 	return cfg, names, nil
 }

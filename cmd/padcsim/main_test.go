@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -20,7 +22,7 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // describeFlags resolves the machine -dump-config prints for the given
 // -policy and -prefetcher values, all other flags at their defaults.
 func describeFlags(policy, pf string) (padc.ResolvedConfig, error) {
-	cfg, _, err := buildConfig("", policy, pf, "off", "open", "", "events", false, 0, 0)
+	cfg, _, err := buildConfig("", policy, pf, "off", "open", "", false, 0, 0)
 	if err != nil {
 		return padc.ResolvedConfig{}, err
 	}
@@ -65,7 +67,7 @@ func TestNoPrefPolicyDisablesPrefetching(t *testing.T) {
 		t.Fatalf("no-pref resolved to prefetcher=%q apd=%v stack=%q; want none, false, %q",
 			rc.Prefetcher, rc.APD, rc.RuleStack, demandFirst.RuleStack)
 	}
-	cfg, names, err := buildConfig("swim,art", "no-pref", "stream", "off", "open", "", "events", false, 20_000, 0)
+	cfg, names, err := buildConfig("swim,art", "no-pref", "stream", "off", "open", "", false, 20_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +113,7 @@ func TestDumpConfigGolden(t *testing.T) {
 	var buf bytes.Buffer
 	for _, pol := range append(sim.PolicyNames(), "rules:critical,rowhit,urgent,fcfs") {
 		for _, pf := range sim.PrefetcherNames() {
-			cfg, names, err := buildConfig("", pol, pf, "off", "open", "", "events", false, 0, 0)
+			cfg, names, err := buildConfig("", pol, pf, "off", "open", "", false, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +139,7 @@ func TestDumpConfigGolden(t *testing.T) {
 }
 
 func TestBuildConfigAppliesRefreshAndPage(t *testing.T) {
-	cfg, names, err := buildConfig("swim,art", "padc", "stream", "per-bank", "adaptive", "far-tier", "events", true, 5000, 0)
+	cfg, names, err := buildConfig("swim,art", "padc", "stream", "per-bank", "adaptive", "far-tier", true, 5000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func TestBuildConfigAppliesRefreshAndPage(t *testing.T) {
 	}
 
 	// No benchmarks and no -cores still yields a describable machine.
-	cfg, names, err = buildConfig("", "padc", "stream", "off", "open", "", "", false, 0, 0)
+	cfg, names, err = buildConfig("", "padc", "stream", "off", "open", "", false, 0, 0)
 	if err != nil || len(names) != 0 || cfg.Cores != 1 {
 		t.Fatalf("flagless config: cores=%d names=%v err=%v", cfg.Cores, names, err)
 	}
@@ -196,7 +198,7 @@ func TestResolveTopologyFlag(t *testing.T) {
 	}
 
 	// The file contents must actually build a machine end to end.
-	cfg, _, err := buildConfig("swim", "padc", "stream", "off", "open", path, "events", false, 0, 0)
+	cfg, _, err := buildConfig("swim", "padc", "stream", "off", "open", path, false, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +213,7 @@ func TestResolveTopologyFlag(t *testing.T) {
 }
 
 func TestWriteResolvedConfigJSON(t *testing.T) {
-	cfg, names, err := buildConfig("swim", "padc", "stream", "all-bank", "closed", "", "stepped", false, 0, 0)
+	cfg, names, err := buildConfig("swim", "padc", "stream", "all-bank", "closed", "", false, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +248,7 @@ func TestWriteResolvedConfigJSON(t *testing.T) {
 
 func TestWriteResolvedConfigRejectsBadModes(t *testing.T) {
 	for _, tc := range [][2]string{{"hourly", "open"}, {"off", "ajar"}} {
-		cfg, names, err := buildConfig("swim", "padc", "stream", tc[0], tc[1], "", "events", false, 0, 0)
+		cfg, names, err := buildConfig("swim", "padc", "stream", tc[0], tc[1], "", false, 0, 0)
 		if err != nil {
 			t.Fatal(err) // buildConfig defers vocabulary checks to Describe/Run
 		}
@@ -267,7 +269,7 @@ type reportRun struct {
 // padcsim prints for it.
 func runReport(t *testing.T, r reportRun) string {
 	t.Helper()
-	cfg, names, err := buildConfig(r.bench, r.policy, r.pf, r.refresh, r.page, r.topology, "events", r.memside, 20_000, 0)
+	cfg, names, err := buildConfig(r.bench, r.policy, r.pf, r.refresh, r.page, r.topology, r.memside, 20_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,5 +321,57 @@ func TestReportShowsPostponedRefresh(t *testing.T) {
 		bench: "swim,art", policy: "padc", pf: "stream", refresh: "all-bank", page: "open"})
 	if !strings.Contains(out, "refreshes: issued=0 postponed=2 ") {
 		t.Fatalf("postponed-only refresh not reported:\n%s", out)
+	}
+}
+
+// TestMain runs padcsim itself instead of the tests when PADCSIM_MAIN is
+// set, so a test can drive the command line as a subprocess.
+func TestMain(m *testing.M) {
+	if os.Getenv("PADCSIM_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestModeFlags runs padcsim with flag sets that mix modes: a flag the
+// chosen mode does not read, or one that no longer exists, is a usage
+// error (exit 2) that names it; a mode's own flags run.
+func TestModeFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		unread string // "" means the command runs clean
+	}{
+		{[]string{"-exp", "fig2", "-metrics", "x.csv"}, "-metrics"},
+		{[]string{"-sweep", "spec.json", "-policy", "aps"}, "-policy"},
+		{[]string{"-exp", "fig2", "-bench", "swim"}, "-bench"},
+		{[]string{"-list", "-jobs", "2"}, "-jobs"},
+		{[]string{"-dump-config", "-v"}, "-v"},
+		{[]string{"-bench", "swim", "-full"}, "-full"},
+		{[]string{"-bench", "swim", "-sweep-csv", "out.csv"}, "-sweep-csv"},
+		{[]string{"-bench", "mcf", "-kernel", "stepped"}, "-kernel"},
+		{[]string{"-list"}, ""},
+		{[]string{"-dump-config", "-policy", "aps", "-topology", "far-tier", "-bench", "swim"}, ""},
+		{[]string{"-exp", "fig2", "-jobs", "1"}, ""},
+	} {
+		cmd := exec.Command(os.Args[0], tc.args...)
+		cmd.Env = append(os.Environ(), "PADCSIM_MAIN=1")
+		cmd.Dir = t.TempDir()
+		var stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = io.Discard, &stderr
+		err := cmd.Run()
+		if tc.unread == "" {
+			if err != nil {
+				t.Errorf("padcsim %v: %v\n%s", tc.args, err, stderr.String())
+			}
+			continue
+		}
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("padcsim %v: err = %v, want exit status 2", tc.args, err)
+		}
+		if !strings.Contains(stderr.String(), tc.unread) {
+			t.Errorf("padcsim %v: stderr does not name %s:\n%s", tc.args, tc.unread, stderr.String())
+		}
 	}
 }

@@ -63,14 +63,9 @@ func (r *SweepResult) WriteCSV(w io.Writer) error {
 // telemetry roll-ups) as indented JSON. Like the CSV it contains no
 // execution-order- or clock-dependent fields.
 func (r *SweepResult) WriteJSON(w io.Writer) error {
-	// The kernel is a loop-strategy switch, not a grid axis: both kernels
-	// produce identical rows, so the echoed spec drops it to keep the
-	// artifact byte-identical across kernels (and kernel spellings).
-	out := *r
-	out.Spec.Kernel = ""
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(&out)
+	return enc.Encode(r)
 }
 
 // formatFloat renders metric floats at fixed precision so artifacts are
@@ -96,7 +91,7 @@ func speedupCells(j JobResult, format func(float64) string) []string {
 }
 
 // TableData returns the merged sweep as an aligned-text-ready header and
-// rows (the exp.Table shape), for the CLI and examples to render. WS, HS
+// rows (the exp.Table shape), for padc.RenderSweep to render. WS, HS
 // and UF columns appear when the spec sets Alone.
 func (r *SweepResult) TableData() (header []string, rows [][]string) {
 	header = []string{"job", "cycles", "thruput", "bus(D/U/X)", "rowhit", "rbhu", "sent", "used", "dropped"}

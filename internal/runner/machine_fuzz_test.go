@@ -13,18 +13,21 @@ import (
 
 // FuzzMachine draws every sim.Machine field from a bounded set — valid
 // names, "", and one bogus name for each kind; sizes including zero and
-// non-powers of two — and requires the machine to be rejected by Config,
-// rejected by sim.Run, or to run with profiling and lifecycle tracing on
-// and pass VerifyResults. It must never panic.
+// non-powers of two — plus the run loop (either kernel or an out-of-range
+// one) on the lowered config, and requires the machine to be rejected by
+// Config, rejected by sim.Run, or to run with profiling and lifecycle
+// tracing on and pass VerifyResults. It must never panic.
 func FuzzMachine(f *testing.F) {
 	// Seeds: the paper's 2-core PADC; every optional feature on the
 	// stepped kernel; 8 cores over 4 channels; bogus names with no cores;
-	// non-power-of-two row buffer and L2.
+	// a non-power-of-two row buffer. The L2 size must give a power-of-two
+	// set count, so that seed's L2 is 512 KB: a 100 KB L2 (200 sets) is
+	// rejected before the row buffer is ever simulated.
 	f.Add(uint8(2), uint8(1), uint8(8), uint8(6), uint8(4), uint8(6), uint8(5), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0x10), uint8(1))
-	f.Add(uint8(4), uint8(2), uint8(16), uint8(4), uint8(5), uint8(7), uint8(2), uint8(2), uint8(1), uint8(2), uint8(3), uint8(2), uint8(0x39), uint8(0x1f))
-	f.Add(uint8(8), uint8(4), uint8(4), uint8(2), uint8(4), uint8(3), uint8(3), uint8(3), uint8(2), uint8(3), uint8(2), uint8(1), uint8(200), uint8(0x0a))
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(9), uint8(7), uint8(4), uint8(3), uint8(4), uint8(4), uint8(3), uint8(0), uint8(0))
-	f.Add(uint8(1), uint8(1), uint8(8), uint8(3), uint8(3), uint8(6), uint8(5), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(4), uint8(2), uint8(16), uint8(4), uint8(5), uint8(7), uint8(2), uint8(2), uint8(1), uint8(2), uint8(3), uint8(1), uint8(0x39), uint8(0x1f))
+	f.Add(uint8(8), uint8(4), uint8(4), uint8(2), uint8(4), uint8(3), uint8(3), uint8(3), uint8(2), uint8(3), uint8(2), uint8(0), uint8(200), uint8(0x0a))
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(9), uint8(7), uint8(4), uint8(3), uint8(4), uint8(4), uint8(2), uint8(0), uint8(0))
+	f.Add(uint8(1), uint8(1), uint8(8), uint8(3), uint8(4), uint8(6), uint8(5), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
 
 	// Every name table, plus "" and a name no table holds.
 	withEdges := func(names []string) []string { return append(append([]string{""}, names...), "bogus") }
@@ -38,7 +41,7 @@ func FuzzMachine(f *testing.F) {
 	topologies := withEdges(topology.Names())
 	refreshModes := withEdges(refresh.ModeNames())
 	pages := withEdges(dram.PagePolicyNames())
-	kernels := withEdges(sim.KernelNames())
+	kernels := []sim.Kernel{sim.KernelEvents, sim.KernelStepped, sim.KernelStepped + 1}
 	rowKBs := []uint64{0, 1, 2, 3, 8, 100, 4}
 	l2KBs := []uint64{0, 3, 64, 100, 512, 1024}
 	benches := workload.Names()
@@ -63,7 +66,6 @@ func FuzzMachine(f *testing.F) {
 			RefreshMode: pick(refreshModes, ref),
 			PagePolicy:  pick(pages, page),
 			TargetInsts: 2_000,
-			Kernel:      pick(kernels, kernel),
 			Profile:     true,
 			Lifecycle:   lifecycle.New(lifecycle.Options{}),
 		}
@@ -71,6 +73,7 @@ func FuzzMachine(f *testing.F) {
 		if err != nil {
 			return
 		}
+		cfg.Kernel = kernels[int(kernel)%len(kernels)]
 		for i := 0; i < 1+int(mix>>4)%m.Cores; i++ {
 			cfg.Workload = append(cfg.Workload, workload.MustByName(benches[(int(mix)+7*i)%len(benches)]))
 		}
@@ -79,7 +82,7 @@ func FuzzMachine(f *testing.F) {
 			return
 		}
 		if errs := VerifyResults(res, m.Lifecycle.Spans()); len(errs) > 0 {
-			t.Fatalf("%+v: %v", m, errs[0])
+			t.Fatalf("%+v on kernel %d: %v", m, cfg.Kernel, errs[0])
 		}
 	})
 }

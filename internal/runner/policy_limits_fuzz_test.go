@@ -110,7 +110,7 @@ type limitRunner struct {
 // run lowers the machine under r's policy, applies r's edit and
 // simulates at most limitMaxCycles cycles under kernel.
 func (lr *limitRunner) run(r limitRun, kernel sim.Kernel) limitOutcome {
-	key := r.policy + "/" + kernel.String()
+	key := fmt.Sprintf("%s/%d", r.policy, kernel)
 	if o, ok := lr.done[key]; ok && r.edit == nil {
 		return o
 	}
@@ -147,7 +147,7 @@ func (lr *limitRunner) check(t *testing.T, id limitIdentity, kernel sim.Kernel) 
 		return
 	}
 	if !reflect.DeepEqual(a.res, b.res) || fmt.Sprint(a.err) != fmt.Sprint(b.err) {
-		t.Fatalf("%s fails under the %v kernel on %v %+v:\n%s: %d cycles %+v (%v)\n%s: %d cycles %+v (%v)",
+		t.Fatalf("%s fails under kernel %d on %v %+v:\n%s: %d cycles %+v (%v)\n%s: %d cycles %+v (%v)",
 			id.name, kernel, lr.benches, lr.m, id.a.policy, a.res.Cycles, a.res.Bus, a.err,
 			id.b.policy, b.res.Cycles, b.res.Bus, b.err)
 	}

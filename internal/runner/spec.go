@@ -89,8 +89,8 @@ type Spec struct {
 	// JSON tag: {"channels": [2], "permutation": [false, true]}. Generic
 	// axes cross after the named ones above, in Machine field order, and
 	// add a "field=value" key segment unless the value is the
-	// DefaultMachine's. A field with a named axis, and cores, target_insts
-	// and kernel, has one spelling only and is no generic axis.
+	// DefaultMachine's. A field with a named axis, and cores and
+	// target_insts, has one spelling only and is no generic axis.
 	Axes map[string][]json.RawMessage `json:"axes,omitempty"`
 
 	// Workloads lists explicit benchmark mixes (each inner list is one mix,
@@ -109,13 +109,6 @@ type Spec struct {
 	// and the merge fills every grid row's WS, HS, UF and Speedup from
 	// them. Default: absent, no baselines.
 	Alone json.RawMessage `json:"alone,omitempty"`
-
-	// Kernel selects the simulation loop every job runs under: "" or
-	// "events" (the cycle-skipping default) or "stepped" (the
-	// cycle-by-cycle reference). It is not a grid axis and never appears
-	// in job keys — both kernels produce byte-identical artifacts, which
-	// the differential suite verifies.
-	Kernel string `json:"kernel,omitempty"`
 }
 
 // ParseSpec decodes and validates a JSON sweep spec: exactly one JSON
@@ -257,7 +250,7 @@ var machineFields = func() []machineField {
 // spelledFields maps each Machine field the spec sets by other means to
 // that spelling. Every other named field is a generic axis.
 var spelledFields = map[string]string{
-	"cores": "cores", "target_insts": "insts", "kernel": "kernel",
+	"cores": "cores", "target_insts": "insts",
 	"policy": "policies", "prefetcher": "prefetchers", "memside": "memside",
 	"topology": "topologies", "refresh_mode": "refresh", "page_policy": "page_policies",
 }
@@ -430,7 +423,7 @@ func (d Spec) machines() ([]machine, error) {
 	}
 
 	base := sim.DefaultMachine(d.Cores)
-	base.TargetInsts, base.Kernel = d.Insts, d.Kernel
+	base.TargetInsts = d.Insts
 	points := []gridPoint{{m: base}}
 	for _, a := range axes {
 		crossed := make([]gridPoint, 0, len(points)*a.n)
@@ -465,7 +458,7 @@ func (d Spec) machines() ([]machine, error) {
 }
 
 // checkAlone checks the spec's alone overlay, when set: a JSON object
-// naming Machine fields other than cores, target_insts and kernel.
+// naming Machine fields other than cores and target_insts.
 func (d Spec) checkAlone() error {
 	if d.Alone == nil {
 		return nil
@@ -479,8 +472,8 @@ func (d Spec) checkAlone() error {
 			return fmt.Errorf("runner: alone sets unknown machine field %q", name)
 		}
 		switch name {
-		case "cores", "target_insts", "kernel":
-			return fmt.Errorf("runner: alone cannot set %q: a baseline runs on the spec's machine size and kernel", name)
+		case "cores", "target_insts":
+			return fmt.Errorf("runner: alone cannot set %q: a baseline runs on the spec's machine size", name)
 		}
 	}
 	return nil

@@ -81,7 +81,9 @@ func lookup(names []string, kind, s string) (int, error) {
 
 // Kernel selects the main-loop execution strategy. Both kernels simulate
 // the same machine cycle for cycle and must produce identical results —
-// the lockstep differential suite in kernel_test.go enforces it.
+// the lockstep differential suite in kernel_test.go enforces it. It is no
+// machine property, so no Machine, spec or flag names it: every run takes
+// the event kernel, and tests set KernelStepped to run the reference.
 type Kernel int
 
 const (
@@ -94,25 +96,6 @@ const (
 	// event kernel is differentially tested against.
 	KernelStepped
 )
-
-// kernelNames is the Kernel name table String and ParseKernel share.
-var kernelNames = [...]string{KernelEvents: "events", KernelStepped: "stepped"}
-
-// String implements fmt.Stringer.
-func (k Kernel) String() string { return nameOf(kernelNames[:], int(k), "Kernel") }
-
-// ParseKernel maps the configuration-surface spellings onto a Kernel. The
-// empty string is KernelEvents, so zero-valued configs take the fast path.
-func ParseKernel(s string) (Kernel, error) {
-	if s == "" {
-		return KernelEvents, nil
-	}
-	i, err := lookup(kernelNames[:], "kernel", s)
-	return Kernel(i), err
-}
-
-// KernelNames returns the accepted ParseKernel vocabulary.
-func KernelNames() []string { return append([]string(nil), kernelNames[:]...) }
 
 // FilterKind optionally wraps the prefetcher with a §6.12 comparison
 // mechanism.
@@ -226,7 +209,7 @@ type Config struct {
 	Cores int // cores the system is provisioned for (resource sizing)
 	Core  cpu.Config
 
-	L1       cache.Config // L1.Bytes == 0 disables the L1
+	L1       cache.Config
 	L2       cache.Config // per core, or total when SharedL2
 	SharedL2 bool
 	MSHR     int // entries per last-level cache
@@ -342,10 +325,8 @@ func (c Config) Validate() error {
 	if len(c.Workload) == 0 {
 		return fmt.Errorf("sim: empty workload")
 	}
-	if c.L1.Bytes != 0 {
-		if err := c.L1.Validate(); err != nil {
-			return err
-		}
+	if err := c.L1.Validate(); err != nil {
+		return err
 	}
 	if err := c.L2.Validate(); err != nil {
 		return err
@@ -383,8 +364,8 @@ func (c Config) Validate() error {
 	if c.TargetInsts == 0 {
 		return fmt.Errorf("sim: TargetInsts must be positive")
 	}
-	if _, err := ParseKernel(c.Kernel.String()); err != nil {
-		return err
+	if c.Kernel != KernelEvents && c.Kernel != KernelStepped {
+		return fmt.Errorf("sim: unknown kernel %d", c.Kernel)
 	}
 	return nil
 }

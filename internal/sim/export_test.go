@@ -11,3 +11,8 @@ func (s *System) SleepStats() (ticks, slept uint64) {
 	}
 	return ticks, slept
 }
+
+// String names the kernel in test logs and benchmark names.
+func (k Kernel) String() string {
+	return [...]string{KernelEvents: "events", KernelStepped: "stepped"}[k]
+}

@@ -646,32 +646,20 @@ func TestSleepStatsCoverEveryCycle(t *testing.T) {
 	}
 }
 
-// TestKernelConfigSurface pins the Kernel parse/validate vocabulary.
+// TestKernelConfigSurface pins Validate's kernel range: the two loops
+// run, any other value is rejected.
 func TestKernelConfigSurface(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Kernel
-		ok   bool
-	}{
-		{"", KernelEvents, true},
-		{"events", KernelEvents, true},
-		{"stepped", KernelStepped, true},
-		{"ticks", 0, false},
-	} {
-		got, err := ParseKernel(tc.in)
-		if (err == nil) != tc.ok {
-			t.Fatalf("ParseKernel(%q) err = %v, want ok=%v", tc.in, err, tc.ok)
-		}
-		if tc.ok && got != tc.want {
-			t.Fatalf("ParseKernel(%q) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-	if KernelEvents.String() != "events" || KernelStepped.String() != "stepped" {
-		t.Fatal("kernel String() vocabulary changed")
-	}
 	cfg := quickCfg(1, "swim")
-	cfg.Kernel = Kernel(7)
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Validate accepted an out-of-range kernel")
+	for _, k := range []Kernel{KernelEvents, KernelStepped} {
+		cfg.Kernel = k
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("Validate rejected kernel %v: %v", k, err)
+		}
+	}
+	for _, k := range []Kernel{-1, 7} {
+		cfg.Kernel = k
+		if err := cfg.Validate(); err == nil {
+			t.Fatalf("Validate accepted out-of-range kernel %d", int(k))
+		}
 	}
 }

@@ -82,13 +82,6 @@ type Machine struct {
 
 	TargetInsts uint64 `json:"target_insts"` // instructions each core retires before stats freeze
 
-	// Kernel selects the main-loop strategy: "" or "events" (default, the
-	// cycle-skipping event kernel) or "stepped" (the cycle-by-cycle
-	// reference loop). Both simulate the same machine and produce
-	// identical results; "stepped" exists as the differential-testing
-	// baseline and as a debugging fallback.
-	Kernel string `json:"kernel"`
-
 	// Telemetry, when non-nil, instruments the run: counters, epoch time
 	// series and trace events land in it (export with its WriteCSV /
 	// WriteJSONL / WriteChromeTrace / Summary methods). Nil keeps the
@@ -177,9 +170,6 @@ func (m Machine) Config() (Config, error) {
 		return Config{}, err
 	}
 	cfg.TargetInsts = m.TargetInsts
-	if cfg.Kernel, err = ParseKernel(m.Kernel); err != nil {
-		return Config{}, err
-	}
 	cfg.Telemetry = m.Telemetry
 	cfg.Flight = m.Flight
 	cfg.Lifecycle = m.Lifecycle

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
+	"padc/internal/cache"
 	"padc/internal/cpu"
 	"padc/internal/dram"
 	"padc/internal/dram/refresh"
@@ -40,6 +42,8 @@ func TestValidation(t *testing.T) {
 		func(c *Config) { c.BufferSlots = 0 },
 		func(c *Config) { c.MSHR = 0 },
 		func(c *Config) { c.TargetInsts = 0 },
+		func(c *Config) { c.L1 = cache.Config{} }, // every core has an L1
+		func(c *Config) { c.L1.Ways = 0 },
 		func(c *Config) { c.L2.Ways = 0 },
 		func(c *Config) { c.DRAM.Banks = 3 },
 		func(c *Config) { c.DRAM.TickEvery = 0 },
@@ -376,14 +380,15 @@ func TestTelemetryIntegration(t *testing.T) {
 		"memctrl0/enqueued", "memctrl0/occupancy", "dram0/row_conflicts",
 		"sim/row_hit_rate",
 	} {
-		if s.Column(name) == nil {
+		if !slices.Contains(s.Names, name) {
 			t.Fatalf("metric %q missing from the epoch series", name)
 		}
 	}
 	// Counter deltas across the series must sum to the cumulative value.
 	var enq float64
-	for _, v := range s.Column("memctrl0/enqueued") {
-		enq += v
+	col := slices.Index(s.Names, "memctrl0/enqueued")
+	for _, r := range s.Rows {
+		enq += r.Vals[col]
 	}
 	if cum, _ := tel.Value("memctrl0/enqueued"); enq != cum {
 		t.Fatalf("series deltas sum to %g, cumulative counter is %g", enq, cum)

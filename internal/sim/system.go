@@ -35,7 +35,7 @@ type coreCtx struct {
 	prof workload.Profile
 	core *cpu.Core
 
-	l1   *cache.Cache // nil when disabled
+	l1   *cache.Cache
 	l2   *cache.Cache // private or the shared LLC
 	mshr *cache.MSHR  // ditto
 
@@ -270,9 +270,7 @@ func New(cfg Config) (*System, error) {
 	s.cores = make([]*coreCtx, len(cfg.Workload))
 	for i, prof := range cfg.Workload {
 		cc := &coreCtx{id: i, prof: prof, stamp: 1}
-		if cfg.L1.Bytes > 0 {
-			cc.l1 = cache.New(cfg.L1)
-		}
+		cc.l1 = cache.New(cfg.L1)
 		if cfg.SharedL2 {
 			cc.l2, cc.mshr = sharedL2, sharedMSHR
 		} else {
@@ -481,10 +479,8 @@ func (s *System) Load(coreID int, seq, line, pc uint64, runahead bool, now uint6
 	cs := s.cores[coreID]
 	g := gline(coreID, line)
 
-	if cs.l1 != nil {
-		if cs.l1.Access(g).Hit {
-			return cpu.LoadResult{ReadyAt: now + s.cfg.L1.HitCycles}
-		}
+	if cs.l1.Access(g).Hit {
+		return cpu.LoadResult{ReadyAt: now + s.cfg.L1.HitCycles}
 	}
 
 	info := cs.l2.Access(g)
@@ -503,10 +499,8 @@ func (s *System) Load(coreID int, seq, line, pc uint64, runahead bool, now uint6
 				s.noteUseful(cs, g, info.FillRowHit, false)
 			}
 		}
-		if cs.l1 != nil {
-			cs.l1.Fill(g, false, false)
-			s.touch(cs)
-		}
+		cs.l1.Fill(g, false, false)
+		s.touch(cs)
 		if firstTry {
 			s.observe(cs, prefetch.AccessEvent{LineAddr: g, PC: pc, Miss: false, Cycle: now}, now)
 		}
@@ -785,7 +779,7 @@ func (s *System) complete(r *memctrl.Request, now uint64) {
 	s.evicted(cs, cs.l2.Fill(r.Line, r.Prefetch, r.IssueHit), r.Prefetch)
 
 	if e := cs.mshr.Lookup(r.Line); e != nil {
-		if len(e.Waiters) > 0 && cs.l1 != nil {
+		if len(e.Waiters) > 0 {
 			cs.l1.Fill(r.Line, false, false)
 		}
 		for _, w := range e.Waiters {
@@ -856,7 +850,7 @@ func (s *System) completeMemSide(r *memctrl.Request) {
 	// core-side prefetch entry keeps its own accounting and is left alone
 	// (its request completes against an already-filled line, harmlessly).
 	if e := cs.mshr.Lookup(r.Line); e != nil && !e.Prefetch {
-		if len(e.Waiters) > 0 && cs.l1 != nil {
+		if len(e.Waiters) > 0 {
 			cs.l1.Fill(r.Line, false, false)
 		}
 		for _, w := range e.Waiters {

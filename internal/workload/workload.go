@@ -210,7 +210,7 @@ func ByName(name string) (Profile, error) {
 // cacheSetPrefix names ByName's CacheSensitive family.
 const cacheSetPrefix = "cacheset-"
 
-// MustByName is ByName for static names in examples and benches.
+// MustByName is ByName for static names in experiments and benches.
 func MustByName(name string) Profile {
 	p, err := ByName(name)
 	if err != nil {

@@ -15,7 +15,7 @@
 // and res.Bus.Total().
 //
 // SystemConfig names each configuration kind — scheduling policy,
-// prefetcher, filter, page policy, refresh mode, topology, kernel — in
+// prefetcher, filter, page policy, refresh mode, topology — in
 // the vocabulary padcsim's flags and sweep specs use:
 //
 //	cfg := padc.DefaultSystem(1)
