@@ -12,20 +12,27 @@
 //     generate accurate future memory requests, replaying the real path
 //     when the blocking fill returns.
 //
+// The core fetches through a trace.Cursor, so a compute instruction costs
+// one compare and the workload's Pattern is asked for each line once.
+//
 // A core can sleep. NextEvent names the next cycle at which Tick could do
 // more than repeat the current cycle's stall accounting, and Skip applies
 // that accounting for the cycles in between, so a run loop may tick each
 // core only when it is due. A load rejected because its MSHR file is full
-// may also carry a stamp (LoadResult.Stamp): while the memory's Stamper
-// reports the same stamp, the core knows the retry would fail again, so
-// it neither calls Load for it nor counts it as a reason to wake.
+// may also carry a stamp and a line generation (LoadResult.Stamp, Gen).
+// While the memory's Stamper reports the same stamp, or its Holds check
+// says the file is still full and nothing touched the load's line, the
+// core knows the retry would fail again: it neither calls Load for it nor
+// counts it as a reason to wake.
 //
 // Loads that cannot issue at dispatch are deferred. A rejected load
 // retries only every retryBackoff cycles from its first rejection, so the
 // core files it under that retry phase; loads waiting on a producer go on
 // one more list. A tick visits only the current phase and the
 // producer-waiters, and passes over a phase whose loads are all parked on
-// the current stamp without visiting them.
+// the current stamp without visiting them. A load that Holds keeps parked
+// after the stamp moved takes the new stamp, so its phase is passed over
+// again from then on.
 package cpu
 
 import (
@@ -119,6 +126,10 @@ type LoadResult struct {
 	// Stamper reports this stamp for the core. The core then leaves the
 	// load parked instead of retrying it. Zero promises nothing.
 	Stamp uint64
+	// Gen, with a nonzero Stamp, is a second promise: the load keeps
+	// answering Retry for as long as the Stamper's Holds accepts Gen for
+	// its line, whatever the stamp.
+	Gen uint64
 }
 
 // Memory is the interface the core uses to access its cache hierarchy.
@@ -131,11 +142,17 @@ type Memory interface {
 }
 
 // Stamper is the optional interface a Memory implements when it returns
-// LoadResult stamps. Stamp reports the core's current stamp; it changes
-// whenever anything a parked retry depends on may have changed. A Memory
-// without it never has its stamps honored.
+// LoadResult stamps. A Memory without it never has its stamps honored.
+//
+// Stamp reports the core's current stamp, the core-wide epoch: it changes
+// whenever anything a parked retry depends on may have changed, before
+// the core next asks. Holds is the per-load check behind LoadResult.Gen:
+// it reports whether a load of line, rejected with generation gen, would
+// still be rejected now, with no side effect. The core asks it only once
+// the stamp has moved, and a load it holds is parked at the new stamp.
 type Stamper interface {
 	Stamp(coreID int) uint64
+	Holds(coreID int, line, gen uint64) bool
 }
 
 // retryBackoff is the cycle gap between a rejected load's retries. Every
@@ -144,7 +161,7 @@ type Stamper interface {
 const retryBackoff = 8
 
 // robEntry keeps its flags together after the words, so an entry packs
-// into 56 bytes.
+// into 64 bytes.
 type robEntry struct {
 	seq     uint64
 	line    uint64
@@ -152,6 +169,7 @@ type robEntry struct {
 	depOn   uint64 // seq of the producing memory instruction when dep
 	readyAt uint64
 	stamp   uint64 // the rejection's LoadResult.Stamp (0: not parked)
+	gen     uint64 // the rejection's LoadResult.Gen
 
 	isLoad   bool
 	dep      bool // depends on the previous memory instruction
@@ -179,15 +197,14 @@ const noSlot = -1
 type Core struct {
 	ID  int
 	cfg Config
-	gen trace.Gen
+	cur trace.Cursor // at the next instruction to fetch
 	mem Memory
 	// stamper is mem's Stamper, or nil when it has none.
 	stamper Stamper
 
-	buf     []robEntry
-	head    int
-	count   int
-	nextIdx uint64 // next instruction index to fetch
+	buf   []robEntry
+	head  int
+	count int
 
 	prevMemSeq  uint64 // seq of the most recent memory instruction fetched
 	havePrevMem bool
@@ -263,7 +280,7 @@ func (c *Core) classifyCycle() CycleClass {
 
 // New builds a core executing gen against mem; cfg must pass Validate.
 func New(id int, cfg Config, gen trace.Gen, mem Memory) *Core {
-	c := &Core{ID: id, cfg: cfg, gen: gen, mem: mem, buf: make([]robEntry, cfg.ROB), next: make([]int32, cfg.ROB)}
+	c := &Core{ID: id, cfg: cfg, cur: gen.Cursor(0), mem: mem, buf: make([]robEntry, cfg.ROB), next: make([]int32, cfg.ROB)}
 	c.stamper, _ = mem.(Stamper)
 	c.clearDeferred()
 	return c
@@ -350,24 +367,44 @@ func (c *Core) popHead() {
 	c.count--
 }
 
-// parked reports whether the rejected entry e holds a stamp the memory
-// still reports, so retrying it now is certain to fail again.
+// parked reports whether the rejected entry e is certain to fail a retry
+// now: it holds the stamp the memory reports, or it held an older one and
+// the memory's Holds check still holds it, in which case it takes the
+// current stamp.
 func (c *Core) parked(e *robEntry) bool {
-	return e.stamp != 0 && c.stamper.Stamp(c.ID) == e.stamp
+	if e.stamp == 0 {
+		return false
+	}
+	return c.holds(e, c.stamper.Stamp(c.ID))
+}
+
+// holds reports whether the stamped entry e is parked under stamp, the
+// memory's current one, restamping it when Holds keeps it parked.
+func (c *Core) holds(e *robEntry, stamp uint64) bool {
+	if e.stamp != stamp {
+		if !c.stamper.Holds(c.ID, e.line, e.gen) {
+			return false
+		}
+		e.stamp = stamp
+	}
+	return true
 }
 
 // unparked reports whether phase list l holds a load that is not parked
 // on stamp, the memory's current one. A marked phase answers without
-// visiting its loads.
+// visiting its loads; a phase whose loads all turn out parked is marked.
 func (c *Core) unparked(l *deferList, stamp uint64) bool {
 	if l.mark != 0 && l.mark == stamp {
 		return false
 	}
+	// Restamping breaks an old mark's claim that every load holds it.
+	l.mark = 0
 	for s := l.head; s != noSlot; s = c.next[s] {
-		if d := &c.buf[s]; d.stamp == 0 || d.stamp != stamp {
+		if d := &c.buf[s]; d.stamp == 0 || !c.holds(d, stamp) {
 			return true
 		}
 	}
+	l.mark = stamp
 	return false
 }
 
@@ -414,7 +451,7 @@ func (c *Core) enterRunahead(blockSeq uint64) {
 func (c *Core) exitRunahead() {
 	c.inRunahead = false
 	c.count = 0
-	c.nextIdx = c.raResume
+	c.cur.Seek(c.raResume)
 	c.havePrevMem = false
 	c.clearDeferred()
 }
@@ -470,11 +507,10 @@ func (c *Core) Tick(now uint64) {
 
 	// Fetch/dispatch.
 	for w := 0; w < c.cfg.Width && c.count < len(c.buf); w++ {
-		inst := c.gen.At(c.nextIdx)
 		s := c.slot(c.count)
 		e := &c.buf[s]
-		*e = robEntry{seq: c.nextIdx, runahead: c.inRunahead}
-		c.nextIdx++
+		*e = robEntry{seq: c.cur.Index(), runahead: c.inRunahead}
+		inst := c.cur.Next()
 		c.count++
 		if !inst.Mem {
 			e.issued = true
@@ -613,7 +649,7 @@ func (c *Core) tryIssue(e *robEntry, now uint64) bool {
 		// cycles rather than hammering the hierarchy every cycle.
 		e.rejected = true
 		if c.stamper != nil {
-			e.stamp = res.Stamp
+			e.stamp, e.gen = res.Stamp, res.Gen
 			if e.stamp != 0 {
 				c.Parks++
 			}
@@ -645,7 +681,9 @@ const NeverEvent = ^uint64(0)
 // change beyond retries the memory answers Retry without side effect.
 // A parked load counts as no event: the caller must re-evaluate after any
 // executed cycle, after any Complete delivery, and after any change of
-// the core's Stamper stamp.
+// the core's Stamper stamp. NextEvent asks Holds about loads the stamp no
+// longer parks and restamps those it keeps, so the memory must move the
+// stamp after any later change that would let Holds release them.
 func (c *Core) NextEvent(now uint64) uint64 {
 	if c.count < len(c.buf) {
 		return now + 1 // fetch/dispatch proceeds every cycle
@@ -718,7 +756,7 @@ func (c *Core) Skip(n uint64) {
 // occupancy and the number of deferred loads. With Retired and Loads they
 // are the progress a sleeping core must leave untouched.
 func (c *Core) Window() (nextIdx uint64, rob, deferred int) {
-	return c.nextIdx, c.count, c.deferred
+	return c.cur.Index(), c.count, c.deferred
 }
 
 // InRunahead reports whether the core is currently in runahead mode.

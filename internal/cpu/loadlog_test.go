@@ -113,7 +113,7 @@ func (m *logMem) Load(_ int, seq, line, _ uint64, runahead bool, now uint64, fir
 	if len(m.inflight) >= m.mshrCap || mix64(m.stamp^line)%4 == 0 {
 		res := LoadResult{Retry: true}
 		if m.stamped {
-			res.Stamp = m.stamp
+			res.Stamp, res.Gen = m.stamp, m.stamp
 		}
 		return res
 	}
@@ -135,6 +135,11 @@ func (m *logMem) Load(_ int, seq, line, _ uint64, runahead bool, now uint64, fir
 }
 
 func (m *logMem) Stamp(int) uint64 { return m.stamp }
+
+// Holds answers from the single stamp: a rejection that carried the
+// current stamp as its generation holds, so the check never parks a load
+// the stamp does not already park, and the Load order stays the stamp's.
+func (m *logMem) Holds(_ int, _, gen uint64) bool { return gen == m.stamp }
 
 // plainMem hides logMem's Stamper: the core then honors no stamp.
 type plainMem struct{ *logMem }

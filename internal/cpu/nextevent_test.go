@@ -156,7 +156,8 @@ func (m *stampMem) Load(id int, seq, line, pc uint64, ra bool, now uint64, first
 	return res
 }
 
-func (m *stampMem) Stamp(int) uint64 { return m.stamp }
+func (m *stampMem) Stamp(int) uint64               { return m.stamp }
+func (m *stampMem) Holds(int, uint64, uint64) bool { return false }
 
 // TestParkedRetrySleepsUntilStampMoves pins the stamp contract on the
 // core side: a parked load neither retries nor counts as a next event
@@ -200,11 +201,11 @@ func TestParkedRetrySleepsUntilStampMoves(t *testing.T) {
 	}
 }
 
-// countMem rejects every load with a fixed stamp, and counts the Load and
-// Stamp calls the core makes.
+// countMem rejects every load with a fixed stamp, and counts the Load,
+// Stamp and Holds calls the core makes.
 type countMem struct {
-	stamp         uint64
-	loads, stamps int
+	stamp                uint64
+	loads, stamps, holds int
 }
 
 func (m *countMem) Load(int, uint64, uint64, uint64, bool, uint64, bool) LoadResult {
@@ -217,10 +218,15 @@ func (m *countMem) Stamp(int) uint64 {
 	return m.stamp
 }
 
+func (m *countMem) Holds(int, uint64, uint64) bool {
+	m.holds++
+	return false
+}
+
 // TestParkedLoadsCostNothing pins the cost of parked retries: with a full
 // window of loads parked under an unmoved stamp, a Tick or a NextEvent
-// makes no Load call and a constant number of Stamp calls, however many
-// loads are deferred.
+// makes no Load or Holds call and a constant number of Stamp calls,
+// however many loads are deferred.
 func TestParkedLoadsCostNothing(t *testing.T) {
 	for _, rob := range []int{128, 256, 512} {
 		m := &countMem{stamp: 7}
@@ -235,19 +241,98 @@ func TestParkedLoadsCostNothing(t *testing.T) {
 		for end := now + 4*retryBackoff; now < end; now++ {
 			m.loads, m.stamps = 0, 0
 			c.Tick(now)
-			if m.loads != 0 || m.stamps > 1 {
-				t.Fatalf("ROB %d: Tick(%d) made %d Load and %d Stamp calls over parked loads, want 0 and at most 1",
-					rob, now, m.loads, m.stamps)
+			if m.loads != 0 || m.holds != 0 || m.stamps > 1 {
+				t.Fatalf("ROB %d: Tick(%d) made %d Load, %d Holds and %d Stamp calls over parked loads, want 0, 0 and at most 1",
+					rob, now, m.loads, m.holds, m.stamps)
 			}
 			m.stamps = 0
 			if e := c.NextEvent(now); e != NeverEvent {
 				t.Fatalf("ROB %d: NextEvent(%d) = %d behind parked loads, want NeverEvent", rob, now, e)
 			}
-			if m.loads != 0 || m.stamps > 1 {
-				t.Fatalf("ROB %d: NextEvent(%d) made %d Load and %d Stamp calls over parked loads, want 0 and at most 1",
-					rob, now, m.loads, m.stamps)
+			if m.loads != 0 || m.holds != 0 || m.stamps > 1 {
+				t.Fatalf("ROB %d: NextEvent(%d) made %d Load, %d Holds and %d Stamp calls over parked loads, want 0, 0 and at most 1",
+					rob, now, m.loads, m.holds, m.stamps)
 			}
 		}
+	}
+}
+
+// fileMem is an MSHR file of capacity entries whose fills never return.
+// A load of an outstanding line merges; a load on a full file is rejected
+// with the epoch and its line's generation; any other load allocates an
+// entry, which moves the epoch and the line's generation. release frees
+// an entry and moves the epoch. It counts Load calls.
+type fileMem struct {
+	capacity int
+	lines    map[uint64]bool
+	gens     map[uint64]uint64
+	epoch    uint64
+	loads    int
+}
+
+func newFileMem(capacity int) *fileMem {
+	return &fileMem{capacity: capacity, lines: map[uint64]bool{}, gens: map[uint64]uint64{}, epoch: 1}
+}
+
+func (m *fileMem) Load(_ int, _, line, _ uint64, _ bool, _ uint64, _ bool) LoadResult {
+	m.loads++
+	switch {
+	case m.lines[line]:
+	case len(m.lines) == m.capacity:
+		return LoadResult{Retry: true, Stamp: m.epoch, Gen: m.gens[line]}
+	default:
+		m.lines[line] = true
+		m.gens[line]++
+		m.epoch++
+	}
+	return LoadResult{Pending: true}
+}
+
+func (m *fileMem) Stamp(int) uint64 { return m.epoch }
+
+func (m *fileMem) Holds(_ int, line, gen uint64) bool {
+	return len(m.lines) == m.capacity && m.gens[line] == gen
+}
+
+func (m *fileMem) release(line uint64) {
+	delete(m.lines, line)
+	m.epoch++
+}
+
+// TestReleaseWakesOneLoad pins the wake-up after a release: with loads on
+// distinct lines parked on a full MSHR file, one release lets exactly one
+// of them call Load, which fills the file again, and the others stay
+// parked through the stamp moves of both the release and that allocation.
+func TestReleaseWakesOneLoad(t *testing.T) {
+	const entries, rob = 8, 64
+	m := newFileMem(entries)
+	c := New(0, Config{ROB: rob, Width: 4}, trace.Gen{Pattern: pattern{}, MemEvery: 1}, m)
+	now := uint64(1)
+	for ; now <= 2*retryBackoff+rob/4; now++ {
+		c.Tick(now)
+	}
+	if _, n, deferred := c.Window(); n != rob || deferred != rob-entries || c.Parks == 0 {
+		t.Fatalf("setup left %d entries, %d deferred, %d parks; want a full window, %d loads parked",
+			n, deferred, c.Parks, rob-entries)
+	}
+	if e := c.NextEvent(now - 1); e != NeverEvent {
+		t.Fatalf("loads parked on a full file wake the core at %d", e)
+	}
+	m.loads = 0
+	m.release(3)
+	for end := now + 4*retryBackoff; now < end; now++ {
+		c.Tick(now)
+		c.NextEvent(now)
+	}
+	if m.loads != 1 || len(m.lines) != entries {
+		t.Fatalf("one release led to %d Load calls and %d of %d entries taken, want 1 call refilling the file",
+			m.loads, len(m.lines), entries)
+	}
+	if _, _, deferred := c.Window(); deferred != rob-entries-1 {
+		t.Fatalf("%d loads deferred after the refill, want %d", deferred, rob-entries-1)
+	}
+	if e := c.NextEvent(now - 1); e != NeverEvent {
+		t.Fatalf("loads parked on the refilled file wake the core at %d", e)
 	}
 }
 
@@ -266,7 +351,8 @@ func (m *chainMem) Load(_ int, _, _, _ uint64, _ bool, now uint64, firstTry bool
 	return LoadResult{ReadyAt: now + 1}
 }
 
-func (m *chainMem) Stamp(int) uint64 { return m.stamp }
+func (m *chainMem) Stamp(int) uint64               { return m.stamp }
+func (m *chainMem) Holds(int, uint64, uint64) bool { return false }
 
 // TestDeferredFilingAllocatesNothing runs a pointer chase in which every
 // load waits on its producer, is then rejected and filed under its retry
@@ -313,7 +399,8 @@ func (m *scriptMem) Load(_ int, seq, line, _ uint64, _ bool, now uint64, _ bool)
 	return LoadResult{Retry: true, Stamp: m.stamp}
 }
 
-func (m *scriptMem) Stamp(int) uint64 { return m.stamp }
+func (m *scriptMem) Stamp(int) uint64               { return m.stamp }
+func (m *scriptMem) Holds(int, uint64, uint64) bool { return false }
 
 // TestWaiterReopensParkedPhase covers a producer-waiter whose Load moves
 // the stamp while the phase it shares a cycle with is parked: the phase's

@@ -400,36 +400,49 @@ func progressOf(cs *coreCtx) coreProgress {
 }
 
 // promiseMem stands between a stepped run's cores and the System and
-// checks the contract behind parked retries: a retry of an MSHR-full
+// checks the two promises behind parked retries. A retry of an MSHR-full
 // rejection whose core stamp has not moved answers Retry and leaves the
-// stamp where it was. The stepped kernel itself never parks (its
-// rejections carry no stamp), so every such retry reaches Load.
+// stamp where it was. So does one whose stamp moved but which Holds
+// would keep parked: the file is still full and the generation of the
+// load's line bucket is the one the rejection saw. The stepped kernel
+// itself never parks (its rejections carry no stamp), so every such
+// retry reaches Load.
 type promiseMem struct {
-	t       *testing.T
-	s       *System
-	held    map[[2]uint64]uint64 // (core, seq) -> stamp at its MSHR-full rejection
-	checked uint64
+	t           *testing.T
+	s           *System
+	held        map[[2]uint64][2]uint64 // (core, seq) -> stamp and line generation at its MSHR-full rejection
+	checked     uint64                  // retries the stamp would have parked
+	lineChecked uint64                  // retries only Holds would have parked
 }
 
 func (m *promiseMem) Load(coreID int, seq, line, pc uint64, runahead bool, now uint64, firstTry bool) cpu.LoadResult {
 	cs := m.s.cores[coreID]
 	key := [2]uint64{uint64(coreID), seq}
-	stamp, held := m.held[key]
-	held = held && !firstTry && stamp == cs.stamp
+	b := lineBucket(gline(coreID, line))
+	at, held := m.held[key]
+	stamp := cs.stamp
+	byStamp := held && !firstTry && at[0] == stamp
+	byLine := held && !firstTry && !byStamp && m.s.Holds(coreID, line, at[1])
 	delete(m.held, key)
 	res := m.s.Load(coreID, seq, line, pc, runahead, now, firstTry)
 	if res.Stamp != 0 {
 		m.t.Fatalf("cycle %d: the stepped kernel stamped a rejection", now)
 	}
-	if held {
-		m.checked++
+	if byStamp || byLine {
+		if byStamp {
+			m.checked++
+		} else {
+			m.lineChecked++
+		}
 		if !res.Retry || cs.stamp != stamp {
-			m.t.Fatalf("cycle %d: core %d load %d broke its stamp promise: %+v, stamp %d -> %d",
-				now, coreID, seq, res, stamp, cs.stamp)
+			m.t.Fatalf("cycle %d: core %d load %d broke its promise (by stamp %v, by line %v): %+v, stamp %d -> %d",
+				now, coreID, seq, byStamp, byLine, res, stamp, cs.stamp)
 		}
 	}
 	if res.Retry && cs.mshr.Full() {
-		m.held[key] = cs.stamp // an MSHR-full rejection (Enqueue rejects leave the file below capacity)
+		// An MSHR-full rejection (Enqueue rejects leave the file below
+		// capacity).
+		m.held[key] = [2]uint64{cs.stamp, cs.gens[b]}
 	}
 	return res
 }
@@ -443,11 +456,12 @@ func (m *promiseMem) Load(coreID int, seq, line, pc uint64, runahead bool, now u
 // kernel keeps taking each core's wake-up claim without acting on it, and
 // every cycle the event kernel would have left a core asleep must leave
 // that core's progress untouched. Meanwhile promiseMem checks every
-// retry a stamp would have parked. A suite that audits no window, or a
-// seed with global windows but no per-core ones, fails.
+// retry a stamp or Holds would have parked. A suite that audits no
+// window or checks no promise of either kind, or a seed with global
+// windows but no per-core ones, fails.
 func TestEventWheelLockstepAudit(t *testing.T) {
 	const seeds = 8
-	var ran, totalWindows, totalPromises atomic.Uint64
+	var ran, totalWindows, totalPromises, totalLinePromises atomic.Uint64
 	t.Cleanup(func() {
 		if ran.Load() < seeds {
 			return
@@ -457,6 +471,9 @@ func TestEventWheelLockstepAudit(t *testing.T) {
 		}
 		if totalPromises.Load() == 0 {
 			t.Error("no seed retried an MSHR-full rejection under an unmoved stamp")
+		}
+		if totalLinePromises.Load() == 0 {
+			t.Error("no seed retried an MSHR-full rejection that only Holds would have parked")
 		}
 	})
 	for seed := 0; seed < seeds; seed++ {
@@ -470,7 +487,7 @@ func TestEventWheelLockstepAudit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pm := &promiseMem{t: t, s: sys, held: map[[2]uint64]uint64{}}
+			pm := &promiseMem{t: t, s: sys, held: map[[2]uint64][2]uint64{}}
 			for _, cs := range sys.cores {
 				cs.core = cpu.New(cs.id, cfg.Core, cs.prof.Gen, pm)
 				if cfg.Profile {
@@ -551,8 +568,9 @@ func TestEventWheelLockstepAudit(t *testing.T) {
 			ran.Add(1)
 			totalWindows.Add(windows + coreWindows)
 			totalPromises.Add(pm.checked)
-			t.Logf("%s: %d windows, %d audited inert cycles; per core %d windows, %d audited asleep cycles; %d stamp promises checked",
-				describeCfg(cfg), windows, audited, coreWindows, coreAudited, pm.checked)
+			totalLinePromises.Add(pm.lineChecked)
+			t.Logf("%s: %d windows, %d audited inert cycles; per core %d windows, %d audited asleep cycles; %d stamp and %d line promises checked",
+				describeCfg(cfg), windows, audited, coreWindows, coreAudited, pm.checked, pm.lineChecked)
 		})
 	}
 }

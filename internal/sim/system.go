@@ -67,10 +67,12 @@ type coreCtx struct {
 	// the last cycle whose stall accounting the core has applied. stamp
 	// versions the core's L1, L2 and MSHR file: every fill, allocate and
 	// release bumps it (cpu.Stamper). It starts at 1, since a zero stamp
-	// promises nothing. ticks and slept count the cycles the
-	// core executed and the cycles it slept through.
+	// promises nothing. gens versions the lines by bucket: every fill and
+	// allocate bumps its line's bucket (lineBucket). ticks and slept count
+	// the cycles the core executed and the cycles it slept through.
 	wake, settled uint64
 	stamp         uint64
+	gens          [lineBuckets]uint64
 	ticks, slept  uint64
 
 	frozen bool
@@ -500,7 +502,7 @@ func (s *System) Load(coreID int, seq, line, pc uint64, runahead bool, now uint6
 			}
 		}
 		cs.l1.Fill(g, false, false)
-		s.touch(cs)
+		s.touchLine(cs, g)
 		if firstTry {
 			s.observe(cs, prefetch.AccessEvent{LineAddr: g, PC: pc, Miss: false, Cycle: now}, now)
 		}
@@ -550,12 +552,14 @@ func (s *System) Load(coreID int, seq, line, pc uint64, runahead bool, now uint6
 		}
 		// A retry of this load walks the L1, the L2 and the MSHR file and
 		// fails again here, touching nothing but LRU clocks, until one of
-		// them changes: the stamp promises exactly that. A buffer-full
+		// them changes: the stamp promises exactly that. It also fails
+		// while the file stays full and g is neither filled nor allocated,
+		// which its bucket's generation promises (Holds). A buffer-full
 		// rejection below gets no stamp, since every retry of it books a
 		// reject at the controller.
 		res := cpu.LoadResult{Retry: true}
 		if s.cfg.Kernel == KernelEvents {
-			res.Stamp = cs.stamp
+			res.Stamp, res.Gen = cs.stamp, cs.gens[lineBucket(g)]
 		}
 		return res
 	}
@@ -575,7 +579,7 @@ func (s *System) Load(coreID int, seq, line, pc uint64, runahead bool, now uint6
 		// Cannot happen after the Full check, but stay safe.
 		return cpu.LoadResult{Retry: true}
 	}
-	s.touch(cs)
+	s.touchLine(cs, g)
 	e.Waiters = append(e.Waiters, cache.Waiter{Core: coreID, Seq: seq})
 	cs.demandReqs++
 	return cpu.LoadResult{Pending: true}
@@ -658,7 +662,7 @@ func (s *System) observe(cs *coreCtx, ev prefetch.AccessEvent, now uint64) {
 			continue
 		}
 		cs.mshr.Allocate(cand, true)
-		s.touch(cs)
+		s.touchLine(cs, cand)
 		cs.prefSent++
 		cs.prefInflight++
 		d := s.ctrlDom[addr.Channel]
@@ -773,9 +777,10 @@ func (s *System) complete(r *memctrl.Request, now uint64) {
 		}
 	}
 
-	// One touch covers the L2 fill, the L1 fill and the MSHR release:
-	// no load reaches the hierarchy in between.
-	s.touch(cs)
+	// One touch covers the L2 fill and the L1 fill of the line, which
+	// come before the deliveries read the stamp; the release after them
+	// takes its own (see touch).
+	s.touchLine(cs, r.Line)
 	s.evicted(cs, cs.l2.Fill(r.Line, r.Prefetch, r.IssueHit), r.Prefetch)
 
 	if e := cs.mshr.Lookup(r.Line); e != nil {
@@ -786,6 +791,7 @@ func (s *System) complete(r *memctrl.Request, now uint64) {
 			s.deliver(s.cores[w.Core], w.Seq, r.FinishAt)
 		}
 		cs.mshr.Release(r.Line)
+		s.touch(cs)
 	}
 }
 
@@ -842,7 +848,7 @@ func (s *System) completeMemSide(r *memctrl.Request) {
 	}
 
 	// No FDP pollution note: no core-side engine issued this fill.
-	s.touch(cs)
+	s.touchLine(cs, r.Line)
 	s.evicted(cs, cs.l2.Fill(r.Line, true, r.IssueHit), false)
 	cs.l2.Mark(r.Line)
 
@@ -857,6 +863,7 @@ func (s *System) completeMemSide(r *memctrl.Request) {
 			s.deliver(s.cores[w.Core], w.Seq, r.FinishAt)
 		}
 		cs.mshr.Release(r.Line)
+		s.touch(cs)
 	}
 }
 
@@ -900,6 +907,11 @@ func (s *System) dropExpired(now uint64) {
 // core's tick slot in this cycle the core ticks now; otherwise the
 // end-of-cycle refresh recomputes its wake-up. A shared L2 and MSHR file
 // belong to every core.
+//
+// A touch comes after the change it records whenever the core may read
+// its stamp in between: a delivery's NextEvent restamps the loads Holds
+// keeps parked, so an MSHR release after the deliveries must move the
+// stamp again, or those loads would sleep through the freed entry.
 func (s *System) touch(cs *coreCtx) {
 	if s.cfg.SharedL2 {
 		for _, o := range s.cores {
@@ -912,8 +924,39 @@ func (s *System) touch(cs *coreCtx) {
 	cs.wake = min(cs.wake, s.cycle)
 }
 
+// touchLine is touch for a fill or an allocate of line g, which also
+// bumps g's bucket generation: a load of g parked on a full file may now
+// hit or merge.
+func (s *System) touchLine(cs *coreCtx, g uint64) {
+	b := lineBucket(g)
+	if s.cfg.SharedL2 {
+		for _, o := range s.cores {
+			o.gens[b]++
+		}
+	} else {
+		cs.gens[b]++
+	}
+	s.touch(cs)
+}
+
+// lineBuckets is the size of a core's line-generation table. Two lines
+// that share a bucket only cost each other a retry that fails.
+const lineBuckets = 64
+
+// lineBucket hashes a global line address onto its generation bucket.
+func lineBucket(g uint64) int { return int(g * 0x9e3779b97f4a7c15 >> 58) }
+
 // Stamp implements cpu.Stamper.
 func (s *System) Stamp(coreID int) uint64 { return s.cores[coreID].stamp }
+
+// Holds implements cpu.Stamper. A load of g rejected on a full MSHR file
+// missed the L1, the L2 and the file; only a fill or an allocate of g,
+// each of which moves g's bucket, can change that, so while the file
+// stays full and the bucket does not move, a retry fails again.
+func (s *System) Holds(coreID int, line, gen uint64) bool {
+	cs := s.cores[coreID]
+	return cs.mshr.Full() && cs.gens[lineBucket(gline(coreID, line))] == gen
+}
 
 // settle applies the stall accounting of the cycles cs slept through, up
 // to and including cycle now. Anything that reads a core's stall counters
@@ -1022,9 +1065,12 @@ func (s *System) Run() (stats.Results, error) {
 
 		// Rotate the tick order so no core systematically wins FCFS ties
 		// (hardware arbiters round-robin equal-priority requesters).
-		start := int(now) % len(s.cores)
-		for i := range s.cores {
-			cs := s.cores[(start+i)%len(s.cores)]
+		j := int(now % uint64(len(s.cores)))
+		for range s.cores {
+			cs := s.cores[j]
+			if j++; j == len(s.cores) {
+				j = 0
+			}
 			if events && now < cs.wake {
 				continue // asleep: this cycle repeats its stall accounting
 			}

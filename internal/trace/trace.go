@@ -4,7 +4,9 @@
 // instruction index: the same (seed, index) always yields the same
 // instruction. That determinism makes multiprogrammed runs reproducible
 // and lets the runahead-execution core model replay wrong-path work by
-// simply re-walking indices.
+// simply re-walking indices. At is that random access; a Cursor reads the
+// same instructions in order at a fraction of its cost, and is what the
+// core fetches through.
 //
 // A Gen interleaves a memory-op Pattern with compute instructions; the
 // Pattern vocabulary (streams, strides, bursts, random, pointer chasing,
@@ -59,6 +61,69 @@ func (g Gen) At(i uint64) Inst {
 	// A dependence (pointer chase) binds only the first touch of a line;
 	// the rest are L1 hits on the fetched line.
 	return Inst{Mem: true, Line: op.Line, PC: op.PC, Dep: op.Dep && m%rep == 0}
+}
+
+// Cursor reads a Gen's instructions in index order, as At would return
+// them, without At's divides: it keeps the index of the next memory op
+// and where that op falls in its line's run of Repeat touches, and it
+// asks the Pattern for an op only when the run moves to a new line.
+// Seek repositions it anywhere.
+type Cursor struct {
+	g   Gen
+	rep uint64 // Repeat, with 0 read as 1
+	i   uint64 // index of the instruction Next returns
+	mem uint64 // index of the first memory op at or after i
+	r   uint64 // that op's number m, modulo rep
+	k   uint64 // m / rep: the Pattern op it touches
+	// op is Pattern.MemOp(opK) when have.
+	op   MemOp
+	opK  uint64
+	have bool
+}
+
+// Cursor returns a cursor whose first Next is At(i).
+func (g Gen) Cursor(i uint64) Cursor {
+	c := Cursor{g: g, rep: max64(1, g.Repeat)}
+	c.Seek(i)
+	return c
+}
+
+// Seek makes the next Next return At(i). The op a seek lands on is kept
+// if it is the one the cursor already holds.
+func (c *Cursor) Seek(i uint64) {
+	c.i = i
+	if c.g.MemEvery == 0 {
+		c.mem = ^uint64(0) // never a memory op; Next checks MemEvery there
+		return
+	}
+	m := i / c.g.MemEvery
+	if i%c.g.MemEvery != 0 {
+		m++
+	}
+	c.mem = m * c.g.MemEvery
+	c.r, c.k = m%c.rep, m/c.rep
+}
+
+// Index returns the index of the instruction Next returns.
+func (c *Cursor) Index() uint64 { return c.i }
+
+// Next returns the instruction at Index and advances past it.
+func (c *Cursor) Next() Inst {
+	i := c.i
+	c.i++
+	if i != c.mem || c.g.MemEvery == 0 {
+		return Inst{}
+	}
+	if !c.have || c.opK != c.k {
+		c.op, c.opK, c.have = c.g.Pattern.MemOp(c.k), c.k, true
+	}
+	in := Inst{Mem: true, Line: c.op.Line, PC: c.op.PC, Dep: c.op.Dep && c.r == 0}
+	c.mem += c.g.MemEvery
+	if c.r++; c.r == c.rep {
+		c.r = 0
+		c.k++
+	}
+	return in
 }
 
 // mix64 is SplitMix64's finalizer over a seeded counter; the workhorse for
