@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench-snapshot bench-compare smoke-sweepd
+.PHONY: build test race loc bench-snapshot bench-compare smoke-sweepd
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,12 @@ test:
 
 race:
 	$(GO) test -race ./internal/sweepd/ ./internal/runner/ ./internal/telemetry/ ./internal/telemetry/flight/
+
+# Print the size metric ROADMAP tracks: lines of non-test Go outside
+# bench/, blank and //-comment lines excluded. Only tracked files count,
+# so build output such as .bench_build/ never does.
+loc:
+	@git ls-files -- '*.go' ':(exclude)*_test.go' ':(exclude)bench/' | xargs cat | awk '!/^[ \t]*$$/ && !/^[ \t]*\/\//' | wc -l
 
 # Append a benchmark snapshot to the checked-in history
 # (BENCH_sweep.json): the parallel sweep engine and the controller-tick

@@ -16,20 +16,25 @@ import (
 	"padc/internal/telemetry"
 )
 
+// IntervalCycles is the accuracy sampling interval: the paper measures
+// every core's prefetch accuracy over 100K-cycle intervals (§4.1).
+const IntervalCycles uint64 = 100_000
+
 // Config holds the PADC knobs, taken as written: DefaultConfig holds the
-// paper's evaluation settings (85% promotion threshold, 100K-cycle
-// accuracy interval, the Table 6 drop-threshold ladder). Any promotion
-// threshold is valid; at 0 or below every measured accuracy is critical,
-// above 1 none is.
+// paper's evaluation settings (85% promotion threshold, the Table 6
+// drop-threshold ladder). Any promotion threshold is valid; at 0 or below
+// every measured accuracy is critical, above 1 none is.
+//
+// APS has no switch of its own: the controller's rule stack decides
+// whether criticality is read at all, and a stack without the critical
+// rule never asks.
 type Config struct {
 	PromotionThreshold float64
-	IntervalCycles     uint64
 	DropLadder         []DropLevel
 
-	// Mechanism toggles for ablations. In the full PADC all three are on;
-	// APS alone is EnableAPD=false; the §6.3.4 no-urgency ablation clears
+	// Mechanism toggles for ablations. In the full PADC both are on; APS
+	// alone is EnableAPD=false; the §6.3.4 no-urgency ablation clears
 	// EnableUrgency.
-	EnableAPS     bool
 	EnableAPD     bool
 	EnableUrgency bool
 }
@@ -55,20 +60,15 @@ func DefaultDropLadder() []DropLevel {
 func DefaultConfig() Config {
 	return Config{
 		PromotionThreshold: 0.85,
-		IntervalCycles:     100_000,
 		DropLadder:         DefaultDropLadder(),
-		EnableAPS:          true,
 		EnableAPD:          true,
 		EnableUrgency:      true,
 	}
 }
 
-// Validate reports a config the adaptive machinery cannot run: a zero
-// accuracy interval, or APD on with no drop-threshold levels.
+// Validate reports a config the adaptive machinery cannot run: APD on
+// with no drop-threshold levels.
 func (c Config) Validate() error {
-	if c.IntervalCycles == 0 {
-		return fmt.Errorf("core: IntervalCycles must be positive")
-	}
 	if c.EnableAPD && len(c.DropLadder) == 0 {
 		return fmt.Errorf("core: APD needs at least one DropLadder level")
 	}
@@ -273,9 +273,6 @@ func (p *PADC) AccuracyIn(domain, core int) float64 { return p.meters[domain][co
 // domain are critical: measured tier-local accuracy meets the promotion
 // threshold.
 func (p *PADC) PrefetchCriticalIn(domain, core int) bool {
-	if !p.cfg.EnableAPS {
-		return false
-	}
 	return p.meters[domain][core].par >= p.cfg.PromotionThreshold
 }
 
@@ -321,9 +318,6 @@ func (v *TierView) PrefetchCritical(core int) bool { return v.p.PrefetchCritical
 
 // UrgencyEnabled implements memctrl.CoreState.
 func (v *TierView) UrgencyEnabled() bool { return v.p.UrgencyEnabled() }
-
-// IntervalCycles returns the accuracy sampling interval.
-func (p *PADC) IntervalCycles() uint64 { return p.cfg.IntervalCycles }
 
 // String summarizes current per-core accuracy, for debugging output.
 func (p *PADC) String() string {

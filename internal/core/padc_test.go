@@ -91,11 +91,8 @@ func TestDropThresholdLadder(t *testing.T) {
 
 func TestDisabledMechanisms(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.EnableAPS, cfg.EnableAPD, cfg.EnableUrgency = false, false, false
+	cfg.EnableAPD, cfg.EnableUrgency = false, false
 	p := New(1, cfg)
-	if p.PrefetchCritical(0) {
-		t.Fatal("APS disabled should never promote")
-	}
 	if p.DropThresholdIn(0, 0) != ^uint64(0) {
 		t.Fatal("APD disabled should never drop")
 	}
@@ -130,14 +127,10 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	noInterval := DefaultConfig()
-	noInterval.IntervalCycles = 0
 	noLadder := DefaultConfig()
 	noLadder.DropLadder = nil
-	for name, c := range map[string]Config{"zero interval": noInterval, "APD without a ladder": noLadder} {
-		if c.Validate() == nil {
-			t.Errorf("%s accepted", name)
-		}
+	if noLadder.Validate() == nil {
+		t.Error("APD without a ladder accepted")
 	}
 	// Without APD the ladder is never read.
 	noLadder.EnableAPD = false

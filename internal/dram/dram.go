@@ -79,7 +79,6 @@ type Config struct {
 	LineBytes   uint64 // cache-line (transfer) size
 	Timing      Timing
 	Permutation bool // permutation-based bank index remapping (Zhang et al.)
-	TickEvery   uint64
 
 	// Page selects the row-buffer management policy (open, closed, or the
 	// adaptive per-bank predictor).
@@ -90,12 +89,18 @@ type Config struct {
 	Refresh refresh.Config
 }
 
-// EffectiveTickEvery returns the controller scheduling period, TickEvery
-// as written; Validate rejects 0.
-func (c Config) EffectiveTickEvery() uint64 { return c.TickEvery }
+// TickEvery is the controller scheduling period in processor cycles: one
+// scheduling decision per DRAM bus cycle on the 4GHz core.
+const TickEvery uint64 = 4
+
+// EffectiveTickEvery returns TickEvery. It is kept as a method only for
+// the benchmark harness (bench/padcbench), which calls it and is changed
+// separately from the simulator.
+func (c Config) EffectiveTickEvery() uint64 { return TickEvery }
 
 // DefaultConfig is the paper's baseline: one channel, 8 banks, 4KB rows,
-// 64B lines, open-row policy.
+// 64B lines, open-row policy, and the DDR3-1333 refresh timing with
+// refresh off.
 func DefaultConfig() Config {
 	return Config{
 		Channels:  1,
@@ -103,7 +108,7 @@ func DefaultConfig() Config {
 		RowBytes:  4096,
 		LineBytes: 64,
 		Timing:    DDR3(),
-		TickEvery: 4, // one scheduling decision per DRAM bus cycle at 4GHz
+		Refresh:   refresh.DefaultConfig(),
 	}
 }
 
@@ -120,8 +125,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dram: row size %d not a multiple of line size %d", c.RowBytes, c.LineBytes)
 	case c.Channels&(c.Channels-1) != 0:
 		return fmt.Errorf("dram: channels must be a power of two, got %d", c.Channels)
-	case c.TickEvery == 0:
-		return fmt.Errorf("dram: TickEvery must be positive")
 	case c.Page < OpenPage || c.Page > AdaptivePage:
 		return fmt.Errorf("dram: unknown page policy %d", int(c.Page))
 	}

@@ -30,7 +30,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.RowBytes = 0 },
 		func(c *Config) { c.LineBytes = 0 },
 		func(c *Config) { c.RowBytes = 100 },
-		func(c *Config) { c.TickEvery = 0 },
 	}
 	for i, mod := range cases {
 		c := DefaultConfig()

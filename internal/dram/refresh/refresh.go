@@ -86,45 +86,25 @@ func DefaultConfig() Config {
 	return Config{Mode: Off, TREFI: 31_200, TRFC: 640, TRFCpb: 360, MaxPostpone: 8}
 }
 
-// withDefaults fills zero-valued timing fields so a config that only sets
-// Mode still validates.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.TREFI == 0 {
-		c.TREFI = d.TREFI
-	}
-	if c.TRFC == 0 {
-		c.TRFC = d.TRFC
-	}
-	if c.TRFCpb == 0 {
-		c.TRFCpb = d.TRFCpb
-	}
-	if c.MaxPostpone == 0 {
-		c.MaxPostpone = d.MaxPostpone
-	}
-	return c
-}
-
-// Resolved returns the config with zero-valued timing fields replaced by
-// the DDR3-1333 defaults — the timing NewEngine actually runs with.
-func (c Config) Resolved() Config { return c.withDefaults() }
-
 // Enabled reports whether the config asks for any refresh at all.
 func (c Config) Enabled() bool { return c.Mode != Off }
 
-// Validate reports a descriptive error for impossible refresh timings.
+// Validate reports a descriptive error for impossible refresh timings,
+// read as written: a zero refresh occupancy, one as long as tREFI, or no
+// postpone window. A config with refresh Off is never read.
 func (c Config) Validate() error {
 	if !c.Enabled() {
 		return nil
 	}
-	d := c.withDefaults()
 	switch {
-	case d.Mode != PerBank && d.Mode != AllBank:
-		return fmt.Errorf("refresh: unknown mode %d", int(d.Mode))
-	case d.TRFC >= d.TREFI || d.TRFCpb >= d.TREFI:
-		return fmt.Errorf("refresh: tRFC (%d/%d) must be shorter than tREFI (%d)", d.TRFC, d.TRFCpb, d.TREFI)
-	case d.MaxPostpone < 1:
-		return fmt.Errorf("refresh: MaxPostpone must be positive, got %d", d.MaxPostpone)
+	case c.Mode != PerBank && c.Mode != AllBank:
+		return fmt.Errorf("refresh: unknown mode %d", int(c.Mode))
+	case c.TRFC == 0 || c.TRFCpb == 0:
+		return fmt.Errorf("refresh: tRFC (%d/%d) must be positive", c.TRFC, c.TRFCpb)
+	case c.TRFC >= c.TREFI || c.TRFCpb >= c.TREFI:
+		return fmt.Errorf("refresh: tRFC (%d/%d) must be shorter than tREFI (%d)", c.TRFC, c.TRFCpb, c.TREFI)
+	case c.MaxPostpone < 1:
+		return fmt.Errorf("refresh: MaxPostpone must be positive, got %d", c.MaxPostpone)
 	}
 	return nil
 }
@@ -156,11 +136,11 @@ type Engine struct {
 	BlockedCycles uint64 // cycles a bank with waiting requests was refresh-blocked
 }
 
-// NewEngine builds the engine for a channel with the given bank count.
+// NewEngine builds the engine for a channel with the given bank count,
+// running cfg as written (Validate rejects timings it cannot run).
 // Per-bank units are staggered across the tREFI window, as real
 // controllers spread REFpb commands.
 func NewEngine(cfg Config, banks int) *Engine {
-	cfg = cfg.withDefaults()
 	e := &Engine{cfg: cfg, banks: banks}
 	n := 1
 	if cfg.Mode == PerBank {
@@ -173,7 +153,7 @@ func NewEngine(cfg Config, banks int) *Engine {
 	return e
 }
 
-// Config returns the timing the engine runs with (defaults filled in).
+// Config returns the timing the engine runs with.
 func (e *Engine) Config() Config { return e.cfg }
 
 // Mode returns the refresh granularity.

@@ -18,13 +18,30 @@ func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	c := Config{Mode: PerBank} // zero timings fill from defaults
-	if err := c.Validate(); err != nil {
-		t.Fatalf("mode-only config invalid: %v", err)
+	if err := (Config{}).Validate(); err != nil {
+		t.Fatalf("refresh off with zero timings rejected: %v", err)
 	}
-	c = Config{Mode: AllBank, TREFI: 100, TRFC: 200}
-	if err := c.Validate(); err == nil {
-		t.Error("tRFC >= tREFI accepted")
+	// Timings are read as written: a mode with zero timings cannot run.
+	for name, mod := range map[string]func(*Config){
+		"mode only":       func(c *Config) { *c = Config{Mode: c.Mode} },
+		"zero tRFC":       func(c *Config) { c.TRFC = 0 },
+		"zero tRFCpb":     func(c *Config) { c.TRFCpb = 0 },
+		"tRFC >= tREFI":   func(c *Config) { c.TREFI = c.TRFC },
+		"tRFCpb >= tREFI": func(c *Config) { c.TRFC, c.TREFI = 1, c.TRFCpb },
+		"no postpone":     func(c *Config) { c.MaxPostpone = 0 },
+		"unknown mode":    func(c *Config) { c.Mode = AllBank + 1 },
+	} {
+		for _, mode := range []Mode{PerBank, AllBank} {
+			c := DefaultConfig()
+			c.Mode = mode
+			if err := c.Validate(); err != nil {
+				t.Fatalf("default %v timing invalid: %v", mode, err)
+			}
+			mod(&c)
+			if err := c.Validate(); err == nil {
+				t.Errorf("%s (%v): %+v accepted", name, mode, c)
+			}
+		}
 	}
 }
 
@@ -136,7 +153,9 @@ func TestAllBankSharesOneUnit(t *testing.T) {
 }
 
 func TestNoteBlockedUsesAdvanceDelta(t *testing.T) {
-	e := NewEngine(Config{Mode: PerBank}, 1)
+	cfg := DefaultConfig()
+	cfg.Mode = PerBank
+	e := NewEngine(cfg, 1)
 	e.Advance(4)
 	e.NoteBlocked()
 	e.Advance(8)

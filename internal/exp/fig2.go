@@ -22,7 +22,7 @@ func fig2Run(pol memctrl.Policy) (x, y, z uint64) {
 	const rowA, rowB = 10, 20
 	ch.Banks[0].OpenRow = rowA
 
-	ctrl := memctrl.New(pol, ch, 16, nil)
+	ctrl := memctrl.NewStack(pol.Stack(), ch, 16, nil)
 	mk := func(line uint64, prefetch bool, row uint64) *memctrl.Request {
 		return &memctrl.Request{
 			Line:     line,

@@ -67,7 +67,7 @@ func BenchmarkControllerTick(b *testing.B) {
 			b.Run(fmt.Sprintf("policy=%s/depth=%d", p.name, depth), func(b *testing.B) {
 				cfg := dram.DefaultConfig()
 				ch := dram.NewChannel(cfg)
-				c := New(p.pol, ch, depth, benchState{})
+				c := NewStack(p.pol.Stack(), ch, depth, benchState{})
 				fillController(c, depth, cfg.Banks)
 				now := uint64(0)
 				// Warm up past slice growth and map sizing.

@@ -330,7 +330,7 @@ func runDifferential(t *testing.T, pol Policy, seed int64, banks int, closedRow 
 	cfg := diffChannelConfig(banks, closedRow)
 	state := &flipState{}
 	ref := legacyNew(pol, dram.NewChannel(cfg), 32, state)
-	cur := New(pol, dram.NewChannel(cfg), 32, state)
+	cur := NewStack(pol.Stack(), dram.NewChannel(cfg), 32, state)
 	runSchedule(t, pol.String(), ref, cur, state, seed, banks, cycles)
 }
 

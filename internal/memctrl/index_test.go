@@ -71,7 +71,7 @@ func auditIndexes(t *testing.T, c *Controller) {
 func TestIndexCountConservation(t *testing.T) {
 	cfg := dram.DefaultConfig()
 	cfg.Banks = 4
-	c := New(APSRank, dram.NewChannel(cfg), 24, fixedState{critical: map[int]bool{0: true}, urgency: true})
+	c := NewStack(APSRank.Stack(), dram.NewChannel(cfg), 24, fixedState{critical: map[int]bool{0: true}, urgency: true})
 	rng := rand.New(rand.NewSource(42))
 	var lineCtr uint64
 	type pr struct {
@@ -133,7 +133,7 @@ func TestClosedRowKeepOpenBurst(t *testing.T) {
 	cfg := dram.DefaultConfig()
 	cfg.Banks = 1
 	cfg.Page = dram.ClosedPage
-	c := New(DemandPrefEqual, dram.NewChannel(cfg), 16, nil)
+	c := NewStack(DemandPrefEqual.Stack(), dram.NewChannel(cfg), 16, nil)
 
 	mk := func(line, row uint64) *Request {
 		return &Request{Line: line, Addr: dram.Address{Bank: 0, Row: row}, Arrival: 0}
@@ -172,7 +172,7 @@ func TestClosedRowKeepOpenBurst(t *testing.T) {
 // through RuleWins and the registered telemetry counters.
 func TestRuleWinsAttribution(t *testing.T) {
 	tel := telemetry.New(telemetry.Options{})
-	c := New(APS, oneBank(), 8, fixedState{critical: map[int]bool{}, urgency: false})
+	c := NewStack(APS.Stack(), oneBank(), 8, fixedState{critical: map[int]bool{}, urgency: false})
 	c.Instrument(tel, 0)
 
 	demand := req(0, 1, 7, false)
@@ -216,7 +216,7 @@ func TestTickZeroSteadyStateAllocs(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			cfg := dram.DefaultConfig()
 			ch := dram.NewChannel(cfg)
-			c := New(pol, ch, 64, benchState{})
+			c := NewStack(pol.Stack(), ch, 64, benchState{})
 			fillController(c, 64, cfg.Banks)
 			now := uint64(0)
 			for i := 0; i < 256; i++ { // warm buffers, maps and scratch

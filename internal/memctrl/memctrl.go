@@ -222,16 +222,10 @@ type Controller struct {
 	Dropped     uint64
 }
 
-// New builds a controller over channel with the given buffer capacity,
-// running the named policy's rule stack. state may be nil for
-// rigid policies.
-func New(policy Policy, channel *dram.Channel, capacity int, state CoreState) *Controller {
-	return NewStack(policy.Stack(), channel, capacity, state)
-}
-
-// NewStack builds a controller scheduling with an explicit rule stack
-// (a Policy's Stack, or a "rules:" list sched.Parse accepts). state may be
-// nil when no rule in the stack consults core accuracy.
+// NewStack builds a controller over channel with the given buffer
+// capacity, scheduling with a rule stack (a Policy's Stack, or a "rules:"
+// list sched.Parse accepts). state may be nil when no rule in the stack
+// consults core accuracy.
 func NewStack(stack sched.Stack, channel *dram.Channel, capacity int, state CoreState) *Controller {
 	n := max(capacity, 0)
 	c := &Controller{

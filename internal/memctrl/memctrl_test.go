@@ -110,7 +110,7 @@ func drain(c *Controller, n int) []*Request {
 }
 
 func TestEnqueueCapacity(t *testing.T) {
-	c := New(DemandFirst, oneBank(), 2, nil)
+	c := NewStack(DemandFirst.Stack(), oneBank(), 2, nil)
 	if !c.Enqueue(req(0, 1, 1, false)) || !c.Enqueue(req(0, 2, 1, false)) {
 		t.Fatal("enqueue failed below capacity")
 	}
@@ -123,7 +123,7 @@ func TestEnqueueCapacity(t *testing.T) {
 }
 
 func TestDemandFirstPriority(t *testing.T) {
-	c := New(DemandFirst, oneBank(), 16, nil)
+	c := NewStack(DemandFirst.Stack(), oneBank(), 16, nil)
 	p := req(0, 1, 5, true)
 	d := req(0, 2, 9, false)
 	c.Enqueue(p) // older prefetch
@@ -137,7 +137,7 @@ func TestDemandFirstPriority(t *testing.T) {
 func TestDemandPrefEqualIsRowHitFirst(t *testing.T) {
 	ch := oneBank()
 	ch.Banks[0].OpenRow = 5
-	c := New(DemandPrefEqual, ch, 16, nil)
+	c := NewStack(DemandPrefEqual.Stack(), ch, 16, nil)
 	d := req(0, 1, 9, false) // older row-conflict demand
 	p := req(0, 2, 5, true)  // younger row-hit prefetch
 	c.Enqueue(d)
@@ -149,7 +149,7 @@ func TestDemandPrefEqualIsRowHitFirst(t *testing.T) {
 }
 
 func TestPrefetchFirstPriority(t *testing.T) {
-	c := New(PrefetchFirst, oneBank(), 16, nil)
+	c := NewStack(PrefetchFirst.Stack(), oneBank(), 16, nil)
 	d := req(0, 1, 5, false)
 	p := req(0, 2, 9, true)
 	c.Enqueue(d)
@@ -162,7 +162,7 @@ func TestPrefetchFirstPriority(t *testing.T) {
 func TestAPSCriticalPromotion(t *testing.T) {
 	// Core 0's prefetches are critical (accurate); core 1's are not.
 	st := fixedState{critical: map[int]bool{0: true, 1: false}, urgency: true}
-	c := New(APS, oneBank(), 16, st)
+	c := NewStack(APS.Stack(), oneBank(), 16, st)
 	junk := req(1, 1, 5, true)   // inaccurate core's prefetch (older)
 	useful := req(0, 2, 9, true) // accurate core's prefetch (younger)
 	c.Enqueue(junk)
@@ -174,7 +174,7 @@ func TestAPSCriticalPromotion(t *testing.T) {
 
 func TestAPSUrgencyBreaksTies(t *testing.T) {
 	st := fixedState{critical: map[int]bool{0: true, 1: false}, urgency: true}
-	c := New(APS, oneBank(), 16, st)
+	c := NewStack(APS.Stack(), oneBank(), 16, st)
 	// Same row state (both conflicts), both critical: core 0's demand vs
 	// core 1's (urgent) demand; the urgent one wins despite arriving later.
 	d0 := req(0, 1, 5, false)
@@ -187,7 +187,7 @@ func TestAPSUrgencyBreaksTies(t *testing.T) {
 
 	// With urgency disabled, FCFS decides.
 	st.urgency = false
-	c2 := New(APS, oneBank(), 16, st)
+	c2 := NewStack(APS.Stack(), oneBank(), 16, st)
 	d0b := req(0, 1, 5, false)
 	d1b := req(1, 2, 9, false)
 	c2.Enqueue(d0b)
@@ -199,7 +199,7 @@ func TestAPSUrgencyBreaksTies(t *testing.T) {
 
 func TestAPSRankPrefersShortJobs(t *testing.T) {
 	st := fixedState{critical: map[int]bool{0: false, 1: false}, urgency: false}
-	c := New(APSRank, oneBank(), 16, st)
+	c := NewStack(APSRank.Stack(), oneBank(), 16, st)
 	// Core 0 has three outstanding demands, core 1 has one. At equal
 	// criticality/row state, core 1 (fewer critical requests) ranks higher
 	// even though its request is younger.
@@ -214,7 +214,7 @@ func TestAPSRankPrefersShortJobs(t *testing.T) {
 }
 
 func TestMatchPrefetchPromotes(t *testing.T) {
-	c := New(DemandFirst, oneBank(), 16, nil)
+	c := NewStack(DemandFirst.Stack(), oneBank(), 16, nil)
 	p := req(3, 42, 5, true)
 	c.Enqueue(p)
 	got := c.MatchPrefetch(3, 42, 17)
@@ -233,7 +233,7 @@ func TestMatchPrefetchPromotes(t *testing.T) {
 }
 
 func TestDropExpired(t *testing.T) {
-	c := New(APS, oneBank(), 16, fixedState{critical: map[int]bool{}})
+	c := NewStack(APS.Stack(), oneBank(), 16, fixedState{critical: map[int]bool{}})
 	old := req(0, 1, 5, true)
 	old.Arrival = 0
 	young := req(0, 2, 6, true)
@@ -271,7 +271,7 @@ func TestAgeClampsBeforeArrival(t *testing.T) {
 
 	// End to end: a drop scan at a cycle preceding the arrival must not
 	// treat the request as ancient.
-	c := New(APS, oneBank(), 16, fixedState{critical: map[int]bool{}})
+	c := NewStack(APS.Stack(), oneBank(), 16, fixedState{critical: map[int]bool{}})
 	c.Enqueue(r)
 	if dropped := c.DropExpired(50, func(*Request) uint64 { return 100 }); len(dropped) != 0 {
 		t.Fatalf("drop scan before arrival dropped %d requests", len(dropped))
@@ -279,7 +279,7 @@ func TestAgeClampsBeforeArrival(t *testing.T) {
 }
 
 func TestDropExpiredSkipsInflightAndDemands(t *testing.T) {
-	c := New(APS, oneBank(), 16, fixedState{critical: map[int]bool{}})
+	c := NewStack(APS.Stack(), oneBank(), 16, fixedState{critical: map[int]bool{}})
 	inflight := req(0, 1, 5, true)
 	inflight.Arrival = 0
 	c.Enqueue(inflight)
@@ -302,7 +302,7 @@ func TestDropExpiredSkipsInflightAndDemands(t *testing.T) {
 }
 
 func TestDropExpiredRespectsPerCoreThresholds(t *testing.T) {
-	c := New(APS, oneBank(), 16, fixedState{critical: map[int]bool{}})
+	c := NewStack(APS.Stack(), oneBank(), 16, fixedState{critical: map[int]bool{}})
 	inaccurate := req(0, 1, 5, true) // core 0: tight threshold
 	accurate := req(1, 2, 6, true)   // core 1: generous threshold
 	c.Enqueue(inaccurate)
@@ -324,7 +324,7 @@ func TestDropExpiredRespectsPerCoreThresholds(t *testing.T) {
 
 func TestDropExpiredEmitsOneEventPerDrop(t *testing.T) {
 	tel := telemetry.New(telemetry.Options{})
-	c := New(APS, oneBank(), 16, fixedState{critical: map[int]bool{}})
+	c := NewStack(APS.Stack(), oneBank(), 16, fixedState{critical: map[int]bool{}})
 	c.Instrument(tel, 0)
 	for i := uint64(1); i <= 3; i++ {
 		c.Enqueue(req(0, i, i, true))
@@ -362,7 +362,7 @@ func TestDropExpiredEmitsOneEventPerDrop(t *testing.T) {
 func TestRowHitBeatsConflictWithinClass(t *testing.T) {
 	ch := oneBank()
 	ch.Banks[0].OpenRow = 7
-	c := New(DemandFirst, ch, 16, nil)
+	c := NewStack(DemandFirst.Stack(), ch, 16, nil)
 	conflict := req(0, 1, 5, false)
 	hit := req(0, 2, 7, false)
 	c.Enqueue(conflict)
@@ -376,7 +376,7 @@ func TestBankParallelism(t *testing.T) {
 	cfg := dram.DefaultConfig()
 	cfg.Banks = 2
 	ch := dram.NewChannel(cfg)
-	c := New(DemandFirst, ch, 16, nil)
+	c := NewStack(DemandFirst.Stack(), ch, 16, nil)
 	a := &Request{Core: 0, Line: 1, Addr: dram.Address{Bank: 0, Row: 1}}
 	b := &Request{Core: 0, Line: 2, Addr: dram.Address{Bank: 1, Row: 1}}
 	c.Enqueue(a)
@@ -389,7 +389,7 @@ func TestBankParallelism(t *testing.T) {
 }
 
 func TestServiceRecordsRowState(t *testing.T) {
-	c := New(DemandFirst, oneBank(), 16, nil)
+	c := NewStack(DemandFirst.Stack(), oneBank(), 16, nil)
 	r := req(0, 1, 5, false)
 	c.Enqueue(r)
 	drain(c, 1)

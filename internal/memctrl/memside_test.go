@@ -13,7 +13,7 @@ import (
 func memsideCtrl(slots int) (*Controller, *memsidepf.Engine) {
 	ch := oneBank()
 	ch.Banks[0].OpenRow = 5
-	c := New(DemandPrefEqual, ch, slots, nil)
+	c := NewStack(DemandPrefEqual.Stack(), ch, slots, nil)
 	eng := memsidepf.New(memsidepf.Config{}, 64)
 	c.AttachMemSide(eng)
 	return c, eng
@@ -144,7 +144,7 @@ func TestMemSideDropExpiredUsesOwnThreshold(t *testing.T) {
 func TestMemSideTelemetryPartitionsEnqueued(t *testing.T) {
 	ch := oneBank()
 	ch.Banks[0].OpenRow = 5
-	c := New(DemandPrefEqual, ch, 16, nil)
+	c := NewStack(DemandPrefEqual.Stack(), ch, 16, nil)
 	eng := memsidepf.New(memsidepf.Config{ListSize: 4, MaxAge: 40}, 64)
 	c.AttachMemSide(eng)
 	tel := telemetry.New(telemetry.Options{})

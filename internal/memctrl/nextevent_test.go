@@ -7,14 +7,14 @@ import (
 )
 
 func TestNextEventIdleController(t *testing.T) {
-	c := New(DemandFirst, oneBank(), 8, nil)
+	c := NewStack(DemandFirst.Stack(), oneBank(), 8, nil)
 	if e := c.NextEvent(10); e != NeverEvent {
 		t.Fatalf("idle controller NextEvent = %d, want NeverEvent", e)
 	}
 }
 
 func TestNextEventQueuedAndInflight(t *testing.T) {
-	c := New(DemandFirst, oneBank(), 8, nil)
+	c := NewStack(DemandFirst.Stack(), oneBank(), 8, nil)
 	c.Enqueue(req(0, 1, 1, false))
 	// A queued request on a ready bank can issue immediately.
 	if e := c.NextEvent(0); e != 1 {
@@ -44,7 +44,7 @@ func TestNextEventQueuedAndInflight(t *testing.T) {
 }
 
 func TestNextEventBusyBankWake(t *testing.T) {
-	c := New(DemandFirst, oneBank(), 8, nil)
+	c := NewStack(DemandFirst.Stack(), oneBank(), 8, nil)
 	c.Enqueue(req(0, 1, 1, false))
 	c.Tick(1, 8) // first request occupies the bank
 	c.Enqueue(req(0, 2, 2, false))
@@ -66,7 +66,7 @@ func TestNextEventBusyBankWake(t *testing.T) {
 }
 
 func TestHasPrefetches(t *testing.T) {
-	c := New(DemandFirst, oneBank(), 8, nil)
+	c := NewStack(DemandFirst.Stack(), oneBank(), 8, nil)
 	if c.HasPrefetches() {
 		t.Fatal("empty controller claims prefetches")
 	}
@@ -85,7 +85,7 @@ func TestHasPrefetches(t *testing.T) {
 }
 
 func TestNextEventRefresh(t *testing.T) {
-	c := New(DemandFirst, oneBank(), 8, nil)
+	c := NewStack(DemandFirst.Stack(), oneBank(), 8, nil)
 	eng := refresh.NewEngine(refresh.Config{
 		Mode: refresh.PerBank, TREFI: 200, TRFC: 80, TRFCpb: 40, MaxPostpone: 2,
 	}, 1)

@@ -11,7 +11,7 @@ import (
 // free list hands out next to be that same object, fully zeroed: no stale
 // seq, promotion, issue or row-state value may leak into its next life.
 func TestRecycledRequestIsZeroed(t *testing.T) {
-	c := New(APS, oneBank(), 4, fixedState{critical: map[int]bool{}})
+	c := NewStack(APS.Stack(), oneBank(), 4, fixedState{critical: map[int]bool{}})
 	c.Enqueue(req(0, 1, 5, false)) // takes seq 0, so r's seq is nonzero
 	r := c.NewRequest()
 	*r = Request{
@@ -46,7 +46,7 @@ func TestRecycledRequestIsZeroed(t *testing.T) {
 func TestRejectedAndDroppedRequestsRecycle(t *testing.T) {
 	st := fixedState{critical: map[int]bool{}}
 
-	c := New(APS, oneBank(), 1, st)
+	c := NewStack(APS.Stack(), oneBank(), 1, st)
 	c.Enqueue(req(0, 1, 5, false))
 	x := c.NewRequest()
 	*x = *req(0, 2, 5, false)
@@ -58,7 +58,7 @@ func TestRejectedAndDroppedRequestsRecycle(t *testing.T) {
 		t.Fatal("rejected request did not return to the free list")
 	}
 
-	c = New(APS, oneBank(), 4, st)
+	c = NewStack(APS.Stack(), oneBank(), 4, st)
 	p := c.NewRequest()
 	*p = *req(0, 3, 5, true)
 	c.Enqueue(p)
@@ -77,7 +77,7 @@ func TestRejectedAndDroppedRequestsRecycle(t *testing.T) {
 // TestFreeListBoundedByCapacity recycles more requests than the buffer
 // can hold: the surplus is left to the garbage collector.
 func TestFreeListBoundedByCapacity(t *testing.T) {
-	c := New(DemandFirst, oneBank(), 3, nil)
+	c := NewStack(DemandFirst.Stack(), oneBank(), 3, nil)
 	for i := 0; i < 10; i++ {
 		c.Recycle(&Request{Line: uint64(i)})
 		if len(c.free) > 3 {

@@ -27,7 +27,7 @@ func TestRefreshIdlePullInConservation(t *testing.T) {
 		cfg := dram.DefaultConfig()
 		cfg.Banks = 4
 		ch := dram.NewChannel(cfg)
-		c := New(DemandPrefEqual, ch, 16, nil)
+		c := NewStack(DemandPrefEqual.Stack(), ch, 16, nil)
 		eng := refresh.NewEngine(testRefreshCfg(mode), cfg.Banks)
 		c.AttachRefresh(eng)
 		if !c.NeedsIdleTick() {
@@ -86,7 +86,7 @@ func TestRefreshForcedDeadlineUnderLoad(t *testing.T) {
 	cfg := dram.DefaultConfig()
 	cfg.Banks = 1
 	ch := dram.NewChannel(cfg)
-	c := New(DemandPrefEqual, ch, 16, nil)
+	c := NewStack(DemandPrefEqual.Stack(), ch, 16, nil)
 	eng := refresh.NewEngine(testRefreshCfg(refresh.PerBank), cfg.Banks)
 	c.AttachRefresh(eng)
 
@@ -171,7 +171,7 @@ func TestRefreshAllBankDrainsThenBlocksAllBanks(t *testing.T) {
 	cfg := dram.DefaultConfig()
 	cfg.Banks = 4
 	ch := dram.NewChannel(cfg)
-	c := New(DemandPrefEqual, ch, 32, nil)
+	c := NewStack(DemandPrefEqual.Stack(), ch, 32, nil)
 	eng := refresh.NewEngine(testRefreshCfg(refresh.AllBank), cfg.Banks)
 	c.AttachRefresh(eng)
 
@@ -209,7 +209,7 @@ func TestRefreshInstrumentRegistersCounters(t *testing.T) {
 	cfg := dram.DefaultConfig()
 	cfg.Banks = 2
 	ch := dram.NewChannel(cfg)
-	c := New(DemandPrefEqual, ch, 16, nil)
+	c := NewStack(DemandPrefEqual.Stack(), ch, 16, nil)
 	c.AttachRefresh(refresh.NewEngine(testRefreshCfg(refresh.PerBank), cfg.Banks))
 	tel := telemetry.New(telemetry.Options{})
 	c.Instrument(tel, 0)
@@ -229,7 +229,7 @@ func TestRefreshInstrumentRegistersCounters(t *testing.T) {
 }
 
 func TestAttachRefreshIgnoresDisabledEngines(t *testing.T) {
-	c := New(DemandPrefEqual, oneBank(), 16, nil)
+	c := NewStack(DemandPrefEqual.Stack(), oneBank(), 16, nil)
 	c.AttachRefresh(nil)
 	c.AttachRefresh(refresh.NewEngine(refresh.Config{Mode: refresh.Off}, 1))
 	if c.NeedsIdleTick() || c.Refresh() != nil {

@@ -9,44 +9,28 @@ package prefetch
 // The paper's §6.12 finding is that DDPF cuts traffic more than APD but
 // also kills useful prefetches, so it trades performance for bandwidth.
 type DDPF struct {
-	inner     Prefetcher
-	counters  []uint8
-	threshold uint8
-	maxCtr    uint8
+	inner    Prefetcher
+	counters []uint8
 
 	// Stats.
 	Filtered uint64
 	Passed   uint64
 }
 
-// DDPFConfig sizes the filter.
-type DDPFConfig struct {
-	TableEntries int
-	Threshold    uint8 // pass a prefetch when its counter >= Threshold
-}
-
-// DefaultDDPFConfig returns the paper's tuned 4K-entry, 2-bit, threshold-3
-// filter.
-func DefaultDDPFConfig() DDPFConfig { return DDPFConfig{TableEntries: 4096, Threshold: 3} }
+// The paper's tuned filter: a 4K-entry table of 2-bit counters that
+// passes a prefetch when its counter is at least 3.
+const (
+	ddpfEntries   = 4096
+	ddpfThreshold = 3
+	ddpfMaxCtr    = 3
+)
 
 // NewDDPF wraps inner with a DDPF filter.
-func NewDDPF(inner Prefetcher, cfg DDPFConfig) *DDPF {
-	def := DefaultDDPFConfig()
-	if cfg.TableEntries == 0 {
-		cfg.TableEntries = def.TableEntries
-	}
-	if cfg.Threshold == 0 {
-		cfg.Threshold = def.Threshold
-	}
-	d := &DDPF{
-		inner:     inner,
-		counters:  make([]uint8, cfg.TableEntries),
-		threshold: cfg.Threshold,
-		maxCtr:    3,
-	}
+func NewDDPF(inner Prefetcher) *DDPF {
+	d := &DDPF{inner: inner, counters: make([]uint8, ddpfEntries)}
 	// Start fully confident so cold prefetches flow until proven useless.
 	for i := range d.counters {
-		d.counters[i] = d.maxCtr
+		d.counters[i] = ddpfMaxCtr
 	}
 	return d
 }
@@ -71,7 +55,7 @@ func (d *DDPF) Observe(ev AccessEvent, budget int) []uint64 {
 	}
 	out := cands[:0]
 	for _, a := range cands {
-		if d.counters[d.index(a)] >= d.threshold {
+		if d.counters[d.index(a)] >= ddpfThreshold {
 			out = append(out, a)
 			d.Passed++
 		} else {
@@ -88,7 +72,7 @@ func (d *DDPF) Observe(ev AccessEvent, budget int) []uint64 {
 func (d *DDPF) Feedback(lineAddr uint64, useful bool) {
 	idx := d.index(lineAddr)
 	if useful {
-		if d.counters[idx] < d.maxCtr {
+		if d.counters[idx] < ddpfMaxCtr {
 			d.counters[idx]++
 		}
 	} else if d.counters[idx] > 0 {

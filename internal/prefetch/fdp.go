@@ -10,8 +10,7 @@ package prefetch
 // therefore never sacrifices useful ones during ramp-up.
 type FDP struct {
 	inner Prefetcher
-	cfg   FDPConfig
-	level int
+	level int // rung of fdpLevels
 
 	// Interval counters, maintained by the simulator via the Count* hooks.
 	sent     uint64
@@ -28,65 +27,36 @@ type FDP struct {
 	LevelChanges uint64
 }
 
-// FDPLevel is one rung of the aggressiveness ladder.
-type FDPLevel struct {
-	Degree   int
-	Distance uint64
+// fdpLevel is one rung of the aggressiveness ladder.
+type fdpLevel struct {
+	degree   int
+	distance uint64
 }
 
-// FDPConfig holds the thresholds and the ladder.
-type FDPConfig struct {
-	AccHigh    float64
-	AccLow     float64
-	LateThresh float64
-	PollThresh float64
-	Levels     []FDPLevel
-	BloomBits  int
-}
+// The thresholds the paper tuned FDP to for its system: accuracy
+// 90%/40%, lateness 1%, pollution 0.5%, a 4Kbit pollution filter, and a
+// five-level aggressiveness ladder.
+const (
+	fdpAccHigh    = 0.90
+	fdpAccLow     = 0.40
+	fdpLateThresh = 0.01
+	fdpPollThresh = 0.005
+	fdpBloomBits  = 4096
+)
 
-// DefaultFDPConfig returns the thresholds the paper tuned for its system:
-// accuracy 90%/40%, lateness 1%, pollution 0.5%, 4Kbit pollution filter.
-func DefaultFDPConfig() FDPConfig {
-	return FDPConfig{
-		AccHigh:    0.90,
-		AccLow:     0.40,
-		LateThresh: 0.01,
-		PollThresh: 0.005,
-		Levels: []FDPLevel{
-			{Degree: 1, Distance: 4},
-			{Degree: 1, Distance: 8},
-			{Degree: 2, Distance: 16},
-			{Degree: 4, Distance: 32},
-			{Degree: 4, Distance: 64},
-		},
-		BloomBits: 4096,
-	}
+var fdpLevels = [...]fdpLevel{
+	{degree: 1, distance: 4},
+	{degree: 1, distance: 8},
+	{degree: 2, distance: 16},
+	{degree: 4, distance: 32},
+	{degree: 4, distance: 64},
 }
 
 // NewFDP wraps a throttleable prefetcher. The initial level is the middle
 // of the ladder, per the FDP paper.
-func NewFDP(inner Prefetcher, cfg FDPConfig) *FDP {
-	def := DefaultFDPConfig()
-	if cfg.Levels == nil {
-		cfg.Levels = def.Levels
-	}
-	if cfg.AccHigh == 0 {
-		cfg.AccHigh = def.AccHigh
-	}
-	if cfg.AccLow == 0 {
-		cfg.AccLow = def.AccLow
-	}
-	if cfg.LateThresh == 0 {
-		cfg.LateThresh = def.LateThresh
-	}
-	if cfg.PollThresh == 0 {
-		cfg.PollThresh = def.PollThresh
-	}
-	if cfg.BloomBits == 0 {
-		cfg.BloomBits = def.BloomBits
-	}
-	f := &FDP{inner: inner, cfg: cfg, level: len(cfg.Levels) / 2}
-	f.bloom = make([]uint64, (cfg.BloomBits+63)/64)
+func NewFDP(inner Prefetcher) *FDP {
+	f := &FDP{inner: inner, level: len(fdpLevels) / 2}
+	f.bloom = make([]uint64, (fdpBloomBits+63)/64)
 	f.apply()
 	return f
 }
@@ -99,8 +69,8 @@ func (f *FDP) Observe(ev AccessEvent, budget int) []uint64 { return f.inner.Obse
 
 func (f *FDP) apply() {
 	if t, ok := f.inner.(Throttleable); ok {
-		l := f.cfg.Levels[f.level]
-		t.SetAggressiveness(l.Degree, l.Distance)
+		l := fdpLevels[f.level]
+		t.SetAggressiveness(l.degree, l.distance)
 	}
 }
 
@@ -146,21 +116,21 @@ func (f *FDP) EndInterval(demandMisses uint64) {
 
 	dir := 0
 	switch {
-	case pollution > f.cfg.PollThresh:
+	case pollution > fdpPollThresh:
 		dir = -1
-	case acc >= f.cfg.AccHigh:
-		if lateness > f.cfg.LateThresh {
+	case acc >= fdpAccHigh:
+		if lateness > fdpLateThresh {
 			dir = 1
 		}
-	case acc >= f.cfg.AccLow:
-		if lateness > f.cfg.LateThresh {
+	case acc >= fdpAccLow:
+		if lateness > fdpLateThresh {
 			dir = -1 // mid accuracy and late: throttle to improve timeliness
 		}
 	default:
 		dir = -1
 	}
 	next := f.level + dir
-	if next >= 0 && next < len(f.cfg.Levels) && next != f.level {
+	if next >= 0 && next < len(fdpLevels) && next != f.level {
 		f.level = next
 		f.LevelChanges++
 		f.apply()

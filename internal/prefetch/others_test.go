@@ -129,7 +129,7 @@ func (f fixedPF) Name() string                      { return "fixed" }
 func (f fixedPF) Observe(AccessEvent, int) []uint64 { return []uint64{f.line} }
 
 func TestDDPFFiltersUseless(t *testing.T) {
-	d := NewDDPF(fixedPF{line: 42}, DDPFConfig{})
+	d := NewDDPF(fixedPF{line: 42})
 	if got := d.Observe(AccessEvent{}, 64); len(got) != 1 {
 		t.Fatalf("cold DDPF should pass prefetches: %v", got)
 	}
@@ -153,7 +153,7 @@ func TestDDPFFiltersUseless(t *testing.T) {
 
 func TestFDPThrottlesDown(t *testing.T) {
 	inner := NewStream(StreamConfig{})
-	f := NewFDP(inner, FDPConfig{})
+	f := NewFDP(inner)
 	start := f.level
 	// A low-accuracy interval must lower aggressiveness.
 	for i := 0; i < 100; i++ {
@@ -168,7 +168,7 @@ func TestFDPThrottlesDown(t *testing.T) {
 
 func TestFDPRampsUpWhenAccurateAndLate(t *testing.T) {
 	inner := NewStream(StreamConfig{})
-	f := NewFDP(inner, FDPConfig{})
+	f := NewFDP(inner)
 	start := f.level
 	for i := 0; i < 100; i++ {
 		f.CountSent()
@@ -185,7 +185,7 @@ func TestFDPRampsUpWhenAccurateAndLate(t *testing.T) {
 
 func TestFDPPollutionThrottles(t *testing.T) {
 	inner := NewStream(StreamConfig{})
-	f := NewFDP(inner, FDPConfig{})
+	f := NewFDP(inner)
 	start := f.level
 	for i := 0; i < 100; i++ {
 		f.CountSent()
@@ -208,8 +208,8 @@ func TestBudgetNeverExceeded(t *testing.T) {
 		"stride":  func() Prefetcher { return NewStride(StrideConfig{}) },
 		"cdc":     func() Prefetcher { return NewCDC(CDCConfig{}) },
 		"markov":  func() Prefetcher { return NewMarkov(MarkovConfig{}) },
-		"ddpf":    func() Prefetcher { return NewDDPF(NewStream(StreamConfig{}), DDPFConfig{}) },
-		"fdp":     func() Prefetcher { return NewFDP(NewStream(StreamConfig{}), FDPConfig{}) },
+		"ddpf":    func() Prefetcher { return NewDDPF(NewStream(StreamConfig{})) },
+		"fdp":     func() Prefetcher { return NewFDP(NewStream(StreamConfig{})) },
 		"dspatch": func() Prefetcher { return NewDSPatch(DSPatchConfig{}) },
 	}
 	for name, ctor := range mk {
@@ -235,8 +235,8 @@ var zoo = []struct {
 	{"stride", func() Prefetcher { return NewStride(StrideConfig{}) }},
 	{"cdc", func() Prefetcher { return NewCDC(CDCConfig{}) }},
 	{"markov", func() Prefetcher { return NewMarkov(MarkovConfig{}) }},
-	{"ddpf", func() Prefetcher { return NewDDPF(NewStream(StreamConfig{}), DDPFConfig{}) }},
-	{"fdp", func() Prefetcher { return NewFDP(NewStream(StreamConfig{}), FDPConfig{}) }},
+	{"ddpf", func() Prefetcher { return NewDDPF(NewStream(StreamConfig{})) }},
+	{"fdp", func() Prefetcher { return NewFDP(NewStream(StreamConfig{})) }},
 	// A 4-entry page buffer so regular multi-stream traffic actually
 	// evicts regions: eviction is what trains DSPatch's signature table.
 	{"dspatch", func() Prefetcher { return NewDSPatch(DSPatchConfig{Pages: 4}) }},

@@ -218,10 +218,10 @@ type Config struct {
 	// Topology, when non-nil, wires the machine as multiple memory domains
 	// (per-domain channel counts, link latencies, timing overrides; see
 	// internal/topology). DRAM then supplies the shared geometry — banks,
-	// row/line size, tick period, refresh — while each domain's channel
-	// count comes from the topology. Nil is the flat machine: one domain
-	// holding DRAM.Channels channels at link distance zero, byte-identical
-	// to the pre-topology simulator.
+	// row/line size, refresh — while each domain's channel count comes
+	// from the topology. Nil is the flat machine: one domain holding
+	// DRAM.Channels channels at link distance zero, byte-identical to the
+	// pre-topology simulator.
 	Topology    *topology.Topology
 	BufferSlots int // memory request buffer entries per controller
 	Policy      memctrl.Policy

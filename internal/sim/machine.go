@@ -302,7 +302,7 @@ func (m Machine) Describe() (ResolvedConfig, error) {
 		BufferSlots: cfg.BufferSlots,
 	}
 	if cfg.DRAM.Refresh.Enabled() {
-		r := cfg.DRAM.Refresh.Resolved()
+		r := cfg.DRAM.Refresh
 		rc.DRAM.Refresh = ResolvedRefresh{
 			Mode:        r.Mode.String(),
 			TREFI:       r.TREFI,

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -46,10 +47,9 @@ func TestValidation(t *testing.T) {
 		func(c *Config) { c.L1.Ways = 0 },
 		func(c *Config) { c.L2.Ways = 0 },
 		func(c *Config) { c.DRAM.Banks = 3 },
-		func(c *Config) { c.DRAM.TickEvery = 0 },
+		func(c *Config) { c.DRAM.Refresh = refresh.Config{Mode: refresh.PerBank} }, // timings as written
 		func(c *Config) { c.Core.ROB = 0 },
 		func(c *Config) { c.Core.Width = 0 },
-		func(c *Config) { c.PADC.IntervalCycles = 0 },
 		func(c *Config) { c.PADC.DropLadder = nil },
 	}
 	for i, mod := range bad {
@@ -81,6 +81,49 @@ func TestMachineZeroIsAValue(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s = 0 ran", name)
 		}
+	}
+}
+
+// TestBaselineWritesEveryValue: no numeric field of the baseline machine
+// is left at 0 for a lower layer to read as "use the default". Each
+// allowed zero below is a value in its own right.
+func TestBaselineWritesEveryValue(t *testing.T) {
+	allowed := map[string]string{
+		"MaxCycles":         "0 derives the safety bound from TargetInsts",
+		"Kernel":            "the event kernel; the stepped loop is for tests",
+		"Filter":            "enum: no prefetch filter",
+		"DRAM.Page":         "enum: the paper's open-row policy",
+		"DRAM.Refresh.Mode": "enum: refresh off, as in the paper",
+	}
+	var walk func(t *testing.T, path string, v reflect.Value)
+	walk = func(t *testing.T, path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				name := v.Type().Field(i).Name
+				if path != "" {
+					name = path + "." + name
+				}
+				walk(t, name, v.Field(i))
+			}
+		case reflect.Pointer:
+			if !v.IsNil() {
+				walk(t, path, v.Elem())
+			}
+		case reflect.Slice, reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(t, fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+			}
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+			if _, ok := allowed[path]; !ok && v.IsZero() {
+				t.Errorf("%s is 0", path)
+			}
+		}
+	}
+	for _, n := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("cores=%d", n), func(t *testing.T) { walk(t, "", reflect.ValueOf(Baseline(n))) })
 	}
 }
 

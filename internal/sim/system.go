@@ -144,7 +144,6 @@ type System struct {
 	// Run-loop bounds, kept as fields so nextEvent (and the lockstep
 	// property tests replaying its decisions) sees the loop's live state.
 	runMax       uint64
-	dramEvery    uint64
 	apdActive    bool
 	nextSample   uint64
 	nextRotate   uint64
@@ -252,7 +251,7 @@ func New(cfg Config) (*System, error) {
 				// exactly one tick period. The event kernel may skip across
 				// provably-idle gaps; capping the delta at the period keeps the
 				// first post-gap blocked-cycle charge identical to stepping.
-				eng.CapDelta(dc.TickEvery)
+				eng.CapDelta(dram.TickEvery)
 				s.ctrls[gi].AttachRefresh(eng)
 			}
 			if cfg.Flight != nil {
@@ -285,10 +284,10 @@ func New(cfg Config) (*System, error) {
 		}
 		switch cfg.Filter {
 		case FilterDDPF:
-			cc.ddpf = prefetch.NewDDPF(cc.pf, prefetch.DDPFConfig{})
+			cc.ddpf = prefetch.NewDDPF(cc.pf)
 			cc.pf = cc.ddpf
 		case FilterFDP:
-			cc.fdp = prefetch.NewFDP(cc.pf, prefetch.FDPConfig{})
+			cc.fdp = prefetch.NewFDP(cc.pf)
 			cc.pf = cc.fdp
 		}
 		cc.core = cpu.New(i, cfg.Core, prof.Gen, s)
@@ -722,46 +721,28 @@ func (s *System) complete(r *memctrl.Request, now uint64) {
 		return
 	}
 	cs := s.cores[r.Core]
-	s.serviced++
-	d := s.ctrlDom[r.Addr.Channel]
-	s.domServiced[d]++
-	if r.IssueHit {
-		s.rowHits++
-		s.domRowHits[d]++
+	class := lifecycle.ClassDemand
+	switch {
+	case !r.WasPref:
+	case !r.Prefetch:
+		class = lifecycle.ClassPrefUseful
+	default:
+		class = lifecycle.ClassPrefPure
 	}
+	s.retire(r, r.Prefetch, class)
 	if r.WasPref {
 		cs.prefServiced++
 		cs.prefInflight--
 	}
 	svc := r.FinishAt - r.Arrival
-	if s.tel != nil {
-		s.svcHist.Observe(svc)
-		s.tel.Emit(telemetry.Event{
-			Cycle: r.ServiceAt, Kind: telemetry.EvComplete, Pref: r.Prefetch,
-			Core: int16(r.Core), Chan: int16(r.Addr.Channel), Bank: int16(r.Addr.Bank),
-			Line: r.Line, A: r.FinishAt - r.ServiceAt,
-		})
-	}
-	if s.lc != nil {
-		class := lifecycle.ClassDemand
-		switch {
-		case !r.WasPref:
-		case !r.Prefetch:
-			class = lifecycle.ClassPrefUseful
-		default:
-			class = lifecycle.ClassPrefPure
-		}
-		s.lc.Record(s.span(r, class))
-	}
-
-	switch {
-	case !r.WasPref:
+	switch class {
+	case lifecycle.ClassDemand:
 		cs.busDemand++
 		s.usefulServiced++
 		if r.IssueHit {
 			s.usefulRowHits++
 		}
-	case !r.Prefetch: // promoted prefetch: known useful
+	case lifecycle.ClassPrefUseful: // promoted prefetch: known useful
 		cs.busPrefPromo++
 		s.usefulServiced++
 		if r.IssueHit {
@@ -782,17 +763,48 @@ func (s *System) complete(r *memctrl.Request, now uint64) {
 	// takes its own (see touch).
 	s.touchLine(cs, r.Line)
 	s.evicted(cs, cs.l2.Fill(r.Line, r.Prefetch, r.IssueHit), r.Prefetch)
-
 	if e := cs.mshr.Lookup(r.Line); e != nil {
-		if len(e.Waiters) > 0 {
-			cs.l1.Fill(r.Line, false, false)
-		}
-		for _, w := range e.Waiters {
-			s.deliver(s.cores[w.Core], w.Seq, r.FinishAt)
-		}
-		cs.mshr.Release(r.Line)
-		s.touch(cs)
+		s.release(cs, e, r)
 	}
+}
+
+// retire books what every serviced request shares, whoever issued it:
+// the serviced and row-hit counts (machine-wide and for the request's
+// memory domain), the service-time histogram, the EvComplete event
+// (marked as a prefetch when pref) and the lifecycle span of the given
+// class.
+func (s *System) retire(r *memctrl.Request, pref bool, class lifecycle.Class) {
+	s.serviced++
+	d := s.ctrlDom[r.Addr.Channel]
+	s.domServiced[d]++
+	if r.IssueHit {
+		s.rowHits++
+		s.domRowHits[d]++
+	}
+	if s.tel != nil {
+		s.svcHist.Observe(r.FinishAt - r.Arrival)
+		s.tel.Emit(telemetry.Event{
+			Cycle: r.ServiceAt, Kind: telemetry.EvComplete, Pref: pref,
+			Core: int16(r.Core), Chan: int16(r.Addr.Channel), Bank: int16(r.Addr.Bank),
+			Line: r.Line, A: r.FinishAt - r.ServiceAt,
+		})
+	}
+	if s.lc != nil {
+		s.lc.Record(s.span(r, class))
+	}
+}
+
+// release hands the filled line to every load waiting on its MSHR entry,
+// fills the L1 for them, and frees the entry.
+func (s *System) release(cs *coreCtx, e *cache.MSHREntry, r *memctrl.Request) {
+	if len(e.Waiters) > 0 {
+		cs.l1.Fill(r.Line, false, false)
+	}
+	for _, w := range e.Waiters {
+		s.deliver(s.cores[w.Core], w.Seq, r.FinishAt)
+	}
+	cs.mshr.Release(r.Line)
+	s.touch(cs)
 }
 
 // evicted books the line an L2 fill displaced. An unused memory-side fill
@@ -826,26 +838,9 @@ func (s *System) evicted(cs *coreCtx, ev cache.Eviction, byCorePrefetch bool) {
 // request's terminal event, pairing with NoteMemSideUsed on first use.
 func (s *System) completeMemSide(r *memctrl.Request) {
 	cs := s.cores[r.Core]
-	s.serviced++
-	d := s.ctrlDom[r.Addr.Channel]
-	s.domServiced[d]++
-	if r.IssueHit {
-		s.rowHits++
-		s.domRowHits[d]++
-	}
+	s.retire(r, true, lifecycle.ClassPrefPure)
 	s.msServiced++
-	s.padc.NoteMemSideSent(d)
-	if s.tel != nil {
-		s.svcHist.Observe(r.FinishAt - r.Arrival)
-		s.tel.Emit(telemetry.Event{
-			Cycle: r.ServiceAt, Kind: telemetry.EvComplete, Pref: true,
-			Core: int16(r.Core), Chan: int16(r.Addr.Channel), Bank: int16(r.Addr.Bank),
-			Line: r.Line, A: r.FinishAt - r.ServiceAt,
-		})
-	}
-	if s.lc != nil {
-		s.lc.Record(s.span(r, lifecycle.ClassPrefPure))
-	}
+	s.padc.NoteMemSideSent(s.ctrlDom[r.Addr.Channel])
 
 	// No FDP pollution note: no core-side engine issued this fill.
 	s.touchLine(cs, r.Line)
@@ -856,14 +851,7 @@ func (s *System) completeMemSide(r *memctrl.Request) {
 	// core-side prefetch entry keeps its own accounting and is left alone
 	// (its request completes against an already-filled line, harmlessly).
 	if e := cs.mshr.Lookup(r.Line); e != nil && !e.Prefetch {
-		if len(e.Waiters) > 0 {
-			cs.l1.Fill(r.Line, false, false)
-		}
-		for _, w := range e.Waiters {
-			s.deliver(s.cores[w.Core], w.Seq, r.FinishAt)
-		}
-		cs.mshr.Release(r.Line)
-		s.touch(cs)
+		s.release(cs, e, r)
 	}
 }
 
@@ -1028,8 +1016,7 @@ func (s *System) freeze(cs *coreCtx) {
 func (s *System) Run() (stats.Results, error) {
 	cfg := s.cfg
 	s.runMax = cfg.maxCycles()
-	interval := s.padc.IntervalCycles()
-	s.dramEvery = cfg.DRAM.TickEvery
+	const interval = core.IntervalCycles
 	s.apdActive = cfg.PADC.EnableAPD && (cfg.Prefetcher != PFNone || cfg.MemSide)
 	events := cfg.Kernel == KernelEvents
 
@@ -1037,9 +1024,6 @@ func (s *System) Run() (stats.Results, error) {
 	// escapes its optimistic cold-start quickly, then settle to the
 	// paper's fixed interval.
 	s.nextInterval = interval / 8
-	if s.nextInterval == 0 {
-		s.nextInterval = interval
-	}
 
 	// Epoch sampling: disabled telemetry leaves nextSample at the
 	// unreachable maximum, so the per-cycle cost is one compare.
@@ -1077,7 +1061,7 @@ func (s *System) Run() (stats.Results, error) {
 			s.tick(cs, now)
 		}
 
-		if now%s.dramEvery == 0 {
+		if now%dram.TickEvery == 0 {
 			for _, ctrl := range s.ctrls {
 				// A refresh engine accrues obligations and pulls refreshes
 				// into idle banks, so it must tick even with an empty buffer.
@@ -1234,7 +1218,7 @@ func (s *System) nextEvent(now uint64) uint64 {
 			next = cs.wake
 		}
 	}
-	nextGrid := now - now%s.dramEvery + s.dramEvery
+	nextGrid := now - now%dram.TickEvery + dram.TickEvery
 	for _, ctrl := range s.ctrls {
 		e := ctrl.NextEvent(now)
 		if e == memctrl.NeverEvent {
@@ -1245,8 +1229,8 @@ func (s *System) nextEvent(now uint64) uint64 {
 		// first service it.
 		if e < nextGrid {
 			e = nextGrid
-		} else if r := e % s.dramEvery; r != 0 {
-			e += s.dramEvery - r
+		} else if r := e % dram.TickEvery; r != 0 {
+			e += dram.TickEvery - r
 		}
 		if e < next {
 			next = e

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -68,13 +69,14 @@ func (t *Tracer) ChromeSlices(emit func(format string, args ...any)) {
 		return
 	}
 	spans := t.Spans()
-	chans := map[int16]bool{}
+	var chans []int16 // channels with spans, named in ascending order
 	for _, sp := range spans {
-		if sp.Chan >= 0 {
-			chans[sp.Chan] = true
+		if sp.Chan >= 0 && !slices.Contains(chans, sp.Chan) {
+			chans = append(chans, sp.Chan)
 		}
 	}
-	for ch := range chans {
+	slices.Sort(chans)
+	for _, ch := range chans {
 		emit(`{"ph":"M","name":"process_name","pid":%d,"args":{"name":"lifecycle%d"}}`,
 			chromeLifecyclePID+int(ch), ch)
 	}

@@ -222,3 +222,27 @@ func TestBreakdownTableRows(t *testing.T) {
 		t.Fatalf("unexpected table:\n%s", out)
 	}
 }
+
+// TestChromeSlicesNamesTracksInOrder: the per-channel track names come
+// out in channel order, so a trace file is byte-identical across runs.
+func TestChromeSlicesNamesTracksInOrder(t *testing.T) {
+	tr := New(Options{})
+	for _, ch := range []int16{3, 1, 2, 0, 1} {
+		sp := span(0, 0, 10, 110, ClassDemand, RowHit)
+		sp.Chan = ch
+		tr.Record(sp)
+	}
+	var names []string
+	tr.ChromeSlices(func(format string, args ...any) {
+		if strings.Contains(format, "process_name") {
+			names = append(names, fmt.Sprintf(format, args...))
+		}
+	})
+	want := []string{}
+	for ch := 0; ch < 4; ch++ {
+		want = append(want, fmt.Sprintf(`{"ph":"M","name":"process_name","pid":%d,"args":{"name":"lifecycle%d"}}`, chromeLifecyclePID+ch, ch))
+	}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("track names %v, want %v", names, want)
+	}
+}
