@@ -483,13 +483,8 @@ func exportTelemetry(tel *telemetry.Telemetry, tracer *lifecycle.Tracer, rec *fl
 		return err
 	}
 	if err := writeFile(trace, func(f *os.File) error {
-		if tracer == nil && rec == nil {
-			return tel.WriteChromeTrace(f)
-		}
 		return tel.WriteChromeTraceWith(f, func(emit func(format string, args ...any)) {
-			if tracer != nil {
-				tracer.ChromeSlices(emit)
-			}
+			tracer.ChromeSlices(emit)
 			rec.ChromeCounters(emit)
 		})
 	}); err != nil {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"padc/internal/telemetry"
+	"padc/internal/telemetry/probe"
 )
 
 // IntervalCycles is the accuracy sampling interval: the paper measures
@@ -99,8 +100,7 @@ type PADC struct {
 	meters   [][]coreMeter
 	msMeters []coreMeter // per-domain aggregate memory-side meters (nil until used)
 
-	tel   *telemetry.Telemetry // nil unless Instrument was called
-	clock func() uint64        // current cycle, for event timestamps
+	probe *probe.Probe // receives promotion flips (nil when nothing observes)
 }
 
 // New builds single-domain (flat) PADC state for ncores cores.
@@ -126,6 +126,10 @@ func NewTiered(domains []string, ncores int, cfg Config) *PADC {
 	return p
 }
 
+// AttachProbe publishes promotion flips to pr (nil leaves them
+// unpublished).
+func (p *PADC) AttachProbe(pr *probe.Probe) { p.probe = pr }
+
 // TrackMemSide arms the per-domain memory-side accuracy meters. Call
 // before Instrument when the memory-side prefetch path is enabled; left
 // unarmed, the memside meters cost nothing and register no gauges, so a
@@ -142,15 +146,11 @@ func (p *PADC) TrackMemSide() {
 
 // Instrument registers each (domain, core) accuracy estimate as a gauge —
 // "core<i>/acc_estimate" on a flat machine, "<domain>/core<i>/acc_estimate"
-// per tier otherwise — and arms promotion-flip events: whenever an
-// interval rollover moves a meter's PAR across the APS promotion
-// threshold, an EvPromotion event is emitted at clock()'s cycle. A nil
-// tel is a no-op.
-func (p *PADC) Instrument(tel *telemetry.Telemetry, clock func() uint64) {
+// per tier otherwise. A nil tel is a no-op.
+func (p *PADC) Instrument(tel *telemetry.Telemetry) {
 	if tel == nil {
 		return
 	}
-	p.tel, p.clock = tel, clock
 	for d := range p.meters {
 		pre := ""
 		if len(p.meters) > 1 {
@@ -214,10 +214,11 @@ func (p *PADC) NoteSent(domain, core int) {
 func (p *PADC) NoteUsed(domain, core int) { p.meters[domain][core].puc++ }
 
 // EndInterval recomputes every meter's PAR from the interval's counters
-// and resets them (§4.1). Meters that sent nothing keep their previous
-// PAR. Promotion-flip events carry the domain index in Chan on tiered
-// machines and the historical -1 on flat ones.
-func (p *PADC) EndInterval() {
+// and resets them (§4.1), at cycle now. Meters that sent nothing keep
+// their previous PAR. A meter whose PAR crossed the APS promotion
+// threshold publishes a Promotion event, carrying the domain index in
+// Chan on tiered machines and the historical -1 on flat ones.
+func (p *PADC) EndInterval(now uint64) {
 	tiered := len(p.meters) > 1
 	for d := range p.meters {
 		for i := range p.meters[d] {
@@ -233,22 +234,19 @@ func (p *PADC) EndInterval() {
 				}
 			}
 			m.psc, m.puc = 0, 0
-			if p.tel != nil {
-				if nowCritical := m.par >= p.cfg.PromotionThreshold; nowCritical != wasCritical {
-					promoted := uint64(0)
-					if nowCritical {
-						promoted = 1
-					}
-					ch := int16(-1)
-					if tiered {
-						ch = int16(d)
-					}
-					p.tel.Emit(telemetry.Event{
-						Cycle: p.clock(), Kind: telemetry.EvPromotion,
-						Core: int16(i), Chan: ch, Bank: int16(promoted),
-						A: uint64(m.par * 1e6), // new PAR in ppm
-					})
+			if nowCritical := m.par >= p.cfg.PromotionThreshold; p.probe != nil && nowCritical != wasCritical {
+				var promoted int16
+				if nowCritical {
+					promoted = 1
 				}
+				ch := int16(-1)
+				if tiered {
+					ch = int16(d)
+				}
+				p.probe.Publish(probe.Event{
+					Kind: probe.Promotion, Cycle: now, A: uint64(m.par * 1e6), // new PAR in ppm
+					Core: int16(i), Chan: ch, Bank: promoted,
+				})
 			}
 		}
 	}

@@ -21,7 +21,7 @@ func TestAccuracyMetering(t *testing.T) {
 		p.NoteSent(0, 1)
 	}
 	p.NoteUsed(0, 1)
-	p.EndInterval()
+	p.EndInterval(0)
 	if got := p.AccuracyIn(0, 0); got != 0.9 {
 		t.Fatalf("core 0 PAR=%v", got)
 	}
@@ -36,12 +36,12 @@ func TestAccuracyMetering(t *testing.T) {
 func TestIntervalResetAndRetention(t *testing.T) {
 	p := New(1, DefaultConfig())
 	p.NoteSent(0, 0)
-	p.EndInterval()
+	p.EndInterval(0)
 	if p.AccuracyIn(0, 0) != 0 {
 		t.Fatalf("0 used / 1 sent should give PAR 0, got %v", p.AccuracyIn(0, 0))
 	}
 	// An interval with no prefetches keeps the previous PAR.
-	p.EndInterval()
+	p.EndInterval(0)
 	if p.AccuracyIn(0, 0) != 0 {
 		t.Fatal("idle interval should retain PAR")
 	}
@@ -54,7 +54,7 @@ func TestPARClamped(t *testing.T) {
 	p.NoteUsed(0, 0)
 	p.NoteUsed(0, 0)
 	p.NoteUsed(0, 0)
-	p.EndInterval()
+	p.EndInterval(0)
 	if p.AccuracyIn(0, 0) != 1 {
 		t.Fatalf("PAR should clamp to 1, got %v", p.AccuracyIn(0, 0))
 	}
@@ -69,7 +69,7 @@ func TestDropThresholdLadder(t *testing.T) {
 		for i := 0; i < used; i++ {
 			p.NoteUsed(0, 0)
 		}
-		p.EndInterval()
+		p.EndInterval(0)
 	}
 	cases := []struct {
 		used, sent int
@@ -113,7 +113,7 @@ func TestPromotionThresholdAsWritten(t *testing.T) {
 		cfg.PromotionThreshold = c.threshold
 		p := New(1, cfg)
 		p.NoteSent(0, 0)
-		p.EndInterval()
+		p.EndInterval(0)
 		if p.AccuracyIn(0, 0) != 0 {
 			t.Fatalf("0 used / 1 sent should give PAR 0, got %v", p.AccuracyIn(0, 0))
 		}

@@ -37,7 +37,7 @@ func DDR3() Timing {
 }
 
 // RowState classifies the row-buffer state a request finds at its bank.
-type RowState int
+type RowState uint8
 
 const (
 	RowHit RowState = iota
@@ -199,29 +199,11 @@ func (b *Bank) State(row uint64) RowState {
 	}
 }
 
-// Observer receives per-access bank-state transitions as the channel
-// decides them. The flight recorder attaches one per channel; the hook
-// reports precharges the controller never sees (the closed-page policy's
-// hidden precharge, the adaptive predictor's close, the refresh
-// precharge), so transition counts are exact. A nil observer costs one
-// pointer compare per access.
-type Observer interface {
-	// BankAccess reports one serviced request: the row-buffer state it
-	// found, how many rows it activated (0 or 1) and how many precharges
-	// it caused (0–2: a conflict precharges before the access, and a
-	// closing page policy may precharge again after it).
-	BankAccess(bank int, state RowState, opens, closes int)
-	// BankRefresh reports a maintenance operation occupying the bank;
-	// closedRow is true when it had to precharge an open row.
-	BankRefresh(bank int, closedRow bool)
-}
-
 // Channel is one memory controller's DRAM resources: its banks plus the
 // shared data bus.
 type Channel struct {
 	cfg      Config
 	pred     []pagePredictor // per-bank predictors (AdaptivePage only)
-	obs      Observer
 	Banks    []Bank
 	busUntil uint64 // data bus reserved through this cycle
 
@@ -254,9 +236,6 @@ func NewChannel(cfg Config) *Channel {
 	return ch
 }
 
-// Observe attaches (or, with nil, detaches) the transition observer.
-func (ch *Channel) Observe(o Observer) { ch.obs = o }
-
 // BankReady reports whether bank b can accept a request at cycle now.
 func (ch *Channel) BankReady(b int, now uint64) bool {
 	return ch.Banks[b].BusyUntil <= now
@@ -285,20 +264,16 @@ func (ch *Channel) Issue(bank int, row, now uint64, keepOpen bool) (finish uint6
 	ch.busUntil = finish
 	b.BusyUntil = finish
 
-	opens, closes := 0, 0
 	switch state {
 	case RowHit:
 		b.Hits++
 	case RowClosed:
 		b.Closed++
 		ch.Activations++
-		opens++
 	default:
 		b.Conflicts++
 		ch.Activations++
 		ch.Precharges++
-		opens++
-		closes++
 	}
 	ch.BusBusyCycles += ch.cfg.Timing.Burst
 
@@ -308,7 +283,6 @@ func (ch *Channel) Issue(bank int, row, now uint64, keepOpen bool) (finish uint6
 			b.OpenRow = int64(row)
 		} else {
 			ch.Precharges++ // the closed-row policy's hidden precharge
-			closes++
 			b.OpenRow = -1
 		}
 	case AdaptivePage:
@@ -319,15 +293,11 @@ func (ch *Channel) Issue(bank int, row, now uint64, keepOpen bool) (finish uint6
 		} else {
 			ch.Precharges++
 			ch.PredCloses++
-			closes++
 			b.OpenRow = -1
 		}
 		p.lastRow = int64(row)
 	default: // open-page: the row stays open until a conflict evicts it
 		b.OpenRow = int64(row)
-	}
-	if ch.obs != nil {
-		ch.obs.BankAccess(bank, state, opens, closes)
 	}
 	return finish, state
 }
@@ -339,16 +309,12 @@ func (ch *Channel) Issue(bank int, row, now uint64, keepOpen bool) (finish uint6
 // BankReady.
 func (ch *Channel) Refresh(b int, until uint64) {
 	bank := &ch.Banks[b]
-	closedRow := bank.OpenRow >= 0
-	if closedRow {
+	if bank.OpenRow >= 0 {
 		ch.Precharges++ // refresh implies precharging the open row
 	}
 	bank.OpenRow = -1
 	bank.BusyUntil = until
 	ch.Refreshes++
-	if ch.obs != nil {
-		ch.obs.BankRefresh(b, closedRow)
-	}
 }
 
 // Counts returns the channel-wide row-buffer outcome totals summed over

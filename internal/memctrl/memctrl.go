@@ -24,7 +24,7 @@ import (
 	"padc/internal/memctrl/memsidepf"
 	"padc/internal/memctrl/sched"
 	"padc/internal/telemetry"
-	"padc/internal/telemetry/flight"
+	"padc/internal/telemetry/probe"
 )
 
 // Policy selects one of the paper's named scheduling policies. Each value
@@ -199,13 +199,10 @@ type Controller struct {
 	// arbitrations (bucket held more than one candidate) are counted.
 	ruleWins []uint64
 
-	tel   *telemetry.Telemetry // nil unless Instrument was called
-	telID int16                // controller index in event records
-
-	// flight is the optional bank-state flight recorder (nil when off);
-	// flightCh is this controller's channel index in its geometry.
-	flight   *flight.Recorder
-	flightCh int
+	// probe receives the controller's request and bank events (nil when
+	// nothing observes); id is the controller's channel index in them.
+	probe *probe.Probe
+	id    int16
 
 	// linkCycles is the topology-supplied round-trip wire delay to this
 	// controller's memory domain, added to every request's completion time
@@ -293,15 +290,12 @@ func (c *Controller) Recycle(r *Request) {
 func (c *Controller) SetLinkLatency(cycles uint64) { c.linkCycles = cycles }
 
 // Instrument registers this controller's (and its channel's) metrics into
-// tel under "memctrl<id>/..." and "dram<id>/..." names and enables event
-// emission. Call once after construction; a nil tel is a no-op, keeping
-// the uninstrumented hot path free of telemetry work beyond one pointer
-// compare.
+// tel under "memctrl<id>/..." and "dram<id>/..." names. Call once after
+// construction; a nil tel is a no-op.
 func (c *Controller) Instrument(tel *telemetry.Telemetry, id int) {
 	if tel == nil {
 		return
 	}
-	c.tel, c.telID = tel, int16(id)
 	pre := fmt.Sprintf("memctrl%d", id)
 	tel.CounterFunc(pre+"/enqueued", func() uint64 { return c.Enqueued })
 	tel.CounterFunc(pre+"/serviced", func() uint64 { return c.Serviced })
@@ -342,47 +336,10 @@ func (c *Controller) Instrument(tel *telemetry.Telemetry, id int) {
 	}
 }
 
-// flightObserver adapts the DRAM channel's transition hook onto the
-// flight recorder, pinning the channel index and translating the row
-// state into the recorder's import-free Outcome vocabulary.
-type flightObserver struct {
-	rec *flight.Recorder
-	ch  int
-}
-
-func (o flightObserver) BankAccess(bank int, state dram.RowState, opens, closes int) {
-	out := flight.OutcomeHit
-	switch state {
-	case dram.RowClosed:
-		out = flight.OutcomeClosed
-	case dram.RowConflict:
-		out = flight.OutcomeConflict
-	}
-	o.rec.NoteAccess(o.ch, bank, out, opens, closes)
-}
-
-func (o flightObserver) BankRefresh(bank int, closedRow bool) {
-	o.rec.NoteRefresh(o.ch, bank, closedRow)
-}
-
-// AttachFlight connects the bank-state flight recorder: the DRAM channel
-// reports row-buffer outcomes and open/close transitions through an
-// observer, the controller adds demand/prefetch issue classes and
-// refresh-blocked slots, and the recorder samples this controller's
-// cumulative rule-win counters at epoch rotation for per-epoch
-// attribution. ch is this controller's index in the recorder's geometry
-// (the recorder must already be Configured). A nil recorder is a no-op.
-func (c *Controller) AttachFlight(rec *flight.Recorder, ch int) {
-	if rec == nil {
-		return
-	}
-	c.flight, c.flightCh = rec, ch
-	c.channel.Observe(flightObserver{rec: rec, ch: ch})
-	names, _ := c.RuleWins()
-	rec.AttachRules(ch, names, func() []uint64 {
-		_, wins := c.RuleWins()
-		return wins
-	})
+// AttachProbe publishes the controller's request and bank events to p,
+// stamped with channel index id. A nil p leaves them unpublished.
+func (c *Controller) AttachProbe(p *probe.Probe, id int) {
+	c.probe, c.id = p, int16(id)
 }
 
 // AttachRefresh puts the controller in charge of scheduling eng's refresh
@@ -467,10 +424,10 @@ func (c *Controller) noteAdmit(r *Request, delta int) {
 func (c *Controller) Enqueue(r *Request) bool {
 	if c.Full() {
 		c.RejectsFull++
-		if c.tel != nil {
-			c.tel.Emit(telemetry.Event{
-				Cycle: r.Arrival, Kind: telemetry.EvReject, Pref: r.Prefetch,
-				Core: int16(r.Core), Chan: c.telID, Bank: int16(r.Addr.Bank), Line: r.Line,
+		if c.probe != nil {
+			c.probe.Publish(probe.Event{
+				Kind: probe.Reject, Cycle: r.Arrival, Line: r.Line, Pref: r.Prefetch,
+				Core: int16(r.Core), Chan: c.id, Bank: int16(r.Addr.Bank),
 			})
 		}
 		return false
@@ -488,10 +445,10 @@ func (c *Controller) Enqueue(r *Request) bool {
 		// neighbors become candidates for this controller's idle windows.
 		c.memside.Train(r.Core, r.Line, r.Addr, r.Arrival)
 	}
-	if c.tel != nil {
-		c.tel.Emit(telemetry.Event{
-			Cycle: r.Arrival, Kind: telemetry.EvEnqueue, Pref: r.Prefetch,
-			Core: int16(r.Core), Chan: c.telID, Bank: int16(r.Addr.Bank), Line: r.Line,
+	if c.probe != nil {
+		c.probe.Publish(probe.Event{
+			Kind: probe.Enqueue, Cycle: r.Arrival, Line: r.Line, Pref: r.Prefetch,
+			Core: int16(r.Core), Chan: c.id, Bank: int16(r.Addr.Bank),
 		})
 	}
 	return true
@@ -647,7 +604,9 @@ func (c *Controller) Tick(now uint64, ncores int) []*Request {
 			// The bank is mid-refresh or past its forced deadline: requests
 			// wait, and the wait is charged to the refresh engine.
 			c.refresh.NoteBlocked()
-			c.flight.NoteBlocked(c.flightCh, b)
+			if c.probe != nil {
+				c.probe.Publish(probe.Event{Kind: probe.RefreshBlocked, Cycle: now, Core: -1, Chan: c.id, Bank: int16(b)})
+			}
 			continue
 		}
 		if !c.channel.BankReady(b, now) {
@@ -708,10 +667,10 @@ func (c *Controller) memsidePass(now uint64) {
 	if e.PressureAt(demands, c.capacity) {
 		n := e.DropPressure()
 		c.Dropped += uint64(n)
-		if c.tel != nil && n > 0 {
-			c.tel.Emit(telemetry.Event{
-				Cycle: now, Kind: telemetry.EvDrop, Pref: true, A: uint64(n),
-				Core: -1, Chan: c.telID, Bank: -1,
+		if c.probe != nil && n > 0 {
+			c.probe.Publish(probe.Event{
+				Kind: probe.Drop, Cycle: now, A: uint64(n), Pref: true, WasPref: true,
+				Core: -1, Chan: c.id, Bank: -1,
 			})
 		}
 		return
@@ -887,13 +846,7 @@ func (c *Controller) refreshPass(now uint64) {
 		if eng.MustRefresh(0) || (idle && (eng.Due(0, now) || eng.CanPullIn(0))) {
 			until := eng.Start(0, now)
 			for b := range c.channel.Banks {
-				c.channel.Refresh(b, until)
-			}
-			if c.tel != nil {
-				c.tel.Emit(telemetry.Event{
-					Cycle: now, Kind: telemetry.EvRefresh, A: until,
-					Core: -1, Chan: c.telID, Bank: -1,
-				})
+				c.refreshBank(b, now, until, true)
 			}
 		}
 		return
@@ -914,14 +867,23 @@ func (c *Controller) refreshPass(now uint64) {
 
 // startRefresh issues a per-bank refresh to bank b, blocking it for tRFCpb.
 func (c *Controller) startRefresh(b int, now uint64) {
-	until := c.refresh.Start(b, now)
-	c.channel.Refresh(b, until)
-	if c.tel != nil {
-		c.tel.Emit(telemetry.Event{
-			Cycle: now, Kind: telemetry.EvRefresh, A: until,
-			Core: -1, Chan: c.telID, Bank: int16(b),
+	c.refreshBank(b, now, c.refresh.Start(b, now), false)
+}
+
+// refreshBank occupies bank b with a refresh through until, as one bank's
+// share of a rank-wide refresh when allBank.
+func (c *Controller) refreshBank(b int, now, until uint64, allBank bool) {
+	if c.probe != nil {
+		var closes uint8
+		if c.channel.Banks[b].OpenRow >= 0 {
+			closes = 1
+		}
+		c.probe.Publish(probe.Event{
+			Kind: probe.Refresh, Cycle: now, A: until, AllBank: allBank, Closes: closes,
+			Core: -1, Chan: c.id, Bank: int16(b),
 		})
 	}
+	c.channel.Refresh(b, until)
 }
 
 // issue removes bucket[idx] from the waiting set and schedules it on the
@@ -953,18 +915,24 @@ func (c *Controller) issue(b, idx int, now uint64) {
 	r.ServiceAt = now
 	c.inflight = append(c.inflight, r)
 	c.Serviced++
-	c.flight.NoteIssue(c.flightCh, b, r.Prefetch)
-	if c.tel != nil {
-		c.tel.Emit(telemetry.Event{
-			Cycle: now, Kind: telemetry.EvIssue, Pref: r.Prefetch, A: finish,
-			Core: int16(r.Core), Chan: c.telID, Bank: int16(b), Line: r.Line,
-		})
-		if state == dram.RowConflict {
-			c.tel.Emit(telemetry.Event{
-				Cycle: now, Kind: telemetry.EvRowConflict, Pref: r.Prefetch,
-				Core: int16(r.Core), Chan: c.telID, Bank: int16(b), Line: r.Line,
-			})
+	if c.probe != nil {
+		// Every access but a row hit activates a row; a conflict precharges
+		// first, and a bank left closed was precharged after the access.
+		var opens, closes uint8
+		if state != dram.RowHit {
+			opens = 1
 		}
+		if state == dram.RowConflict {
+			closes++
+		}
+		if c.channel.Banks[b].OpenRow < 0 {
+			closes++
+		}
+		c.probe.Publish(probe.Event{
+			Kind: probe.Issue, Cycle: now, Line: r.Line, A: finish, Pref: r.Prefetch,
+			Row: state, Opens: opens, Closes: closes,
+			Core: int16(r.Core), Chan: c.id, Bank: int16(b),
+		})
 	}
 }
 
@@ -1003,10 +971,11 @@ func (c *Controller) DropExpired(now uint64, threshold func(r *Request) uint64) 
 				} else {
 					c.rowWait[key] = n
 				}
-				if c.tel != nil {
-					c.tel.Emit(telemetry.Event{
-						Cycle: now, Kind: telemetry.EvDrop, Pref: true, A: r.Age(now),
-						Core: int16(r.Core), Chan: c.telID, Bank: int16(r.Addr.Bank), Line: r.Line,
+				if c.probe != nil {
+					c.probe.Publish(probe.Event{
+						Kind: probe.Drop, Cycle: now, Line: r.Line, A: r.Age(now), Enqueue: r.Arrival,
+						Pref: true, WasPref: true,
+						Core: int16(r.Core), Chan: c.id, Bank: int16(b),
 					})
 				}
 				continue

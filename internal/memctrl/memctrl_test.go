@@ -6,6 +6,7 @@ import (
 	"padc/internal/dram"
 	"padc/internal/memctrl/sched"
 	"padc/internal/telemetry"
+	"padc/internal/telemetry/probe"
 )
 
 // fixedState drives the APS predicates in tests.
@@ -326,6 +327,7 @@ func TestDropExpiredEmitsOneEventPerDrop(t *testing.T) {
 	tel := telemetry.New(telemetry.Options{})
 	c := NewStack(APS.Stack(), oneBank(), 16, fixedState{critical: map[int]bool{}})
 	c.Instrument(tel, 0)
+	c.AttachProbe(probe.New(tel), 0)
 	for i := uint64(1); i <= 3; i++ {
 		c.Enqueue(req(0, i, i, true))
 	}

@@ -257,25 +257,26 @@ type Config struct {
 	TrackServiceHist   bool // Figure 4(a) service-time histograms
 	TrackAccuracyTrace bool // Figure 4(b) per-interval PAR of core 0
 
-	// Telemetry, when non-nil, receives the run's metric registrations,
-	// epoch samples (every Telemetry.EpochCycles() cycles) and trace
-	// events; see internal/telemetry. Nil — the default — disables all
-	// instrumentation, leaving the hot path with only nil compares.
+	// Telemetry, when non-nil, receives the run's metric registrations and
+	// epoch samples (every Telemetry.EpochCycles() cycles) and subscribes
+	// to the run's probe for trace events; see internal/telemetry.
 	Telemetry *telemetry.Telemetry
 
 	// Flight, when non-nil, is the bank-state flight recorder: bounded
 	// per-epoch × per-bank accounting of row outcomes, open/close
 	// transitions, demand/prefetch issues, refresh interference and
 	// rule-win attribution; see internal/telemetry/flight. The system
-	// configures its geometry, attaches it to every controller, and
-	// rotates epochs in the run loop. Nil — the default — costs one
-	// pointer compare at each hook.
+	// configures its geometry and rule-win samplers, subscribes it to the
+	// run's probe, and rotates epochs in the run loop.
 	Flight *flight.Recorder
 
-	// Lifecycle, when non-nil, receives one span per completed or dropped
-	// memory request (queue-wait vs. service decomposition, request class,
-	// row outcome); see internal/telemetry/lifecycle. Nil disables span
-	// tracing at one pointer compare per request retirement.
+	// Lifecycle, when non-nil, subscribes to the run's probe and records
+	// one span per completed or dropped memory request (queue-wait vs.
+	// service decomposition, request class, row outcome); see
+	// internal/telemetry/lifecycle.
+	//
+	// With all three nil — the default — the run has no probe, and every
+	// push event site costs one nil compare.
 	Lifecycle *lifecycle.Tracer
 
 	// Profile enables per-core cycle accounting: every core cycle is

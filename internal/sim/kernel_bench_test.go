@@ -3,6 +3,9 @@ package sim
 import (
 	"testing"
 
+	"padc/internal/telemetry"
+	"padc/internal/telemetry/flight"
+	"padc/internal/telemetry/lifecycle"
 	"padc/internal/topology"
 	"padc/internal/trace"
 	"padc/internal/workload"
@@ -36,26 +39,26 @@ func benchConfig(k Kernel) Config {
 // stall-heavy workloads. Recorded by scripts/benchsnap into
 // BENCH_sweep.json and guarded by `make bench-compare`.
 func BenchmarkSystemRun(b *testing.B) {
+	bench := func(b *testing.B, k Kernel, mk func(Kernel) Config) {
+		var cycles uint64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := Run(mk(k))
+			if err != nil {
+				b.Fatal(err)
+			}
+			cycles += res.Cycles
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+	}
 	for _, k := range []Kernel{KernelStepped, KernelEvents} {
 		k := k
-		bench := func(b *testing.B, mk func(Kernel) Config) {
-			var cycles uint64
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := Run(mk(k))
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles += res.Cycles
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
-		}
-		b.Run(k.String(), func(b *testing.B) { bench(b, benchConfig) })
+		b.Run(k.String(), func(b *testing.B) { bench(b, k, benchConfig) })
 		// The two-domain variant measures the topology layer's overhead:
 		// steering on every mapped line plus NextEvent aggregation across
 		// heterogeneous controllers with a long far-tier link.
 		b.Run(k.String()+"/far-tier", func(b *testing.B) {
-			bench(b, func(k Kernel) Config {
+			bench(b, k, func(k Kernel) Config {
 				cfg := benchConfig(k)
 				tp, err := topology.Preset("far-tier", cfg.DRAM.Channels)
 				if err != nil {
@@ -66,4 +69,16 @@ func BenchmarkSystemRun(b *testing.B) {
 			})
 		})
 	}
+	// The observed variant runs the event kernel with every push observer
+	// attached (the telemetry event ring and epoch sampler, the flight
+	// recorder and the lifecycle tracer): the cost of observation when on.
+	b.Run("observed", func(b *testing.B) {
+		bench(b, KernelEvents, func(k Kernel) Config {
+			cfg := benchConfig(k)
+			cfg.Telemetry = telemetry.New(telemetry.Options{EpochCycles: 10_000})
+			cfg.Flight = flight.New(flight.Options{})
+			cfg.Lifecycle = lifecycle.New(lifecycle.Options{})
+			return cfg
+		})
+	})
 }

@@ -84,20 +84,19 @@ type Machine struct {
 
 	// Telemetry, when non-nil, instruments the run: counters, epoch time
 	// series and trace events land in it (export with its WriteCSV /
-	// WriteJSONL / WriteChromeTrace / Summary methods). Nil keeps the
-	// simulator on the uninstrumented fast path.
+	// WriteJSONL / WriteChromeTraceWith methods). Nil keeps the simulator
+	// on the uninstrumented fast path.
 	Telemetry *telemetry.Telemetry `json:"-"`
 
 	// Flight, when non-nil, is the bank-state flight recorder: bounded
 	// per-epoch × per-bank accounting of row outcomes, open/close
 	// transitions, demand/prefetch issues, refresh interference and
 	// scheduler rule-win attribution (export with its WriteCSV /
-	// WriteJSONL / ChromeCounters / Summary methods). Nil keeps the hot
-	// path at one pointer compare per hook.
+	// WriteJSONL / ChromeCounters / Summary methods).
 	Flight *flight.Recorder `json:"-"`
 
 	// Lifecycle, when non-nil, traces every memory request end to end
-	// (enqueue, promotion, issue, bus, completion/drop) into per-core
+	// (enqueue, promotion, issue, completion/drop) into per-core
 	// queue-wait/service breakdowns and a sampled span reservoir (export
 	// with its WriteCSV / WriteJSONL / BreakdownTable methods or fold its
 	// spans into a Chrome trace).

@@ -13,7 +13,9 @@ import (
 	"padc/internal/memctrl"
 	"padc/internal/stats"
 	"padc/internal/telemetry"
+	"padc/internal/telemetry/flight"
 	"padc/internal/telemetry/lifecycle"
+	"padc/internal/topology"
 	"padc/internal/workload"
 )
 
@@ -451,17 +453,46 @@ func TestTelemetryIntegration(t *testing.T) {
 	}
 }
 
-// TestTelemetryDisabledIdenticalResults pins the nil-telemetry fast path:
-// instrumentation must not perturb simulation results.
+// TestTelemetryDisabledIdenticalResults pins that observation never
+// perturbs the simulation: with the telemetry ring and sampler, the
+// flight recorder, the lifecycle tracer and the profiler all attached to
+// a two-core, per-bank-refresh, memory-side, far-tier machine, every
+// field of the results equals the unobserved run's under both kernels,
+// except the per-core Attribution the profiler fills.
 func TestTelemetryDisabledIdenticalResults(t *testing.T) {
-	base := mustRun(t, quickCfg(1, "swim"))
-	cfg := quickCfg(1, "swim")
-	cfg.Telemetry = telemetry.New(telemetry.Options{EpochCycles: 1_000})
-	instrumented := mustRun(t, cfg)
-	if base.Cycles != instrumented.Cycles || base.Serviced != instrumented.Serviced ||
-		base.PerCore[0].Retired != instrumented.PerCore[0].Retired {
-		t.Fatalf("telemetry changed the simulation: %d/%d cycles, %d/%d serviced",
-			base.Cycles, instrumented.Cycles, base.Serviced, instrumented.Serviced)
+	base := func(k Kernel) Config {
+		cfg := quickCfg(2, "swim", "art")
+		cfg.TargetInsts = 60_000
+		cfg.Kernel = k
+		cfg.MemSide = true
+		cfg.DRAM.Refresh.Mode = refresh.PerBank
+		tp, err := topology.Preset("far-tier", cfg.DRAM.Channels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Topology = &tp
+		return cfg
+	}
+	for _, k := range []Kernel{KernelStepped, KernelEvents} {
+		plain := mustRun(t, base(k))
+		cfg := base(k)
+		cfg.Telemetry = telemetry.New(telemetry.Options{EpochCycles: 1_000})
+		cfg.Flight = flight.New(flight.Options{EpochCycles: 1_000})
+		cfg.Lifecycle = lifecycle.New(lifecycle.Options{})
+		cfg.Profile = true
+		observed := mustRun(t, cfg)
+		if cfg.Lifecycle.Recorded() == 0 || len(cfg.Telemetry.Events()) == 0 || cfg.Flight.Summary() == nil {
+			t.Fatalf("%v: an observer saw nothing", k)
+		}
+		for i := range observed.PerCore {
+			if observed.PerCore[i].Attribution == nil {
+				t.Fatalf("%v: core %d has no attribution under Profile", k, i)
+			}
+			observed.PerCore[i].Attribution = nil
+		}
+		if !reflect.DeepEqual(plain, observed) {
+			t.Fatalf("%v: observers changed the results:\nplain    %+v\nobserved %+v", k, plain, observed)
+		}
 	}
 }
 

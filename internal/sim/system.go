@@ -13,7 +13,7 @@ import (
 	"padc/internal/prefetch"
 	"padc/internal/stats"
 	"padc/internal/telemetry"
-	"padc/internal/telemetry/lifecycle"
+	"padc/internal/telemetry/probe"
 	"padc/internal/topology"
 	"padc/internal/workload"
 )
@@ -95,13 +95,12 @@ type System struct {
 	cores []*coreCtx
 
 	// Topology wiring: compiled address steering, per-domain DRAM configs,
-	// and per-global-channel domain/link lookups. A flat machine has one
-	// domain, identity steering, and all-zero links.
+	// and per-global-channel domain lookups. A flat machine has one domain
+	// and identity steering.
 	steer     *topology.Steering
 	domCfg    []dram.Config
 	chanOff   []int
 	ctrlDom   []int
-	ctrlLink  []uint64
 	domThresh []func(r *memctrl.Request) uint64 // APD threshold bound per domain
 
 	// Memory-side prefetch bookkeeping. Lines a memory-side prefetch
@@ -137,9 +136,9 @@ type System struct {
 	pendingUse  map[uint64]uint64 // gline -> service time, usefulness unknown
 	accTrace    []float64
 
-	tel     *telemetry.Telemetry // nil when telemetry is disabled
-	svcHist *telemetry.Histogram // dram/service_cycles (nil-safe)
-	lc      *lifecycle.Tracer    // nil when span tracing is disabled
+	// probe carries the run loop's push events, and every controller's and
+	// the PADC's, to the attached observers (nil when none is).
+	probe *probe.Probe
 
 	// Run-loop bounds, kept as fields so nextEvent (and the lockstep
 	// property tests replaying its decisions) sees the loop's live state.
@@ -200,7 +199,6 @@ func New(cfg Config) (*System, error) {
 	s.chans = make([]*dram.Channel, nchan)
 	s.ctrls = make([]*memctrl.Controller, nchan)
 	s.ctrlDom = make([]int, nchan)
-	s.ctrlLink = make([]uint64, nchan)
 	s.domServiced = make([]uint64, len(topo.Domains))
 	s.domRowHits = make([]uint64, len(topo.Domains))
 	s.domPrefSent = make([]uint64, len(topo.Domains))
@@ -219,18 +217,6 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Flight != nil {
-		cfg.Flight.Configure(nchan, cfg.DRAM.Banks)
-		if len(topo.Domains) > 1 {
-			chanDoms := make([]string, nchan)
-			for d, dom := range topo.Domains {
-				for lc := 0; lc < dom.Channels; lc++ {
-					chanDoms[s.chanOff[d]+lc] = dom.Name
-				}
-			}
-			cfg.Flight.LabelDomains(chanDoms)
-		}
-	}
 	gi := 0
 	for d, dom := range topo.Domains {
 		dc := s.domCfg[d]
@@ -243,7 +229,6 @@ func New(cfg Config) (*System, error) {
 			s.ctrls[gi] = memctrl.NewStack(stack, s.chans[gi], cfg.BufferSlots, st)
 			s.ctrls[gi].SetLinkLatency(dom.LinkCycles)
 			s.ctrlDom[gi] = d
-			s.ctrlLink[gi] = dom.LinkCycles
 			if dc.Refresh.Enabled() {
 				eng := refresh.NewEngine(dc.Refresh, dc.Banks)
 				// The run loop ticks controllers every TickEvery cycles
@@ -253,9 +238,6 @@ func New(cfg Config) (*System, error) {
 				// first post-gap blocked-cycle charge identical to stepping.
 				eng.CapDelta(dram.TickEvery)
 				s.ctrls[gi].AttachRefresh(eng)
-			}
-			if cfg.Flight != nil {
-				s.ctrls[gi].AttachFlight(cfg.Flight, gi)
 			}
 			gi++
 		}
@@ -296,8 +278,6 @@ func New(cfg Config) (*System, error) {
 		}
 		s.cores[i] = cc
 	}
-	s.lc = cfg.Lifecycle
-
 	if cfg.MemSide {
 		// Arm the per-tier memory-side accuracy meters before Instrument
 		// so their gauges register, and give every controller its own
@@ -322,15 +302,48 @@ func New(cfg Config) (*System, error) {
 			s.headroom[i] = 1 // cold machine: bus idle
 		}
 		s.busPrev = make([]uint64, nchan)
-		// The flight recorder's bus_busy column rides the same gate, so
-		// heatmaps from runs without the prefetch subsystem keep their
-		// historical byte-identical format.
-		if cfg.Flight != nil {
-			for i := range s.chans {
+	}
+	if rec := cfg.Flight; rec != nil {
+		rec.Configure(nchan, cfg.DRAM.Banks)
+		if len(topo.Domains) > 1 {
+			doms := make([]string, nchan)
+			for i, d := range s.ctrlDom {
+				doms[i] = names[d]
+			}
+			rec.LabelDomains(doms)
+		}
+		for i, ctrl := range s.ctrls {
+			rules, _ := ctrl.RuleWins()
+			rec.AttachRules(i, rules, func() []uint64 {
+				_, wins := ctrl.RuleWins()
+				return wins
+			})
+			// The bus_busy column rides the headroom gate, so heatmaps from
+			// runs without the prefetch subsystem keep their historical
+			// byte-identical format.
+			if s.headroom != nil {
 				ch := s.chans[i]
-				cfg.Flight.AttachBus(i, func() uint64 { return ch.BusBusyCycles })
+				rec.AttachBus(i, func() uint64 { return ch.BusBusyCycles })
 			}
 		}
+	}
+
+	// The push observers subscribe to one probe, and every producer
+	// publishes to it.
+	var subs []probe.Subscriber
+	if cfg.Telemetry != nil {
+		subs = append(subs, cfg.Telemetry)
+	}
+	if cfg.Flight != nil {
+		subs = append(subs, cfg.Flight)
+	}
+	if cfg.Lifecycle != nil {
+		subs = append(subs, cfg.Lifecycle)
+	}
+	s.probe = probe.New(subs...)
+	s.padc.AttachProbe(s.probe)
+	for i, ctrl := range s.ctrls {
+		ctrl.AttachProbe(s.probe, i)
 	}
 
 	if cfg.TrackServiceHist {
@@ -344,15 +357,13 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// instrument registers every subsystem's metrics into tel. Registration
-// happens once here; the hot paths touch telemetry only through
-// preregistered handles and nil compares.
+// instrument registers every subsystem's metrics into tel, once; the
+// epoch sampler and the exporters read them when they need them.
 func (s *System) instrument(tel *telemetry.Telemetry) {
-	s.tel = tel
 	for i, ctrl := range s.ctrls {
 		ctrl.Instrument(tel, i)
 	}
-	s.padc.Instrument(tel, func() uint64 { return s.cycle })
+	s.padc.Instrument(tel)
 
 	tel.CounterFunc("sim/serviced", func() uint64 { return s.serviced })
 	tel.CounterFunc("sim/row_hits", func() uint64 { return s.rowHits })
@@ -362,9 +373,6 @@ func (s *System) instrument(tel *telemetry.Telemetry) {
 		}
 		return float64(s.rowHits) / float64(s.serviced)
 	})
-	// Arrival-to-fill service time, the Figure 4(a) axis.
-	s.svcHist = tel.Histogram("dram/service_cycles", []uint64{200, 400, 800, 1600, 3200})
-
 	// Bandwidth-headroom and memory-side series exist only when those
 	// paths are on, keeping the baseline metric namespace unchanged.
 	if s.headroom != nil {
@@ -542,11 +550,8 @@ func (s *System) Load(coreID int, seq, line, pc uint64, runahead bool, now uint6
 	if cs.mshr.Full() {
 		if firstTry {
 			cs.mshr.NoteFullStall(false)
-			if s.tel != nil {
-				s.tel.Emit(telemetry.Event{
-					Cycle: now, Kind: telemetry.EvMSHRStall,
-					Core: int16(coreID), Chan: -1, Bank: -1, Line: g,
-				})
+			if s.probe != nil {
+				s.probe.Publish(probe.Event{Kind: probe.MSHRStall, Cycle: now, Line: g, Core: int16(coreID), Chan: -1, Bank: -1})
 			}
 		}
 		// A retry of this load walks the L1, the L2 and the MSHR file and
@@ -681,38 +686,6 @@ func histBucket(t uint64) int {
 	return b
 }
 
-// rowOutcome lowers a dram.RowState onto the lifecycle mirror type.
-func rowOutcome(st dram.RowState) lifecycle.RowOutcome {
-	switch st {
-	case dram.RowHit:
-		return lifecycle.RowHit
-	case dram.RowClosed:
-		return lifecycle.RowClosed
-	default:
-		return lifecycle.RowConflict
-	}
-}
-
-// span assembles the lifecycle record of a serviced request from the
-// stage stamps the controller left on it.
-func (s *System) span(r *memctrl.Request, class lifecycle.Class) lifecycle.Span {
-	// FinishAt includes the domain's link delay; the bus transfer happened
-	// before the request went onto the link, at that domain's burst width.
-	busStart := r.FinishAt
-	if link := s.ctrlLink[r.Addr.Channel]; busStart > link {
-		busStart -= link
-	}
-	if burst := s.domCfg[s.ctrlDom[r.Addr.Channel]].Timing.Burst; busStart > burst {
-		busStart -= burst
-	}
-	return lifecycle.Span{
-		Enqueue: r.Arrival, Promote: r.PromotedAt, Issue: r.ServiceAt,
-		Bus: busStart, Finish: r.FinishAt,
-		Line: r.Line, Class: class, Row: rowOutcome(r.RowState),
-		Core: int16(r.Core), Chan: int16(r.Addr.Channel), Bank: int16(r.Addr.Bank),
-	}
-}
-
 // complete retires one serviced DRAM request back into the hierarchy. It
 // makes the request's last read; the run loop recycles it right after.
 func (s *System) complete(r *memctrl.Request, now uint64) {
@@ -721,28 +694,20 @@ func (s *System) complete(r *memctrl.Request, now uint64) {
 		return
 	}
 	cs := s.cores[r.Core]
-	class := lifecycle.ClassDemand
-	switch {
-	case !r.WasPref:
-	case !r.Prefetch:
-		class = lifecycle.ClassPrefUseful
-	default:
-		class = lifecycle.ClassPrefPure
-	}
-	s.retire(r, r.Prefetch, class)
+	s.retire(r)
 	if r.WasPref {
 		cs.prefServiced++
 		cs.prefInflight--
 	}
 	svc := r.FinishAt - r.Arrival
-	switch class {
-	case lifecycle.ClassDemand:
+	switch {
+	case !r.WasPref: // demand
 		cs.busDemand++
 		s.usefulServiced++
 		if r.IssueHit {
 			s.usefulRowHits++
 		}
-	case lifecycle.ClassPrefUseful: // promoted prefetch: known useful
+	case !r.Prefetch: // promoted prefetch: known useful
 		cs.busPrefPromo++
 		s.usefulServiced++
 		if r.IssueHit {
@@ -770,10 +735,8 @@ func (s *System) complete(r *memctrl.Request, now uint64) {
 
 // retire books what every serviced request shares, whoever issued it:
 // the serviced and row-hit counts (machine-wide and for the request's
-// memory domain), the service-time histogram, the EvComplete event
-// (marked as a prefetch when pref) and the lifecycle span of the given
-// class.
-func (s *System) retire(r *memctrl.Request, pref bool, class lifecycle.Class) {
+// memory domain), and the Complete event.
+func (s *System) retire(r *memctrl.Request) {
 	s.serviced++
 	d := s.ctrlDom[r.Addr.Channel]
 	s.domServiced[d]++
@@ -781,16 +744,13 @@ func (s *System) retire(r *memctrl.Request, pref bool, class lifecycle.Class) {
 		s.rowHits++
 		s.domRowHits[d]++
 	}
-	if s.tel != nil {
-		s.svcHist.Observe(r.FinishAt - r.Arrival)
-		s.tel.Emit(telemetry.Event{
-			Cycle: r.ServiceAt, Kind: telemetry.EvComplete, Pref: pref,
+	if s.probe != nil {
+		s.probe.Publish(probe.Event{
+			Kind: probe.Complete, Cycle: r.FinishAt, Line: r.Line,
+			Enqueue: r.Arrival, Promote: r.PromotedAt, Issue: r.ServiceAt,
+			Pref: r.Prefetch, WasPref: r.WasPref, Row: r.RowState,
 			Core: int16(r.Core), Chan: int16(r.Addr.Channel), Bank: int16(r.Addr.Bank),
-			Line: r.Line, A: r.FinishAt - r.ServiceAt,
 		})
-	}
-	if s.lc != nil {
-		s.lc.Record(s.span(r, class))
 	}
 }
 
@@ -838,7 +798,7 @@ func (s *System) evicted(cs *coreCtx, ev cache.Eviction, byCorePrefetch bool) {
 // request's terminal event, pairing with NoteMemSideUsed on first use.
 func (s *System) completeMemSide(r *memctrl.Request) {
 	cs := s.cores[r.Core]
-	s.retire(r, true, lifecycle.ClassPrefPure)
+	s.retire(r)
 	s.msServiced++
 	s.padc.NoteMemSideSent(s.ctrlDom[r.Addr.Channel])
 
@@ -857,7 +817,7 @@ func (s *System) completeMemSide(r *memctrl.Request) {
 
 // dropExpired runs the APD scan over every controller, each judged by its
 // own domain's drop thresholds, and recycles every dropped request once
-// its MSHR entry, counters and span are settled.
+// its MSHR entry and counters are settled.
 func (s *System) dropExpired(now uint64) {
 	for i, ctrl := range s.ctrls {
 		if ctrl.Pending() == 0 {
@@ -876,13 +836,6 @@ func (s *System) dropExpired(now uint64) {
 				s.touch(cs)
 				cs.prefDropped++
 				cs.prefInflight--
-			}
-			if s.lc != nil {
-				s.lc.Record(lifecycle.Span{
-					Enqueue: r.Arrival, Finish: now,
-					Line: r.Line, Class: lifecycle.ClassDropped, Row: lifecycle.RowNone,
-					Core: int16(r.Core), Chan: int16(r.Addr.Channel), Bank: int16(r.Addr.Bank),
-				})
 			}
 			ctrl.Recycle(r)
 		}
@@ -1027,7 +980,7 @@ func (s *System) Run() (stats.Results, error) {
 
 	// Epoch sampling: disabled telemetry leaves nextSample at the
 	// unreachable maximum, so the per-cycle cost is one compare.
-	epoch := s.tel.EpochCycles()
+	epoch := cfg.Telemetry.EpochCycles()
 	s.nextSample = ^uint64(0)
 	var lastSample uint64
 	if epoch > 0 {
@@ -1081,7 +1034,7 @@ func (s *System) Run() (stats.Results, error) {
 
 		if now >= s.nextSample {
 			s.settleAll(now)
-			s.tel.Sample(now)
+			cfg.Telemetry.Sample(now)
 			lastSample = now
 			s.nextSample += epoch
 		}
@@ -1095,7 +1048,7 @@ func (s *System) Run() (stats.Results, error) {
 			if s.headroom != nil {
 				s.updateHeadroom(now)
 			}
-			s.padc.EndInterval()
+			s.padc.EndInterval(now)
 			for _, cs := range s.cores {
 				if cs.fdp != nil {
 					cs.fdp.EndInterval(cs.intervalMiss)
@@ -1144,7 +1097,7 @@ func (s *System) Run() (stats.Results, error) {
 	s.settleAll(s.cycle)
 	// Close the partial last epoch so short runs still yield a series.
 	if epoch > 0 && s.cycle > lastSample {
-		s.tel.Sample(s.cycle)
+		cfg.Telemetry.Sample(s.cycle)
 	}
 	// Likewise the flight recorder's partial last epoch (a no-op when the
 	// run ended exactly on a rotation boundary).

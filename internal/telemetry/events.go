@@ -1,5 +1,10 @@
 package telemetry
 
+import (
+	"padc/internal/dram"
+	"padc/internal/telemetry/probe"
+)
+
 // EventKind classifies a trace event.
 type EventKind uint8
 
@@ -106,6 +111,43 @@ func (r *ring) events() []Event {
 	out = append(out, r.buf[r.next:]...)
 	out = append(out, r.buf[:r.next]...)
 	return out
+}
+
+// Observe is the event ring's probe subscription: each request and bank
+// event becomes one ring record (an issue that found a conflicting row
+// adds an EvRowConflict record), a completion also books its
+// arrival-to-fill time into dram/service_cycles, and a rank-wide refresh
+// is one record with Bank -1. Refresh-blocked slots are not recorded.
+func (t *Telemetry) Observe(ev probe.Event) {
+	e := Event{Kind: ringKind[ev.Kind], Cycle: ev.Cycle, Line: ev.Line, A: ev.A, Pref: ev.Pref, Core: ev.Core, Chan: ev.Chan, Bank: ev.Bank}
+	switch ev.Kind {
+	case probe.RefreshBlocked:
+		return
+	case probe.Issue:
+		if ev.Row == dram.RowConflict {
+			t.Emit(e)
+			e.Kind, e.A = EvRowConflict, 0
+		}
+	case probe.Complete:
+		// The record spans issue to fill, so Chrome-trace slices render
+		// where DRAM service happened.
+		t.svc.Observe(ev.Cycle - ev.Enqueue)
+		e.Cycle, e.A = ev.Issue, ev.Cycle-ev.Issue
+	case probe.Refresh:
+		if ev.AllBank {
+			if ev.Bank != 0 {
+				return
+			}
+			e.Bank = -1
+		}
+	}
+	t.Emit(e)
+}
+
+// ringKind names the ring record each probe kind becomes.
+var ringKind = [...]EventKind{
+	probe.Enqueue: EvEnqueue, probe.Reject: EvReject, probe.Issue: EvIssue, probe.Complete: EvComplete,
+	probe.Drop: EvDrop, probe.Promotion: EvPromotion, probe.Refresh: EvRefresh, probe.MSHRStall: EvMSHRStall,
 }
 
 // Emit records one event (no-op for nil or event-disabled telemetry).

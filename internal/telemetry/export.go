@@ -75,20 +75,15 @@ func (t *Telemetry) WriteJSONL(w io.Writer) error {
 // core.
 const chromeCorePID = 1000
 
-// WriteChromeTrace writes the retained events in Chrome trace_event JSON
-// (load in chrome://tracing or https://ui.perfetto.dev). DRAM service
-// completions render as duration ("X") spans on their bank's track;
-// drops, promotions, rejects and stalls render as instant ("i") events.
-// Timestamps are microseconds at the 4GHz core clock.
-func (t *Telemetry) WriteChromeTrace(w io.Writer) error {
-	return t.WriteChromeTraceWith(w, nil)
-}
-
-// WriteChromeTraceWith is WriteChromeTrace with a hook: extra, when
+// WriteChromeTraceWith writes the retained events in Chrome trace_event
+// JSON (load in chrome://tracing or https://ui.perfetto.dev). DRAM
+// service completions render as duration ("X") spans on their bank's
+// track; drops, promotions, rejects and stalls render as instant ("i")
+// events. Timestamps are microseconds at the 4GHz core clock. extra, when
 // non-nil, is called with the raw trace_event emitter so other layers
-// (lifecycle span tracing) can interleave their slices into the same
-// trace file. The emitter handles comma placement; each call must format
-// one complete trace_event JSON object.
+// (lifecycle spans, flight counters) can interleave their records into
+// the same trace file. The emitter handles comma placement; each call
+// must format one complete trace_event JSON object.
 func (t *Telemetry) WriteChromeTraceWith(w io.Writer, extra func(emit func(format string, args ...any))) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)

@@ -1,5 +1,12 @@
 package telemetry
 
+import "io"
+
+// WriteChromeTrace is WriteChromeTraceWith with nothing interleaved.
+func (t *Telemetry) WriteChromeTrace(w io.Writer) error {
+	return t.WriteChromeTraceWith(w, nil)
+}
+
 // Column returns the sampled values of the named metric across all
 // epochs, or nil if the metric was never sampled.
 func (s Series) Column(name string) []float64 {

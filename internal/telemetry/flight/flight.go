@@ -8,28 +8,18 @@
 // refresh-blocked scheduling slots, plus per-epoch rule-win attribution
 // from the scheduler's rule stack.
 //
-// Like the rest of the telemetry layer it is disabled-by-default and
-// nil-safe: every method has a nil-receiver fast path, so the controller
-// and DRAM model hold a possibly-nil *Recorder and call it
-// unconditionally. Memory is bounded: the recorder keeps lifetime
+// The recorder subscribes to the simulator's probe (internal/telemetry/
+// probe): Observe folds issue, refresh and refresh-blocked events into
+// the current epoch's cells. A nil *Recorder is a valid disabled
+// instance. Memory is bounded: the recorder keeps lifetime
 // per-bank totals plus a ring of the last MaxEpochs epochs — classic
 // flight-recorder semantics, the most recent history survives — so
 // arbitrarily long runs stay O(MaxEpochs × banks).
 package flight
 
-// Outcome classifies one bank access by row-buffer state, mirroring the
-// DRAM model's hit/closed/conflict taxonomy without importing it.
-type Outcome uint8
-
-const (
-	// OutcomeHit is a row-buffer hit (row already open).
-	OutcomeHit Outcome = iota
-	// OutcomeClosed is an access to a precharged bank (activate, no
-	// conflict).
-	OutcomeClosed
-	// OutcomeConflict is a row conflict (wrong row open: precharge then
-	// activate).
-	OutcomeConflict
+import (
+	"padc/internal/dram"
+	"padc/internal/telemetry/probe"
 )
 
 // Cell is one bank's accounting for one epoch (or, in Summary.Totals,
@@ -41,7 +31,7 @@ type Cell struct {
 	Conflicts uint64 `json:"conflicts"`
 	// Opens counts row activations; Closes counts precharges from any
 	// cause (conflicts, closed-page policy, the adaptive predictor,
-	// refresh), as reported by the DRAM model itself.
+	// refresh), including those the scheduler never asked for.
 	Opens  uint64 `json:"opens"`
 	Closes uint64 `json:"closes"`
 	// Demand and Pref count issued requests by class.
@@ -225,69 +215,44 @@ func (r *Recorder) AttachBus(ch int, sample func() uint64) {
 	r.busAttached = true
 }
 
-func (r *Recorder) cell(ch, bank int) *Cell {
-	return &r.cur.Cells[ch*r.banks+bank]
-}
-
-// ready reports whether the recorder can accept notes (non-nil and
+// ready reports whether the recorder can accept events (non-nil and
 // configured).
 func (r *Recorder) ready() bool { return r != nil && r.banks != 0 }
 
-// NoteAccess records one bank access: its row-buffer outcome plus how
-// many row activations and precharges it caused, as decided inside the
-// DRAM model — including hidden closed-page and predictor precharges the
-// controller never sees (a conflict under a closing policy precharges
-// twice: once before the access, once after).
-func (r *Recorder) NoteAccess(ch, bank int, out Outcome, opens, closes int) {
-	if !r.ready() {
+// Observe folds one probe event into the current epoch's cell of its
+// bank: an issued request's row-buffer outcome, its row activations and
+// precharges and its class (demand or prefetch); a refresh starting on
+// the bank, with the precharge of an open row it forced; and a scheduler
+// slot in which the bank had waiting work but was refreshing. Other
+// kinds do not touch bank state.
+func (r *Recorder) Observe(ev probe.Event) {
+	if !r.ready() || ev.Kind != probe.Issue && ev.Kind != probe.Refresh && ev.Kind != probe.RefreshBlocked {
 		return
 	}
-	c := r.cell(ch, bank)
-	switch out {
-	case OutcomeHit:
-		c.Hits++
-	case OutcomeClosed:
-		c.Closed++
-	case OutcomeConflict:
-		c.Conflicts++
+	c := &r.cur.Cells[int(ev.Chan)*r.banks+int(ev.Bank)]
+	switch ev.Kind {
+	case probe.Issue:
+		switch ev.Row {
+		case dram.RowHit:
+			c.Hits++
+		case dram.RowClosed:
+			c.Closed++
+		case dram.RowConflict:
+			c.Conflicts++
+		}
+		c.Opens += uint64(ev.Opens)
+		c.Closes += uint64(ev.Closes)
+		if ev.Pref {
+			c.Pref++
+		} else {
+			c.Demand++
+		}
+	case probe.Refresh:
+		c.Refreshes++
+		c.Closes += uint64(ev.Closes)
+	case probe.RefreshBlocked:
+		c.RefreshBlocked++
 	}
-	c.Opens += uint64(opens)
-	c.Closes += uint64(closes)
-}
-
-// NoteIssue records one scheduled request by class (controller-side: the
-// DRAM model does not know demand from prefetch).
-func (r *Recorder) NoteIssue(ch, bank int, pref bool) {
-	if !r.ready() {
-		return
-	}
-	if pref {
-		r.cell(ch, bank).Pref++
-	} else {
-		r.cell(ch, bank).Demand++
-	}
-}
-
-// NoteRefresh records a refresh starting on the bank; closed reports
-// whether it had to precharge an open row first.
-func (r *Recorder) NoteRefresh(ch, bank int, closed bool) {
-	if !r.ready() {
-		return
-	}
-	c := r.cell(ch, bank)
-	c.Refreshes++
-	if closed {
-		c.Closes++
-	}
-}
-
-// NoteBlocked records one scheduler slot in which the bank had pending
-// work but was refreshing.
-func (r *Recorder) NoteBlocked(ch, bank int) {
-	if !r.ready() {
-		return
-	}
-	r.cell(ch, bank).RefreshBlocked++
 }
 
 // Rotate closes the current epoch at cycle now and starts the next one.

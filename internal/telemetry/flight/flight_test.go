@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"padc/internal/dram"
+	"padc/internal/telemetry/probe"
 )
 
 // TestRecorderBounds pins the flight-recorder memory contract: an
@@ -17,8 +20,7 @@ func TestRecorderBounds(t *testing.T) {
 	r.Configure(1, 4)
 	now := uint64(0)
 	for i := 0; i < rotations; i++ {
-		r.NoteIssue(0, i%4, i%2 == 0)
-		r.NoteAccess(0, i%4, OutcomeHit, 0, 0)
+		r.Observe(probe.Event{Kind: probe.Issue, Bank: int16(i % 4), Row: dram.RowHit, Pref: i%2 == 0})
 		now += 100
 		r.Rotate(now)
 	}
@@ -47,7 +49,7 @@ func TestRecorderBounds(t *testing.T) {
 	// Steady state must not grow: rotations with the ring full reuse its
 	// slots (rule-win deltas are absent here, so zero allocations).
 	allocs := testing.AllocsPerRun(100, func() {
-		r.NoteAccess(0, 1, OutcomeConflict, 1, 1)
+		r.Observe(probe.Event{Kind: probe.Issue, Bank: 1, Row: dram.RowConflict, Opens: 1, Closes: 1})
 		now += 100
 		r.Rotate(now)
 	})
@@ -90,10 +92,9 @@ func TestRecorderRuleWinDeltas(t *testing.T) {
 func TestRecorderNilAndEmptyRotate(t *testing.T) {
 	var nr *Recorder
 	nr.Configure(1, 8)
-	nr.NoteIssue(0, 0, true)
-	nr.NoteAccess(0, 0, OutcomeHit, 1, 0)
-	nr.NoteBlocked(0, 0)
-	nr.NoteRefresh(0, 0, true)
+	for _, k := range []probe.Kind{probe.Issue, probe.Refresh, probe.RefreshBlocked} {
+		nr.Observe(probe.Event{Kind: k, Pref: true, Opens: 1, Closes: 1})
+	}
 	nr.Rotate(100)
 	if nr.Summary() != nil || nr.Epochs() != nil || nr.EpochCycles() != 0 {
 		t.Fatal("nil recorder must report nothing")
@@ -119,11 +120,10 @@ func TestRecorderNilAndEmptyRotate(t *testing.T) {
 func TestRecorderExportShapes(t *testing.T) {
 	r := New(Options{EpochCycles: 10, MaxEpochs: 4})
 	r.Configure(2, 2)
-	r.NoteAccess(1, 1, OutcomeConflict, 1, 2)
-	r.NoteIssue(1, 1, false)
+	r.Observe(probe.Event{Kind: probe.Issue, Chan: 1, Bank: 1, Row: dram.RowConflict, Opens: 1, Closes: 2})
 	r.Rotate(10)
-	r.NoteRefresh(0, 0, true)
-	r.NoteBlocked(0, 0)
+	r.Observe(probe.Event{Kind: probe.Refresh, Closes: 1})
+	r.Observe(probe.Event{Kind: probe.RefreshBlocked})
 	r.Rotate(20)
 
 	var csv bytes.Buffer

@@ -1,22 +1,27 @@
 // Package lifecycle is the per-request span layer of the simulator's
 // observability stack: every memory request is stamped through its stages
 // (enqueue into the memory request buffer, optional promotion from
-// prefetch to demand criticality, issue to a DRAM bank, bus transfer,
-// completion or APD drop) and the resulting span is folded into per-core
+// prefetch to demand criticality, issue to a DRAM bank, completion or APD
+// drop) and the resulting span is folded into per-core
 // latency-decomposition aggregates — queue wait versus DRAM service, split
 // by request class (demand / useful prefetch / pure prefetch / dropped)
 // and by the row-buffer state the request found.
 //
-// The package follows internal/telemetry's nil-safety convention: a nil
-// *Tracer is a valid disabled instance, so instrumented call sites hold a
-// possibly-nil *Tracer and pay one pointer compare when tracing is off.
-// When tracing is on, Record is allocation-free on the steady state: spans
-// are folded into preallocated per-core aggregates and retained in a
-// bounded per-core reservoir (deterministic xorshift sampling), so
-// arbitrarily long runs keep a representative sample at fixed memory.
+// The tracer subscribes to the simulator's probe (internal/telemetry/
+// probe): Observe turns each Complete and Drop event into a span and
+// Records it. A nil *Tracer is a valid disabled instance. Record is
+// allocation-free on the steady state: spans are folded into
+// preallocated per-core aggregates and retained in a bounded per-core
+// reservoir (deterministic xorshift sampling), so arbitrarily long runs
+// keep a representative sample at fixed memory.
 package lifecycle
 
-import "sort"
+import (
+	"sort"
+
+	"padc/internal/dram"
+	"padc/internal/telemetry/probe"
+)
 
 // Class classifies a request at the end of its lifecycle.
 type Class uint8
@@ -53,8 +58,8 @@ func (c Class) String() string {
 	}
 }
 
-// RowOutcome mirrors dram.RowState for issued requests, with an extra
-// "never issued" value for drops, keeping this package dependency-free.
+// RowOutcome is dram.RowState as the span tables index it, with an extra
+// "never issued" value first, for drops.
 type RowOutcome uint8
 
 const (
@@ -87,13 +92,12 @@ func (r RowOutcome) String() string {
 }
 
 // Span is one request's complete lifecycle. Cycle stamps are absolute;
-// Promote, Issue and Bus are zero when the request never reached that
-// stage (drops have only Enqueue and Finish).
+// Promote and Issue are zero when the request never reached that stage
+// (drops have only Enqueue and Finish).
 type Span struct {
 	Enqueue uint64 // admitted to the memory request buffer
 	Promote uint64 // demand merged into the buffered prefetch (0 = never)
 	Issue   uint64 // scheduled to a DRAM bank (0 = dropped before issue)
-	Bus     uint64 // data burst began on the shared bus (0 = dropped)
 	Finish  uint64 // fill completed, or the drop cycle for ClassDropped
 
 	Line  uint64
@@ -228,6 +232,31 @@ func (t *Tracer) core(id int16) *coreState {
 		t.cores = append(t.cores, &coreState{})
 	}
 	return t.cores[id]
+}
+
+// rowOutcome lowers the DRAM model's row state onto RowOutcome.
+var rowOutcome = [...]RowOutcome{dram.RowHit: RowHit, dram.RowClosed: RowClosed, dram.RowConflict: RowConflict}
+
+// Observe records the span a Complete or Drop event closes; other kinds,
+// and the memory-side engine's pressure sheds (Core -1: no request was
+// ever buffered), are not request lifecycles.
+func (t *Tracer) Observe(ev probe.Event) {
+	if ev.Kind != probe.Complete && ev.Kind != probe.Drop {
+		return
+	}
+	sp := Span{
+		Enqueue: ev.Enqueue, Promote: ev.Promote, Issue: ev.Issue, Finish: ev.Cycle,
+		Line: ev.Line, Class: ClassDropped, Core: ev.Core, Chan: ev.Chan, Bank: ev.Bank,
+	}
+	if ev.Kind == probe.Complete {
+		sp.Row, sp.Class = rowOutcome[ev.Row], ClassPrefPure
+		if !ev.WasPref {
+			sp.Class = ClassDemand
+		} else if !ev.Pref {
+			sp.Class = ClassPrefUseful
+		}
+	}
+	t.Record(sp)
 }
 
 // Record folds one finished span (completion or drop) into its core's

@@ -10,7 +10,7 @@ import (
 )
 
 func span(core int16, enq, issue, finish uint64, cl Class, row RowOutcome) Span {
-	return Span{Enqueue: enq, Issue: issue, Bus: finish - 4, Finish: finish,
+	return Span{Enqueue: enq, Issue: issue, Finish: finish,
 		Line: uint64(core)<<20 | enq, Class: cl, Row: row, Core: core}
 }
 

@@ -5,13 +5,13 @@
 // JSONL and Chrome trace_event exporters.
 //
 // The whole package is disabled-by-default and nil-safe: every method has
-// a nil-receiver fast path, so instrumented subsystems hold a possibly-nil
-// *Telemetry and call it unconditionally. With telemetry off the hot-path
-// cost is one pointer compare per call site. Metrics are read functions
-// (CounterFunc, GaugeFunc) over counters the subsystems keep anyway,
-// registered once at construction and called only when the epoch sampler
-// or an exporter reads them; events and histogram observations are
-// recorded as they happen.
+// a nil-receiver fast path. Metrics are read functions (CounterFunc,
+// GaugeFunc) over counters the subsystems keep anyway, registered once at
+// construction and called only when the epoch sampler or an exporter
+// reads them. Events arrive through the simulator's probe
+// (internal/telemetry/probe), to which a Telemetry subscribes: Observe
+// records each one into the ring as it happens and books completions
+// into the dram/service_cycles histogram.
 //
 // Metric names are slash-scoped, instance-indexed strings following the
 // DROPLET convention ("memctrl0/drops", "dram0/row_conflicts",
@@ -119,6 +119,7 @@ type Telemetry struct {
 	series Series
 	totals []float64 // cumulative counter readings at the last sample
 	ring   ring
+	svc    *Histogram // dram/service_cycles, fed by Observe
 }
 
 // New builds an enabled Telemetry with the given options.
@@ -132,6 +133,8 @@ func New(opts Options) *Telemetry {
 	}
 	t := &Telemetry{opts: opts, byName: make(map[string]*metric)}
 	t.ring.init(cap)
+	// Arrival-to-fill service time, the Figure 4(a) axis.
+	t.svc = t.Histogram("dram/service_cycles", []uint64{200, 400, 800, 1600, 3200})
 	return t
 }
 

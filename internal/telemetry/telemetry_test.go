@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"padc/internal/dram"
+	"padc/internal/telemetry/probe"
 )
 
 func TestNilTelemetryIsNoOp(t *testing.T) {
@@ -299,5 +302,38 @@ func TestWritePrometheus(t *testing.T) {
 	b.Reset()
 	if err := nilTel.WritePrometheus(&b); err != nil || b.Len() != 0 {
 		t.Fatalf("nil telemetry should write nothing: err=%v out=%q", err, b.String())
+	}
+}
+
+// TestObserveLowersProbeEvents pins how probe events become ring records:
+// an issue that found a conflicting row adds a row-conflict record, a
+// completion spans issue to fill and books arrival to fill into
+// dram/service_cycles, a rank-wide refresh is one record with bank -1,
+// and a refresh-blocked slot is no record at all.
+func TestObserveLowersProbeEvents(t *testing.T) {
+	tel := New(Options{})
+	tel.Observe(probe.Event{Kind: probe.Issue, Cycle: 4, Line: 7, A: 196, Row: dram.RowConflict, Opens: 1, Closes: 1, Core: 0, Chan: 1, Bank: 3})
+	tel.Observe(probe.Event{Kind: probe.Complete, Cycle: 196, Line: 7, Enqueue: 1, Issue: 4, Core: 0, Chan: 1, Bank: 3})
+	for b := int16(0); b < 4; b++ {
+		tel.Observe(probe.Event{Kind: probe.Refresh, Cycle: 300, A: 660, AllBank: true, Core: -1, Chan: 0, Bank: b})
+	}
+	tel.Observe(probe.Event{Kind: probe.RefreshBlocked, Cycle: 304, Core: -1, Chan: 0, Bank: 2})
+	want := []Event{
+		{Cycle: 4, Line: 7, A: 196, Kind: EvIssue, Core: 0, Chan: 1, Bank: 3},
+		{Cycle: 4, Line: 7, Kind: EvRowConflict, Core: 0, Chan: 1, Bank: 3},
+		{Cycle: 4, Line: 7, A: 192, Kind: EvComplete, Core: 0, Chan: 1, Bank: 3},
+		{Cycle: 300, A: 660, Kind: EvRefresh, Core: -1, Chan: 0, Bank: -1},
+	}
+	got := tel.Events()
+	if len(got) != len(want) {
+		t.Fatalf("ring holds %d records, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if h := tel.svc; h.Total() != 1 || h.Sum() != 195 {
+		t.Fatalf("dram/service_cycles holds %d observations summing to %d, want 1 of 195", h.Total(), h.Sum())
 	}
 }
