@@ -82,9 +82,6 @@ type coreMeter struct {
 	psc uint64 // Prefetch Sent Counter
 	puc uint64 // Prefetch Used Counter
 	par float64
-	// everSent distinguishes "no prefetching yet" (treated as accurate,
-	// so cold prefetchers are not penalized) from measured inaccuracy.
-	everSent bool
 }
 
 // PADC is the adaptive controller state shared by APS and APD across all
@@ -169,11 +166,7 @@ func (p *PADC) Instrument(tel *telemetry.Telemetry) {
 
 // NoteMemSideSent increments the domain's memory-side PSC: the domain's
 // controller admitted one of its own prefetches into the request buffer.
-func (p *PADC) NoteMemSideSent(domain int) {
-	m := &p.msMeters[domain]
-	m.psc++
-	m.everSent = true
-}
+func (p *PADC) NoteMemSideSent(domain int) { p.msMeters[domain].psc++ }
 
 // NoteMemSideUsed increments the domain's memory-side PUC: a demand hit
 // a line a memory-side prefetch filled.
@@ -203,11 +196,7 @@ func (p *PADC) MemSideAllowIn(domain int) bool {
 
 // NoteSent increments the (domain, core) PSC: a prefetch targeting that
 // domain entered the memory request buffer.
-func (p *PADC) NoteSent(domain, core int) {
-	m := &p.meters[domain][core]
-	m.psc++
-	m.everSent = true
-}
+func (p *PADC) NoteSent(domain, core int) { p.meters[domain][core].psc++ }
 
 // NoteUsed increments the (domain, core) PUC: a prefetched line from that
 // domain was hit by a demand, or a demand matched an in-buffer prefetch.

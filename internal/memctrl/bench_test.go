@@ -39,7 +39,6 @@ func fillController(c *Controller, depth int, banks int) []*Request {
 // buffer, so occupancy (and therefore per-tick work) stays at depth.
 func tickSteadyState(c *Controller, now uint64, banks int) {
 	for _, r := range c.Tick(now, benchCores) {
-		r.Inflight = false
 		r.FinishAt = 0
 		r.ServiceAt = 0
 		r.Arrival = now

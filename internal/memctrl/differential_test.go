@@ -18,7 +18,9 @@ import (
 // rank and row-work scans) copied verbatim minus telemetry, and the
 // property test drives it and the rewritten Controller through identical
 // randomized request schedules, asserting identical issue orders, DRAM row
-// outcomes, completion orders and drop sets for all five legacy policies.
+// outcomes, completion orders and drop sets for all five legacy policies
+// under every page policy. The reference's full-buffer legacyMoreRowWork
+// is the oracle for the controller's bucket-scan keep-open decision.
 
 // legacyController is the reference scheduler.
 type legacyController struct {
@@ -198,10 +200,8 @@ func (c *legacyController) Tick(now uint64, ncores int) []*Request {
 		r := c.queue[best[b]]
 		keepOpen := c.legacyMoreRowWork(r, best[b])
 		finish, state := c.channel.Issue(b, r.Addr.Row, now, keepOpen)
-		r.Inflight = true
-		r.FinishAt = finish
+		r.FinishAt = finish // nonzero: marks r issued for the queue sweep below
 		r.RowState = state
-		r.IssueHit = state == dram.RowHit
 		r.ServiceAt = now
 		c.inflight = append(c.inflight, r)
 		c.serviced++
@@ -210,7 +210,7 @@ func (c *legacyController) Tick(now uint64, ncores int) []*Request {
 	if issued > 0 {
 		keepQ := c.queue[:0]
 		for _, r := range c.queue {
-			if !r.Inflight {
+			if r.FinishAt == 0 {
 				keepQ = append(keepQ, r)
 			}
 		}
@@ -276,7 +276,7 @@ type issueTuple struct {
 func issuedAt(inflight []*Request, now uint64) []issueTuple {
 	var out []issueTuple
 	for _, r := range inflight {
-		if r.ServiceAt == now && r.Inflight {
+		if r.ServiceAt == now {
 			out = append(out, issueTuple{
 				cycle: now, line: r.Line, bank: r.Addr.Bank, row: r.Addr.Row,
 				fin: r.FinishAt, state: r.RowState, pref: r.Prefetch,
@@ -312,26 +312,28 @@ func (c *legacyController) totals() (uint64, uint64)       { return c.serviced, 
 func (c *Controller) issued(now uint64) []issueTuple       { return issuedAt(c.inflight, now) }
 func (c *Controller) totals() (uint64, uint64)             { return c.Serviced, c.Dropped }
 
+// diffPages is every page policy, each of which a differential run
+// covers: the closed and adaptive pages read the keep-open decision.
+var diffPages = []dram.PagePolicy{dram.OpenPage, dram.ClosedPage, dram.AdaptivePage}
+
 // diffChannelConfig is the DRAM geometry of one differential run.
-func diffChannelConfig(banks int, closedRow bool) dram.Config {
+func diffChannelConfig(banks int, page dram.PagePolicy) dram.Config {
 	cfg := dram.DefaultConfig()
 	cfg.Banks = banks
-	if closedRow {
-		cfg.Page = dram.ClosedPage
-	}
+	cfg.Page = page
 	return cfg
 }
 
 // runDifferential drives the legacy reference and the rule-stack
 // controller through one identical randomized schedule and fails on the
 // first divergence.
-func runDifferential(t *testing.T, pol Policy, seed int64, banks int, closedRow bool, cycles uint64) {
+func runDifferential(t *testing.T, pol Policy, seed int64, banks int, page dram.PagePolicy, cycles uint64) {
 	t.Helper()
-	cfg := diffChannelConfig(banks, closedRow)
+	cfg := diffChannelConfig(banks, page)
 	state := &flipState{}
 	ref := legacyNew(pol, dram.NewChannel(cfg), 32, state)
 	cur := NewStack(pol.Stack(), dram.NewChannel(cfg), 32, state)
-	runSchedule(t, pol.String(), ref, cur, state, seed, banks, cycles)
+	runSchedule(t, pol.String()+"/"+page.String(), ref, cur, state, seed, banks, cycles)
 }
 
 // runSchedule drives two schedulers sharing state through one identical
@@ -436,16 +438,16 @@ func runSchedule(t *testing.T, label string, ref, cur diffSide, state *flipState
 
 // TestDifferentialSchedulerEquivalence proves schedule-equivalence of the
 // rule-stack controller against the legacy monolithic scheduler for all
-// five policies, across bank counts, row policies and random seeds.
+// five policies, across bank counts, page policies and random seeds.
 func TestDifferentialSchedulerEquivalence(t *testing.T) {
 	policies := []Policy{DemandPrefEqual, DemandFirst, PrefetchFirst, APS, APSRank}
 	for _, pol := range policies {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			for _, banks := range []int{1, 8} {
-				for _, closed := range []bool{false, true} {
+				for _, page := range diffPages {
 					for seed := int64(1); seed <= 3; seed++ {
-						runDifferential(t, pol, seed, banks, closed, 600)
+						runDifferential(t, pol, seed, banks, page, 600)
 					}
 				}
 			}
@@ -468,9 +470,9 @@ func TestExplicitFCFSEquivalence(t *testing.T) {
 		t.Run(spec, func(t *testing.T) {
 			withRefresh := strings.Contains(spec, "refresh")
 			for _, banks := range []int{1, 8} {
-				for _, closed := range []bool{false, true} {
+				for _, page := range diffPages {
 					for seed := int64(1); seed <= 3; seed++ {
-						cfg := diffChannelConfig(banks, closed)
+						cfg := diffChannelConfig(banks, page)
 						state := &flipState{}
 						build := func(stack string) *Controller {
 							c := NewStack(sched.MustParse(stack), dram.NewChannel(cfg), 32, state)
@@ -484,12 +486,12 @@ func TestExplicitFCFSEquivalence(t *testing.T) {
 						in, iw := implicit.RuleWins()
 						en, ew := explicit.RuleWins()
 						if fmt.Sprint(in, iw) != fmt.Sprint(en, ew) {
-							t.Fatalf("seed=%d banks=%d closed=%v: rule wins diverged\nimplicit: %v %v\nexplicit: %v %v",
-								seed, banks, closed, in, iw, en, ew)
+							t.Fatalf("seed=%d banks=%d page=%v: rule wins diverged\nimplicit: %v %v\nexplicit: %v %v",
+								seed, banks, page, in, iw, en, ew)
 						}
 						if withRefresh && iw[1] == 0 {
-							t.Fatalf("seed=%d banks=%d closed=%v: the refresh rule never won, so the run did not exercise it",
-								seed, banks, closed)
+							t.Fatalf("seed=%d banks=%d page=%v: the refresh rule never won, so the run did not exercise it",
+								seed, banks, page)
 						}
 					}
 				}

@@ -9,9 +9,9 @@ import (
 )
 
 // Tests for the incrementally-maintained scheduling indexes: the
-// per-core outstanding counts behind the §6.5 ranking, the per-(bank,row)
-// waiting counts behind the closed-row keep-open decision, and the
-// zero-allocation guarantee of the Tick hot path.
+// per-core outstanding counts behind the §6.5 ranking, the closed-row
+// keep-open decision read off the bank's bucket, and the zero-allocation
+// guarantee of the Tick hot path.
 
 // auditIndexes recomputes every incremental index by brute force over the
 // buckets and inflight list and fails on any disagreement.
@@ -19,12 +19,10 @@ func auditIndexes(t *testing.T, c *Controller) {
 	t.Helper()
 	demand := map[int]int{}
 	pref := map[int]int{}
-	rows := map[rowKey]int{}
 	pending := 0
-	for b, bucket := range c.banks {
+	for _, bucket := range c.banks {
 		for _, r := range bucket {
 			pending++
-			rows[rowKey{b, r.Addr.Row}]++
 			if r.Prefetch {
 				pref[r.Core]++
 			} else {
@@ -55,19 +53,11 @@ func auditIndexes(t *testing.T, c *Controller) {
 			t.Fatalf("core %d has %d demands but no index slot", core, n)
 		}
 	}
-	if len(c.rowWait) != len(rows) {
-		t.Fatalf("rowWait has %d keys, actual %d (stale zero entries?)", len(c.rowWait), len(rows))
-	}
-	for k, n := range rows {
-		if c.rowWait[k] != n {
-			t.Fatalf("rowWait[%v]: index=%d actual=%d", k, c.rowWait[k], n)
-		}
-	}
 }
 
 // TestIndexCountConservation drives a random mix of enqueues, promotions,
-// drops, ticks and completions and audits the incremental per-core and
-// per-row counts against a full recomputation after every step.
+// drops, ticks and completions and audits the incremental per-core
+// counts against a full recomputation after every step.
 func TestIndexCountConservation(t *testing.T) {
 	cfg := dram.DefaultConfig()
 	cfg.Banks = 4
@@ -119,9 +109,6 @@ func TestIndexCountConservation(t *testing.T) {
 			t.Fatalf("drained controller retains counts for core %d: demand=%d pref=%d",
 				core, c.demandCnt[core], c.prefCnt[core])
 		}
-	}
-	if len(c.rowWait) != 0 {
-		t.Fatalf("drained controller retains %d rowWait entries", len(c.rowWait))
 	}
 }
 

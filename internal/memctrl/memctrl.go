@@ -7,12 +7,12 @@
 // Scheduling itself is delegated to the composable rule kernel in
 // internal/memctrl/sched: every policy — the named enum values and
 // arbitrary "rules:" stacks — is an ordered chain of small priority rules
-// arbitrating per-bank request buckets. The controller maintains the
-// rules' inputs incrementally (per-(bank,row) waiting counts for the
-// closed-row keep-open decision, per-core outstanding-request counts for
-// the §6.5 shortest-job ranking), so a scheduling decision costs a scan
-// of the ready banks' buckets rather than the whole buffer, and the hot
-// path allocates nothing in steady state.
+// arbitrating per-bank request buckets. The controller keeps per-core
+// outstanding-request counts for the §6.5 shortest-job ranking and reads
+// every other input off the buckets themselves (the closed-row keep-open
+// decision scans the issuing bank's bucket), so a scheduling decision
+// costs a scan of the ready banks' buckets rather than the whole buffer,
+// and the hot path allocates nothing in steady state.
 package memctrl
 
 import (
@@ -97,14 +97,11 @@ type Request struct {
 	Prefetch bool // currently a prefetch (false for demands and promoted prefetches)
 	WasPref  bool // originated as a prefetch (even if later promoted)
 	MemSide  bool // generated by the controller's memory-side prefetch engine
-	Runahead bool
 	Arrival  uint64
 	seq      uint64 // FCFS tiebreak
 
-	Inflight   bool
 	FinishAt   uint64
-	IssueHit   bool // the DRAM access was a row hit
-	RowState   dram.RowState
+	RowState   dram.RowState // the row-buffer state the DRAM access found
 	ServiceAt  uint64
 	PromotedAt uint64 // cycle a demand promoted this prefetch (0 = never)
 }
@@ -129,17 +126,11 @@ type CoreState interface {
 	UrgencyEnabled() bool
 }
 
-// rowKey indexes the per-(bank,row) waiting count.
-type rowKey struct {
-	bank int
-	row  uint64
-}
-
 // Controller is one memory controller: a bounded request buffer in front
 // of one DRAM channel, scheduling one request per DRAM cycle per ready
-// bank. Waiting requests live in per-bank buckets; the scheduling indexes
-// (row waiting counts, per-core outstanding counts) are maintained
-// incrementally on enqueue/promote/issue/complete/drop.
+// bank. Waiting requests live in per-bank buckets; the per-core
+// outstanding counts are maintained incrementally on
+// enqueue/promote/issue/complete/drop.
 type Controller struct {
 	stack    sched.Stack
 	channel  *dram.Channel
@@ -176,11 +167,6 @@ type Controller struct {
 	// free holds zeroed requests for NewRequest: one per buffer slot at
 	// construction, refilled by Recycle and never longer than capacity.
 	free []*Request
-
-	// rowWait counts waiting requests per (bank, row); entries are removed
-	// when they reach zero. It makes the closed-row keep-open decision
-	// ("is more work queued for this row?") O(1) per issue.
-	rowWait map[rowKey]int
 
 	// Per-core outstanding (waiting + in-flight) request counts by class,
 	// sized lazily to the largest core id seen. Together with the per-tick
@@ -235,7 +221,6 @@ func NewStack(stack sched.Stack, channel *dram.Channel, capacity int, state Core
 		useRank:    stack.Uses("rank"),
 		useRefresh: stack.Uses("refresh"),
 		banks:      make([][]*Request, len(channel.Banks)),
-		rowWait:    make(map[rowKey]int, n),
 		ruleWins:   make([]uint64, len(stack.Names())),
 	}
 	// Every request list is bounded by the buffer, and any one bank may
@@ -371,14 +356,6 @@ func (c *Controller) AttachMemSide(eng *memsidepf.Engine) {
 // path is disabled.
 func (c *Controller) MemSide() *memsidepf.Engine { return c.memside }
 
-// NeedsIdleTick reports whether the controller must be ticked even with an
-// empty request buffer — true once a refresh engine is attached (its
-// obligations accrue with no request traffic at all) or while memory-side
-// prefetch candidates wait for an idle window to open.
-func (c *Controller) NeedsIdleTick() bool {
-	return c.refresh != nil || (c.memside != nil && c.memside.Pending() > 0)
-}
-
 // RuleWins reports the per-rule decision counters: for each rule name in
 // stack order (ending in fcfs, appended when the stack does not list it),
 // how many contested arbitrations that rule settled. wins is a copy, so a
@@ -437,7 +414,6 @@ func (c *Controller) Enqueue(r *Request) bool {
 	b := r.Addr.Bank
 	c.banks[b] = append(c.banks[b], r)
 	c.pending++
-	c.rowWait[rowKey{b, r.Addr.Row}]++
 	c.noteAdmit(r, +1)
 	c.Enqueued++
 	if c.memside != nil && !r.Prefetch {
@@ -758,49 +734,24 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 
 // refreshNextEvent bounds the maintenance engine's next action: the next
 // obligation accrual, the expiry of an in-progress refresh, and the cycle
-// a currently-startable refresh would fire once its bank(s) drain. The
-// fire conditions mirror refreshPass; when none holds, only the accrual
-// and expiry deadlines (or an enqueue/completion, handled by the caller)
-// can change that.
+// a unit refreshWanted fires would start once its banks drain. When no
+// unit is wanted, only the accrual and expiry deadlines (or an
+// enqueue/completion, handled by the caller) can change that.
 func (c *Controller) refreshNextEvent(now uint64) uint64 {
 	eng := c.refresh
 	next := eng.NextAccrual()
-	idle := c.pending == 0 && len(c.inflight) == 0
-	if eng.Mode() == refresh.AllBank {
-		if eng.Refreshing(0, now) {
-			if bu := eng.BusyUntil(0); bu < next {
-				next = bu
-			}
-			return next
-		}
-		if eng.MustRefresh(0) || (idle && (eng.Due(0, now) || eng.CanPullIn(0))) {
-			start := now + 1
-			for b := range c.channel.Banks {
-				if bu := c.channel.Banks[b].BusyUntil; bu > start {
-					start = bu
-				}
-			}
-			if start < next {
-				next = start
-			}
-		}
-		return next
-	}
-	for b := range c.channel.Banks {
-		if eng.Refreshing(b, now) {
-			if bu := eng.BusyUntil(b); bu < next {
-				next = bu
-			}
+	w := c.refreshUnit()
+	for lo := 0; lo < len(c.banks); lo += w {
+		if eng.Refreshing(lo, now) {
+			next = min(next, eng.BusyUntil(lo))
 			continue
 		}
-		if eng.MustRefresh(b) || (len(c.banks[b]) == 0 && (eng.Due(b, now) || (idle && eng.CanPullIn(b)))) {
+		if c.refreshWanted(lo, now) {
 			start := now + 1
-			if bu := c.channel.Banks[b].BusyUntil; bu > start {
-				start = bu
+			for b := lo; b < lo+w; b++ {
+				start = max(start, c.channel.Banks[b].BusyUntil)
 			}
-			if start < next {
-				next = start
-			}
+			next = min(next, start)
 		}
 	}
 	return next
@@ -823,63 +774,83 @@ func (c *Controller) HasPrefetches() bool {
 }
 
 // refreshPass runs the maintenance engine's per-tick duties before request
-// arbitration: accrue obligations, fire forced refreshes whose postpone
-// credit ran out, and opportunistically refresh idle banks — due refreshes
-// when the bank's bucket is empty, early pull-ins (bounded by the credit
-// window) when the whole controller is idle.
+// arbitration: accrue obligations, then start a refresh on every unit
+// that is not refreshing, whose banks are all ready, and that
+// refreshWanted fires. An all-bank refresh waits for the whole rank to be
+// ready: Engine.Blocked holds every bank once its deadline passes, so
+// in-flight accesses drain and the rank-wide gap opens.
 func (c *Controller) refreshPass(now uint64) {
 	eng := c.refresh
 	eng.Advance(now)
-	idle := c.pending == 0 && len(c.inflight) == 0
-	if eng.Mode() == refresh.AllBank {
-		// One obligation covers the rank; it fires only when every bank is
-		// ready. Engine.Blocked holds all banks once the deadline passes,
-		// so in-flight accesses drain and the rank-wide gap opens.
-		if eng.Refreshing(0, now) {
-			return
-		}
-		for b := range c.channel.Banks {
-			if !c.channel.BankReady(b, now) {
-				return
-			}
-		}
-		if eng.MustRefresh(0) || (idle && (eng.Due(0, now) || eng.CanPullIn(0))) {
-			until := eng.Start(0, now)
-			for b := range c.channel.Banks {
-				c.refreshBank(b, now, until, true)
-			}
-		}
-		return
-	}
-	for b := range c.channel.Banks {
-		if eng.Refreshing(b, now) || !c.channel.BankReady(b, now) {
+	w := c.refreshUnit()
+	for lo := 0; lo < len(c.banks); lo += w {
+		if eng.Refreshing(lo, now) || !c.banksReady(lo, lo+w, now) || !c.refreshWanted(lo, now) {
 			continue
 		}
-		switch {
-		case eng.MustRefresh(b):
-			// Forced deadline: the refresh preempts any waiting requests.
-			c.startRefresh(b, now)
-		case len(c.banks[b]) == 0 && (eng.Due(b, now) || (idle && eng.CanPullIn(b))):
-			c.startRefresh(b, now)
+		until := eng.Start(lo, now)
+		for b := lo; b < lo+w; b++ {
+			c.refreshBank(b, now, until)
 		}
 	}
+}
+
+// refreshUnit returns how many banks one refresh covers: one under
+// per-bank refresh, the whole rank under all-bank refresh. Units are the
+// runs [lo, lo+refreshUnit()), and the engine keys each by its first bank.
+func (c *Controller) refreshUnit() int {
+	if c.refresh.Mode() == refresh.AllBank {
+		return len(c.banks)
+	}
+	return 1
+}
+
+// refreshWanted is the one rule by which a refresh fires, read by
+// refreshPass to start one and by refreshNextEvent to predict it, for the
+// unit whose first bank is lo. A unit out of postpone credit must refresh.
+// Otherwise it refreshes only while empty — no request waits for its bank
+// under per-bank refresh, the whole controller is idle under all-bank
+// refresh, which stalls every bank — and then when an obligation is due,
+// or early as a pull-in within the credit window while the controller is
+// idle.
+func (c *Controller) refreshWanted(lo int, now uint64) bool {
+	eng := c.refresh
+	if eng.MustRefresh(lo) {
+		return true
+	}
+	idle := c.pending == 0 && len(c.inflight) == 0
+	empty := idle
+	if eng.Mode() == refresh.PerBank {
+		empty = len(c.banks[lo]) == 0
+	}
+	return empty && (eng.Due(lo, now) || (idle && eng.CanPullIn(lo)))
+}
+
+// banksReady reports whether every bank in [lo, hi) can accept a command
+// at now.
+func (c *Controller) banksReady(lo, hi int, now uint64) bool {
+	for b := lo; b < hi; b++ {
+		if !c.channel.BankReady(b, now) {
+			return false
+		}
+	}
+	return true
 }
 
 // startRefresh issues a per-bank refresh to bank b, blocking it for tRFCpb.
 func (c *Controller) startRefresh(b int, now uint64) {
-	c.refreshBank(b, now, c.refresh.Start(b, now), false)
+	c.refreshBank(b, now, c.refresh.Start(b, now))
 }
 
 // refreshBank occupies bank b with a refresh through until, as one bank's
-// share of a rank-wide refresh when allBank.
-func (c *Controller) refreshBank(b int, now, until uint64, allBank bool) {
+// share of a rank-wide refresh under all-bank refresh.
+func (c *Controller) refreshBank(b int, now, until uint64) {
 	if c.probe != nil {
 		var closes uint8
 		if c.channel.Banks[b].OpenRow >= 0 {
 			closes = 1
 		}
 		c.probe.Publish(probe.Event{
-			Kind: probe.Refresh, Cycle: now, A: until, AllBank: allBank, Closes: closes,
+			Kind: probe.Refresh, Cycle: now, A: until, AllBank: c.refresh.Mode() == refresh.AllBank, Closes: closes,
 			Core: -1, Chan: c.id, Bank: int16(b),
 		})
 	}
@@ -887,8 +858,8 @@ func (c *Controller) refreshBank(b int, now, until uint64, allBank bool) {
 }
 
 // issue removes bucket[idx] from the waiting set and schedules it on the
-// DRAM channel, consulting the row-wait index for the closed-row
-// keep-open decision.
+// DRAM channel, telling it whether the bucket holds more work for the
+// row (the closed and adaptive pages' keep-open decision).
 func (c *Controller) issue(b, idx int, now uint64) {
 	bucket := c.banks[b]
 	r := bucket[idx]
@@ -898,20 +869,10 @@ func (c *Controller) issue(b, idx int, now uint64) {
 	c.banks[b] = bucket[:last]
 	c.pending--
 
-	keepOpen := c.moreRowWork(r) // before removing r's own count
-	key := rowKey{b, r.Addr.Row}
-	if n := c.rowWait[key] - 1; n <= 0 {
-		delete(c.rowWait, key)
-	} else {
-		c.rowWait[key] = n
-	}
-
-	finish, state := c.channel.Issue(b, r.Addr.Row, now, keepOpen)
+	finish, state := c.channel.Issue(b, r.Addr.Row, now, c.moreRowWork(r))
 	finish += c.linkCycles
-	r.Inflight = true
 	r.FinishAt = finish
 	r.RowState = state
-	r.IssueHit = state == dram.RowHit
 	r.ServiceAt = now
 	c.inflight = append(c.inflight, r)
 	c.Serviced++
@@ -936,12 +897,16 @@ func (c *Controller) issue(b, idx int, now uint64) {
 	}
 }
 
-// moreRowWork reports whether another waiting request targets the same
-// bank and row as r, via the incrementally-maintained row-wait index
-// (consulted by the closed-row policy to decide whether to keep the row
-// open). O(1), where the pre-index implementation scanned the buffer.
+// moreRowWork reports whether a request still waiting in r's bank
+// targets r's row. Buckets are per bank, so once issue has taken r out
+// the bank's bucket alone answers: arbitration has just walked it.
 func (c *Controller) moreRowWork(r *Request) bool {
-	return c.rowWait[rowKey{r.Addr.Bank, r.Addr.Row}] > 1
+	for _, o := range c.banks[r.Addr.Bank] {
+		if o.Addr.Row == r.Addr.Row {
+			return true
+		}
+	}
+	return false
 }
 
 // DropExpired implements the buffer half of Adaptive Prefetch Dropping:
@@ -964,12 +929,6 @@ func (c *Controller) DropExpired(now uint64, threshold func(r *Request) uint64) 
 					c.msCnt--
 				} else {
 					c.prefCnt[r.Core]--
-				}
-				key := rowKey{b, r.Addr.Row}
-				if n := c.rowWait[key] - 1; n <= 0 {
-					delete(c.rowWait, key)
-				} else {
-					c.rowWait[key] = n
 				}
 				if c.probe != nil {
 					c.probe.Publish(probe.Event{

@@ -395,7 +395,7 @@ func TestServiceRecordsRowState(t *testing.T) {
 	r := req(0, 1, 5, false)
 	c.Enqueue(r)
 	drain(c, 1)
-	if r.RowState != dram.RowClosed || r.IssueHit {
+	if r.RowState != dram.RowClosed {
 		t.Fatalf("first access should record row-closed: %+v", r)
 	}
 	if c.Serviced != 1 {

@@ -1,8 +1,10 @@
 package memctrl
 
 import (
+	"math/rand"
 	"testing"
 
+	"padc/internal/dram"
 	"padc/internal/dram/refresh"
 )
 
@@ -84,41 +86,67 @@ func TestHasPrefetches(t *testing.T) {
 	}
 }
 
+// TestNextEventRefresh holds NextEvent to its promise under both refresh
+// modes, which share one fire rule: on a 4-bank channel under seeded
+// random traffic, ticked every DRAM tick, no tick strictly inside
+// (now, NextEvent(now)) may start a refresh, issue or complete a request,
+// or charge a refresh-blocked cycle. NextEvent is re-read only when its
+// promise runs out or a request arrives, as the event kernel reads it.
 func TestNextEventRefresh(t *testing.T) {
-	c := NewStack(DemandFirst.Stack(), oneBank(), 8, nil)
-	eng := refresh.NewEngine(refresh.Config{
-		Mode: refresh.PerBank, TREFI: 200, TRFC: 80, TRFCpb: 40, MaxPostpone: 2,
-	}, 1)
-	c.AttachRefresh(eng)
+	for _, mode := range []refresh.Mode{refresh.PerBank, refresh.AllBank} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := dram.DefaultConfig()
+			cfg.Banks = 4
+			c := NewStack(DemandFirst.Stack(), dram.NewChannel(cfg), 16, nil)
+			// A far link frees each bank before its access completes, so a
+			// refresh waiting on a bank wakes at neither a completion nor
+			// an accrual: only the fire rule's prediction names it.
+			c.SetLinkLatency(50)
+			eng := refresh.NewEngine(testRefreshCfg(mode), cfg.Banks)
+			eng.CapDelta(dram.TickEvery)
+			c.AttachRefresh(eng)
 
-	// An idle bank with pull-in credit can start a refresh next cycle.
-	if e := c.NextEvent(0); e != 1 {
-		t.Fatalf("idle refresh NextEvent = %d, want 1", e)
-	}
-	c.Tick(1, 8)
-	if eng.Issued != 1 {
-		t.Fatalf("idle pull-in did not start a refresh (issued=%d)", eng.Issued)
-	}
-	// While refreshing, the next event is the refresh completion (the
-	// accrual deadline is much further out); nothing may happen before it.
-	e := c.NextEvent(1)
-	if e == NeverEvent || e <= 1 {
-		t.Fatalf("refreshing NextEvent = %d", e)
-	}
-	issued := eng.Issued
-	for now := uint64(2); now < e; now++ {
-		c.Tick(now, 8)
-		if eng.Issued != issued {
-			t.Fatalf("refresh state changed at %d, before the claimed event %d", now, e)
-		}
-	}
-
-	// A demand arriving against a refreshing bank makes every cycle live:
-	// the per-tick blocked accounting must not be skipped.
-	c.Enqueue(req(0, 1, 1, false))
-	if eng.Blocked(0, e-1) {
-		if got := c.NextEvent(e - 1); got != e {
-			t.Fatalf("blocked-with-waiting NextEvent = %d, want next cycle %d", got, e)
-		}
+			// An idle channel with pull-in credit can refresh next cycle.
+			if e := c.NextEvent(0); e != 1 {
+				t.Fatalf("idle refresh NextEvent = %d, want 1", e)
+			}
+			rng := rand.New(rand.NewSource(int64(mode)))
+			var line, inert uint64
+			next := uint64(0)
+			for now := dram.TickEvery; now < 40_000; now += dram.TickEvery {
+				issued, serviced, blocked := eng.Issued, c.Serviced, eng.BlockedCycles
+				done := len(c.Tick(now, diffCores))
+				if now < next {
+					inert++
+					if eng.Issued != issued || c.Serviced != serviced || done != 0 || eng.BlockedCycles != blocked {
+						t.Fatalf("tick %d acted before the claimed event %d: refreshes %d->%d, serviced %d->%d, completions %d, blocked %d->%d",
+							now, next, issued, eng.Issued, serviced, c.Serviced, done, blocked, eng.BlockedCycles)
+					}
+					continue
+				}
+				// Bursts separated by quiet gaps, so refreshes fire forced,
+				// due and pulled in.
+				if (now/4000)%2 == 0 && rng.Intn(2) == 0 {
+					for n := 1 + rng.Intn(3); n > 0; n-- {
+						line++
+						c.Enqueue(&Request{
+							Core: rng.Intn(diffCores), Line: line, Arrival: now,
+							Addr: dram.Address{Bank: rng.Intn(cfg.Banks), Row: uint64(rng.Intn(4))},
+						})
+					}
+				}
+				next = c.NextEvent(now)
+			}
+			if eng.Forced == 0 || eng.PulledIn == 0 || eng.Issued == eng.Forced+eng.PulledIn {
+				t.Fatalf("traffic did not reach every fire path: issued=%d forced=%d pulled-in=%d",
+					eng.Issued, eng.Forced, eng.PulledIn)
+			}
+			if inert == 0 {
+				t.Fatal("NextEvent never promised an inert tick, so nothing was checked")
+			}
+			if err := eng.Audit(40_000); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -30,8 +30,8 @@ func TestRefreshIdlePullInConservation(t *testing.T) {
 		c := NewStack(DemandPrefEqual.Stack(), ch, 16, nil)
 		eng := refresh.NewEngine(testRefreshCfg(mode), cfg.Banks)
 		c.AttachRefresh(eng)
-		if !c.NeedsIdleTick() {
-			t.Fatalf("%v: controller with a refresh engine must request idle ticks", mode)
+		if c.NextEvent(0) == NeverEvent {
+			t.Fatalf("%v: an idle controller with a refresh engine must name its next event", mode)
 		}
 
 		end := uint64(10_000)
@@ -232,7 +232,7 @@ func TestAttachRefreshIgnoresDisabledEngines(t *testing.T) {
 	c := NewStack(DemandPrefEqual.Stack(), oneBank(), 16, nil)
 	c.AttachRefresh(nil)
 	c.AttachRefresh(refresh.NewEngine(refresh.Config{Mode: refresh.Off}, 1))
-	if c.NeedsIdleTick() || c.Refresh() != nil {
+	if c.NextEvent(0) != NeverEvent || c.Refresh() != nil {
 		t.Fatal("disabled engines must leave refresh off")
 	}
 }

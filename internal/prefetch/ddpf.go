@@ -14,7 +14,6 @@ type DDPF struct {
 
 	// Stats.
 	Filtered uint64
-	Passed   uint64
 }
 
 // The paper's tuned filter: a 4K-entry table of 2-bit counters that
@@ -57,7 +56,6 @@ func (d *DDPF) Observe(ev AccessEvent, budget int) []uint64 {
 	for _, a := range cands {
 		if d.counters[d.index(a)] >= ddpfThreshold {
 			out = append(out, a)
-			d.Passed++
 		} else {
 			d.Filtered++
 		}

@@ -22,9 +22,6 @@ type FDP struct {
 	// prefetch fills; a demand miss that hits the filter counts as
 	// pollution.
 	bloom []uint64
-
-	// Stats.
-	LevelChanges uint64
 }
 
 // fdpLevel is one rung of the aggressiveness ladder.
@@ -132,7 +129,6 @@ func (f *FDP) EndInterval(demandMisses uint64) {
 	next := f.level + dir
 	if next >= 0 && next < len(fdpLevels) && next != f.level {
 		f.level = next
-		f.LevelChanges++
 		f.apply()
 	}
 	f.sent, f.useful, f.late, f.polluted = 0, 0, 0, 0

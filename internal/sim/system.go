@@ -60,8 +60,6 @@ type coreCtx struct {
 	busPrefPromo  uint64 // serviced promoted prefetches (known useful)
 	prefUsedAfter uint64 // pure-prefetch lines later consumed by a demand
 
-	pfqDropped uint64 // prefetch candidates dropped at issue (resources full)
-
 	// Per-core wake scheduling. wake is the first cycle at which the core
 	// may act (the event kernel leaves it asleep before then); settled is
 	// the last cycle whose stall accounting the core has applied. stamp
@@ -484,7 +482,7 @@ func (s *System) domainOfLine(g uint64) int {
 // last-level cache, MSHRs and the memory request buffer. Statistics and
 // prefetcher training fire only on a load's first attempt; retries after a
 // resource-full rejection re-walk the hierarchy silently.
-func (s *System) Load(coreID int, seq, line, pc uint64, runahead bool, now uint64, firstTry bool) cpu.LoadResult {
+func (s *System) Load(coreID int, seq, line, pc uint64, _ bool, now uint64, firstTry bool) cpu.LoadResult {
 	cs := s.cores[coreID]
 	g := gline(coreID, line)
 
@@ -570,10 +568,7 @@ func (s *System) Load(coreID int, seq, line, pc uint64, runahead bool, now uint6
 	addr := s.mapLine(g)
 	ctrl := s.ctrlFor(addr)
 	req := ctrl.NewRequest()
-	*req = memctrl.Request{
-		Core: coreID, Line: g, Addr: addr,
-		Runahead: runahead, Arrival: now,
-	}
+	*req = memctrl.Request{Core: coreID, Line: g, Addr: addr, Arrival: now}
 	if !ctrl.Enqueue(req) {
 		ctrl.Recycle(req)
 		return cpu.LoadResult{Retry: true}
@@ -650,7 +645,6 @@ func (s *System) observe(cs *coreCtx, ev prefetch.AccessEvent, now uint64) {
 		}
 		if cs.mshr.Full() {
 			cs.mshr.NoteFullStall(true)
-			cs.pfqDropped++
 			continue
 		}
 		addr := s.mapLine(cand)
@@ -662,7 +656,6 @@ func (s *System) observe(cs *coreCtx, ev prefetch.AccessEvent, now uint64) {
 		}
 		if !ctrl.Enqueue(req) {
 			ctrl.Recycle(req)
-			cs.pfqDropped++
 			continue
 		}
 		cs.mshr.Allocate(cand, true)
@@ -700,17 +693,18 @@ func (s *System) complete(r *memctrl.Request, now uint64) {
 		cs.prefInflight--
 	}
 	svc := r.FinishAt - r.Arrival
+	hit := r.RowState == dram.RowHit
 	switch {
 	case !r.WasPref: // demand
 		cs.busDemand++
 		s.usefulServiced++
-		if r.IssueHit {
+		if hit {
 			s.usefulRowHits++
 		}
 	case !r.Prefetch: // promoted prefetch: known useful
 		cs.busPrefPromo++
 		s.usefulServiced++
-		if r.IssueHit {
+		if hit {
 			s.usefulRowHits++
 		}
 		if s.histUseful != nil {
@@ -727,7 +721,7 @@ func (s *System) complete(r *memctrl.Request, now uint64) {
 	// come before the deliveries read the stamp; the release after them
 	// takes its own (see touch).
 	s.touchLine(cs, r.Line)
-	s.evicted(cs, cs.l2.Fill(r.Line, r.Prefetch, r.IssueHit), r.Prefetch)
+	s.evicted(cs, cs.l2.Fill(r.Line, r.Prefetch, hit), r.Prefetch)
 	if e := cs.mshr.Lookup(r.Line); e != nil {
 		s.release(cs, e, r)
 	}
@@ -740,7 +734,7 @@ func (s *System) retire(r *memctrl.Request) {
 	s.serviced++
 	d := s.ctrlDom[r.Addr.Channel]
 	s.domServiced[d]++
-	if r.IssueHit {
+	if r.RowState == dram.RowHit {
 		s.rowHits++
 		s.domRowHits[d]++
 	}
@@ -804,7 +798,7 @@ func (s *System) completeMemSide(r *memctrl.Request) {
 
 	// No FDP pollution note: no core-side engine issued this fill.
 	s.touchLine(cs, r.Line)
-	s.evicted(cs, cs.l2.Fill(r.Line, true, r.IssueHit), false)
+	s.evicted(cs, cs.l2.Fill(r.Line, true, r.RowState == dram.RowHit), false)
 	cs.l2.Mark(r.Line)
 
 	// A demand already waiting on this line is satisfied by the fill; a
@@ -1016,11 +1010,6 @@ func (s *System) Run() (stats.Results, error) {
 
 		if now%dram.TickEvery == 0 {
 			for _, ctrl := range s.ctrls {
-				// A refresh engine accrues obligations and pulls refreshes
-				// into idle banks, so it must tick even with an empty buffer.
-				if ctrl.Occupancy() == 0 && !ctrl.NeedsIdleTick() {
-					continue
-				}
 				for _, r := range ctrl.Tick(now, cfg.Cores) {
 					s.complete(r, now)
 					ctrl.Recycle(r)

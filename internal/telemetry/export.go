@@ -70,16 +70,16 @@ func (t *Telemetry) WriteJSONL(w io.Writer) error {
 }
 
 // Chrome trace_event pid/tid conventions: each memory controller is a
-// process whose threads are its banks; core-side events (promotion flips,
-// MSHR stalls) live in a synthetic "cores" process with one thread per
-// core.
+// process whose threads are its banks, plus a "rank" thread (tid -1) for
+// all-bank refreshes; core-side events (promotion flips, MSHR stalls)
+// live in a synthetic "cores" process with one thread per core.
 const chromeCorePID = 1000
 
 // WriteChromeTraceWith writes the retained events in Chrome trace_event
 // JSON (load in chrome://tracing or https://ui.perfetto.dev). DRAM
-// service completions render as duration ("X") spans on their bank's
-// track; drops, promotions, rejects and stalls render as instant ("i")
-// events. Timestamps are microseconds at the 4GHz core clock. extra, when
+// service completions and refreshes render as duration ("X") spans on
+// their bank's track (an all-bank refresh on its channel's rank track);
+// drops, promotions, rejects and stalls render as instant ("i") events. Timestamps are microseconds at the 4GHz core clock. extra, when
 // non-nil, is called with the raw trace_event emitter so other layers
 // (lifecycle spans, flight counters) can interleave their records into
 // the same trace file. The emitter handles comma placement; each call
@@ -100,10 +100,14 @@ func (t *Telemetry) WriteChromeTraceWith(w io.Writer, extra func(emit func(forma
 	// the trace file is byte-identical across runs (map iteration order
 	// would otherwise leak into the metadata records).
 	chans := map[int16]bool{}
+	ranks := map[int16]bool{}
 	cores := map[int16]bool{}
 	for _, ev := range t.Events() {
 		if ev.Chan >= 0 {
 			chans[ev.Chan] = true
+		}
+		if ev.Kind == EvRefresh && ev.Bank < 0 {
+			ranks[ev.Chan] = true
 		}
 		if ev.Core >= 0 {
 			cores[ev.Core] = true
@@ -111,6 +115,9 @@ func (t *Telemetry) WriteChromeTraceWith(w io.Writer, extra func(emit func(forma
 	}
 	for _, ch := range sortedKeys(chans) {
 		emit(`{"ph":"M","name":"process_name","pid":%d,"args":{"name":"memctrl%d"}}`, ch, ch)
+	}
+	for _, ch := range sortedKeys(ranks) {
+		emit(`{"ph":"M","name":"thread_name","pid":%d,"tid":-1,"args":{"name":"rank"}}`, ch)
 	}
 	if len(cores) > 0 {
 		emit(`{"ph":"M","name":"process_name","pid":%d,"args":{"name":"cores"}}`, chromeCorePID)
@@ -129,6 +136,9 @@ func (t *Telemetry) WriteChromeTraceWith(w io.Writer, extra func(emit func(forma
 			}
 			emit(`{"ph":"X","name":%q,"cat":"dram","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d,"args":{"core":%d,"line":%d}}`,
 				name, ts, float64(ev.A)/cyclesPerMicro, ev.Chan, ev.Bank, ev.Core, ev.Line)
+		case EvRefresh:
+			emit(`{"ph":"X","name":"refresh","cat":"dram","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d}`,
+				ts, float64(ev.A-ev.Cycle)/cyclesPerMicro, ev.Chan, ev.Bank)
 		case EvDrop, EvRowConflict, EvEnqueue, EvIssue, EvReject:
 			emit(`{"ph":"i","s":"t","name":%q,"cat":"memctrl","ts":%.3f,"pid":%d,"tid":%d,"args":{"core":%d,"line":%d,"a":%d}}`,
 				ev.Kind.String(), ts, ev.Chan, ev.Bank, ev.Core, ev.Line, ev.A)

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -335,5 +336,58 @@ func TestObserveLowersProbeEvents(t *testing.T) {
 	}
 	if h := tel.svc; h.Total() != 1 || h.Sum() != 195 {
 		t.Fatalf("dram/service_cycles holds %d observations summing to %d, want 1 of 195", h.Total(), h.Sum())
+	}
+}
+
+// TestChromeTraceRefreshSpans checks that refreshes reach the Chrome
+// trace as "X" spans lasting until the refresh completes: a per-bank
+// refresh on its bank's track, an all-bank refresh (Bank -1) on its
+// channel's named rank track.
+func TestChromeTraceRefreshSpans(t *testing.T) {
+	tel := New(Options{})
+	tel.Emit(Event{Cycle: 400, Kind: EvRefresh, Core: -1, Chan: 1, Bank: 2, A: 640})
+	tel.Emit(Event{Cycle: 800, Kind: EvRefresh, Core: -1, Chan: 1, Bank: -1, A: 1200})
+
+	var tr strings.Builder
+	if err := tel.WriteChromeTrace(&tr); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string            `json:"ph"`
+			Name string            `json:"name"`
+			Ts   float64           `json:"ts"`
+			Dur  float64           `json:"dur"`
+			Pid  int               `json:"pid"`
+			Tid  int               `json:"tid"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(tr.String()), &doc); err != nil {
+		t.Fatalf("invalid Chrome trace: %v", err)
+	}
+	type span struct {
+		ts, dur  float64
+		pid, tid int
+	}
+	var spans []span
+	rankNamed := false
+	for _, ev := range doc.TraceEvents {
+		switch {
+		case ev.Ph == "X" && ev.Name == "refresh":
+			spans = append(spans, span{ev.Ts, ev.Dur, ev.Pid, ev.Tid})
+		case ev.Ph == "M" && ev.Name == "thread_name" && ev.Pid == 1 && ev.Tid == -1:
+			rankNamed = ev.Args["name"] == "rank"
+		}
+	}
+	want := []span{
+		{400 / cyclesPerMicro, 240 / cyclesPerMicro, 1, 2},
+		{800 / cyclesPerMicro, 400 / cyclesPerMicro, 1, -1},
+	}
+	if !slices.Equal(spans, want) {
+		t.Fatalf("refresh spans %v, want %v", spans, want)
+	}
+	if !rankNamed {
+		t.Fatal("the all-bank refresh's rank track is not named")
 	}
 }
