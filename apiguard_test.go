@@ -24,7 +24,7 @@ var apiAllow = map[string]string{
 	"sweepd.StatePending":                     "zero value of State: a new campaign starts in it without naming it",
 	"cpu.(*Core).InRunahead":                  "sim's lockstep audit reads runahead state across the package boundary",
 	"cpu.(*Core).Window":                      "sim's lockstep audit reads the ROB occupancy across the package boundary",
-	"dram.Config.Unmap":                       "inverse of Map; topology's bijection tests check steering round-trips through it",
+	"dram.(*Config).Unmap":                    "inverse of Map; topology's bijection tests check steering round-trips through it",
 	"dram/refresh.(*Engine).Audit":            "conservation audit that memctrl and sim tests run against the refresh engine",
 	"telemetry/lifecycle.(*Tracer).Breakdown": "sim tests check folded demand and dropped spans against the run's counters",
 	"telemetry/lifecycle.(*Tracer).Cores":     "sim tests range over every core's breakdown with it",

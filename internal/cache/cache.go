@@ -2,6 +2,14 @@
 // use: true-LRU replacement, a prefetch (P) bit per line as the PADC paper
 // requires for accuracy measurement, and per-line fill metadata used for
 // the row-buffer-hit-rate-for-useful-requests (RBHU) statistic.
+//
+// A cache keeps flat arrays, not a struct per line. One array of words
+// holds, per set, the set's keys side by side and then its LRU stamps, so
+// a set's tag scan reads one host cache line at eight ways. A key is the
+// line's tag with the valid bit folded in (tag<<1 | 1; zero is an invalid
+// way), so a cache of one set, whose tag is the whole line address, tells
+// line addresses apart only below 2^63. A second array holds a byte of
+// flags per way: the P bit, the fill's row-hit bit and the owner's mark.
 package cache
 
 import (
@@ -9,15 +17,12 @@ import (
 	"math/bits"
 )
 
-// Line is one cache line's bookkeeping.
-type line struct {
-	tag      uint64
-	valid    bool
-	prefetch bool // P bit: filled by a prefetch, not yet touched by a demand
-	fillHit  bool // the DRAM access that filled it was a row hit
-	marked   bool // owner-defined tag set by Mark, cleared with the P bit
-	lru      uint64
-}
+// The per-way flag bits.
+const (
+	flagPrefetch uint8 = 1 << iota // P bit: filled by a prefetch, not yet touched by a demand
+	flagFillHit                    // the DRAM access that filled it was a row hit
+	flagMarked                     // owner-defined tag set by Mark, cleared with the P bit
+)
 
 // Config sizes a cache.
 type Config struct {
@@ -50,7 +55,12 @@ func (c Config) Lines() uint64 { return c.Bytes / c.LineBytes }
 // Cache is a single set-associative cache indexed by line address
 // (byte address >> log2 line size).
 type Cache struct {
-	sets     [][]line
+	// words holds set i's keys at [2*ways*i, 2*ways*i+ways) and their LRU
+	// stamps in the ways words after them.
+	words []uint64
+	// flags holds set i's per-way flag bytes at [ways*i, ways*i+ways).
+	flags    []uint8
+	ways     int
 	tagShift uint
 	setMask  uint64
 	// tick is the LRU clock. Replacement compares only the order of the
@@ -65,19 +75,39 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.Bytes / (cfg.LineBytes * uint64(cfg.Ways))
-	c := &Cache{
-		sets:     make([][]line, nsets),
+	return &Cache{
+		words:    make([]uint64, 2*nsets*uint64(cfg.Ways)),
+		flags:    make([]uint8, nsets*uint64(cfg.Ways)),
+		ways:     cfg.Ways,
 		tagShift: uint(bits.Len64(nsets - 1)),
 		setMask:  nsets - 1,
 	}
-	backing := make([]line, nsets*uint64(cfg.Ways))
-	for i := range c.sets {
-		c.sets[i] = backing[uint64(i)*uint64(cfg.Ways) : (uint64(i)+1)*uint64(cfg.Ways)]
-	}
-	return c
 }
 
-func (c *Cache) set(lineAddr uint64) []line { return c.sets[lineAddr&c.setMask] }
+// key is lineAddr's tag with the valid bit set.
+func (c *Cache) key(lineAddr uint64) uint64 { return lineAddr>>c.tagShift<<1 | 1 }
+
+// set returns the index of lineAddr's set's first way in flags, and the
+// set's keys.
+func (c *Cache) set(lineAddr uint64) (base int, keys []uint64) {
+	base = int(lineAddr&c.setMask) * c.ways
+	return base, c.words[2*base : 2*base+c.ways : 2*base+c.ways]
+}
+
+// lru returns the LRU stamps of the set whose first way is base.
+func (c *Cache) lru(base int) []uint64 {
+	return c.words[2*base+c.ways : 2*base+2*c.ways : 2*base+2*c.ways]
+}
+
+// find returns the way of keys holding k, or -1.
+func find(keys []uint64, k uint64) int {
+	for i, v := range keys {
+		if v == k {
+			return i
+		}
+	}
+	return -1
+}
 
 // HitInfo describes what a demand access found.
 type HitInfo struct {
@@ -92,33 +122,25 @@ type HitInfo struct {
 // A hit that consumes the P bit consumes the line's mark with it.
 func (c *Cache) Access(lineAddr uint64) HitInfo {
 	c.tick++
-	tag := lineAddr >> c.tagShift
-	s := c.set(lineAddr)
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			s[i].lru = c.tick
-			info := HitInfo{Hit: true, WasPrefetch: s[i].prefetch, FillRowHit: s[i].fillHit, Marked: s[i].marked}
-			if s[i].prefetch {
-				s[i].prefetch = false
-				s[i].marked = false
-			}
-			return info
-		}
+	base, keys := c.set(lineAddr)
+	i := find(keys, c.key(lineAddr))
+	if i < 0 {
+		return HitInfo{}
 	}
-	return HitInfo{}
+	c.lru(base)[i] = c.tick
+	f := &c.flags[base+i]
+	info := HitInfo{Hit: true, WasPrefetch: *f&flagPrefetch != 0, FillRowHit: *f&flagFillHit != 0, Marked: *f&flagMarked != 0}
+	if info.WasPrefetch {
+		*f &^= flagPrefetch | flagMarked
+	}
+	return info
 }
 
 // Contains reports whether lineAddr is present without touching LRU or
 // the P bit (used by prefetchers to avoid redundant prefetches).
 func (c *Cache) Contains(lineAddr uint64) bool {
-	tag := lineAddr >> c.tagShift
-	s := c.set(lineAddr)
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			return true
-		}
-	}
-	return false
+	_, keys := c.set(lineAddr)
+	return find(keys, c.key(lineAddr)) >= 0
 }
 
 // Eviction describes the line a Fill displaced, so callers can account
@@ -132,40 +154,52 @@ type Eviction struct {
 
 // Fill inserts lineAddr, evicting LRU. prefetch marks the line's P bit;
 // fillRowHit records whether the DRAM access that produced the line was a
-// row hit (consumed later by the RBHU statistic).
+// row hit (consumed later by the RBHU statistic). The victim is the first
+// invalid way, else the way with the oldest LRU stamp, the lowest such way.
 func (c *Cache) Fill(lineAddr uint64, prefetch, fillRowHit bool) Eviction {
 	c.tick++
-	tag := lineAddr >> c.tagShift
-	s := c.set(lineAddr)
+	k := c.key(lineAddr)
+	base, keys := c.set(lineAddr)
+	lru := c.lru(base)
 	victim := -1
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
+	for i, v := range keys {
+		if v == k {
 			// Refill of a present line (e.g. a racing demand already filled
 			// it): keep the stronger "demand" classification.
-			s[i].prefetch = s[i].prefetch && prefetch
-			s[i].lru = c.tick
+			if !prefetch {
+				c.flags[base+i] &^= flagPrefetch
+			}
+			lru[i] = c.tick
 			return Eviction{}
 		}
-		if victim < 0 && !s[i].valid {
+		if victim < 0 && v == 0 {
 			victim = i
 		}
 	}
 	var ev Eviction
 	if victim < 0 {
 		victim = 0
-		for i := 1; i < len(s); i++ {
-			if s[i].lru < s[victim].lru {
+		for i := 1; i < len(lru); i++ {
+			if lru[i] < lru[victim] {
 				victim = i
 			}
 		}
+		f := c.flags[base+victim]
 		ev = Eviction{
 			Valid:       true,
-			LineAddr:    s[victim].tag<<c.tagShift | lineAddr&c.setMask,
-			WasPrefetch: s[victim].prefetch,
-			Marked:      s[victim].marked,
+			LineAddr:    keys[victim]>>1<<c.tagShift | lineAddr&c.setMask,
+			WasPrefetch: f&flagPrefetch != 0,
+			Marked:      f&flagMarked != 0,
 		}
 	}
-	s[victim] = line{tag: tag, valid: true, prefetch: prefetch, fillHit: fillRowHit, lru: c.tick}
+	var f uint8
+	if prefetch {
+		f |= flagPrefetch
+	}
+	if fillRowHit {
+		f |= flagFillHit
+	}
+	keys[victim], lru[victim], c.flags[base+victim] = k, c.tick, f
 	return ev
 }
 
@@ -174,12 +208,8 @@ func (c *Cache) Fill(lineAddr uint64, prefetch, fillRowHit bool) Eviction {
 // evicted (Eviction.Marked). The simulator marks memory-side prefetch
 // fills this way. It is a no-op if the line is absent.
 func (c *Cache) Mark(lineAddr uint64) {
-	tag := lineAddr >> c.tagShift
-	s := c.set(lineAddr)
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			s[i].marked = true
-			return
-		}
+	base, keys := c.set(lineAddr)
+	if i := find(keys, c.key(lineAddr)); i >= 0 {
+		c.flags[base+i] |= flagMarked
 	}
 }

@@ -27,12 +27,15 @@
 //
 // Loads that cannot issue at dispatch are deferred. A rejected load
 // retries only every retryBackoff cycles from its first rejection, so the
-// core files it under that retry phase; loads waiting on a producer go on
-// one more list. A tick visits only the current phase and the
-// producer-waiters, and passes over a phase whose loads are all parked on
-// the current stamp without visiting them. A load that Holds keeps parked
-// after the stamp moved takes the new stamp, so its phase is passed over
-// again from then on.
+// core files it under that retry phase. A load waits on a producer only
+// for the previous memory instruction, so each load has at most one
+// dependent. A load whose producer has not issued yet is filed under the
+// producer's ROB slot and costs nothing until the producer issues; one
+// whose producer has issued but not delivered goes on a waiters list. A
+// tick visits only the current phase and the waiters, and passes over a
+// phase whose loads are all parked on the current stamp without visiting
+// them. A load that Holds keeps parked after the stamp moved takes the new
+// stamp, so its phase is passed over again from then on.
 package cpu
 
 import (
@@ -213,12 +216,17 @@ type Core struct {
 	// stay in their ROB slots and are threaded by next into seq-ordered
 	// lists: one per retry phase (now % retryBackoff) for loads the memory
 	// rejected, which retry only on their phase's cycles, and waiters for
-	// loads whose producer has not resolved, which are checked every
-	// cycle. deferred counts the loads on all the lists.
-	next     []int32
-	phases   [retryBackoff]deferList
-	waiters  deferList
-	deferred int
+	// loads whose producer has issued but not delivered, which are checked
+	// every cycle. A load whose producer has not issued is on no list:
+	// dependent[producer slot] holds it, and the producer's issue moves it
+	// onto waiters. A slot's dependent is read only when the load in it
+	// settles, so it is reset only when a load is dispatched into the
+	// slot. deferred counts every deferred load.
+	next      []int32
+	dependent []int32
+	phases    [retryBackoff]deferList
+	waiters   deferList
+	deferred  int
 
 	// Runahead state.
 	inRunahead bool
@@ -280,7 +288,9 @@ func (c *Core) classifyCycle() CycleClass {
 
 // New builds a core executing gen against mem; cfg must pass Validate.
 func New(id int, cfg Config, gen trace.Gen, mem Memory) *Core {
-	c := &Core{ID: id, cfg: cfg, cur: gen.Cursor(0), mem: mem, buf: make([]robEntry, cfg.ROB), next: make([]int32, cfg.ROB)}
+	links := make([]int32, 2*cfg.ROB)
+	c := &Core{ID: id, cfg: cfg, cur: gen.Cursor(0), mem: mem, buf: make([]robEntry, cfg.ROB),
+		next: links[:cfg.ROB:cfg.ROB], dependent: links[cfg.ROB:]}
 	c.stamper, _ = mem.(Stamper)
 	c.clearDeferred()
 	return c
@@ -408,17 +418,26 @@ func (c *Core) unparked(l *deferList, stamp uint64) bool {
 	return false
 }
 
-// entryBySeq returns the in-window entry with the given seq, or nil. Seqs
-// are contiguous within the window, so this is index arithmetic.
-func (c *Core) entryBySeq(seq uint64) *robEntry {
+// slotBySeq returns the ROB slot of the in-window entry with the given
+// seq, or noSlot. Seqs are contiguous within the window, so this is index
+// arithmetic.
+func (c *Core) slotBySeq(seq uint64) int32 {
 	if c.count == 0 {
-		return nil
+		return noSlot
 	}
-	first := c.at(0).seq
+	first := c.buf[c.head].seq
 	if seq < first || seq >= first+uint64(c.count) {
-		return nil
+		return noSlot
 	}
-	return c.at(int(seq - first))
+	return c.slot(int(seq - first))
+}
+
+// entryBySeq returns the in-window entry with the given seq, or nil.
+func (c *Core) entryBySeq(seq uint64) *robEntry {
+	if s := c.slotBySeq(seq); s != noSlot {
+		return &c.buf[s]
+	}
+	return nil
 }
 
 // Complete delivers a memory fill for the load with the given seq. Stale
@@ -522,11 +541,21 @@ func (c *Core) Tick(now uint64) {
 		e.line = inst.Line
 		e.pc = inst.PC
 		e.dep = inst.Dep && c.havePrevMem
+		producer := int32(noSlot)
 		if e.dep {
 			e.depOn = c.prevMemSeq
+			producer = c.slotBySeq(e.depOn)
 		}
 		c.prevMemSeq = e.seq
 		c.havePrevMem = true
+		c.dependent[s] = noSlot
+		if producer != noSlot && !c.buf[producer].issued {
+			// A producer that has not issued can neither deliver nor be
+			// dropped as INV, so the load waits in its slot until it issues.
+			c.dependent[producer] = s
+			c.deferred++
+			continue
+		}
 		if !c.tryIssue(e, now) {
 			c.deferred++
 			if e.rejected {
@@ -546,6 +575,12 @@ func (c *Core) Tick(now uint64) {
 // without visiting them, unless a producer-waiter's Load moves the stamp
 // partway through: the phase's loads after that waiter then take their
 // turns, as they would have one by one.
+//
+// A load that settles here releases the load filed under it onto the
+// waiters, as the next one to visit. It is the very next memory
+// instruction, so no deferred load lies between the two in seq order, and
+// it takes its turn in the same tick, where a visit while its producer
+// was unissued would have done nothing.
 func (c *Core) retryDeferred(now uint64) {
 	ph := &c.phases[now%retryBackoff]
 	held := ph.mark
@@ -574,6 +609,10 @@ func (c *Core) retryDeferred(now uint64) {
 			case c.tryIssue(e, now):
 				c.unlink(&c.waiters, wprev, w)
 				c.deferred--
+				if d := c.dependent[w]; d != noSlot {
+					c.link(&c.waiters, wprev, d, nw)
+					nw = d
+				}
 			case e.rejected:
 				// Rejected at now: its phase is the one this tick serves.
 				c.unlink(&c.waiters, wprev, w)
@@ -607,6 +646,10 @@ func (c *Core) retryDeferred(now uint64) {
 		if c.tryIssue(e, now) {
 			c.unlink(ph, pprev, p)
 			c.deferred--
+			if d := c.dependent[p]; d != noSlot {
+				c.link(&c.waiters, wprev, d, w)
+				w = d
+			}
 		} else {
 			pprev = p
 			fold(e.stamp)

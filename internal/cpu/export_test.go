@@ -8,3 +8,12 @@ func (a *CycleAccount) Total() uint64 {
 	}
 	return t
 }
+
+// waiting counts the loads on the producer-waiters list.
+func (c *Core) waiting() int {
+	n := 0
+	for s := c.waiters.head; s != noSlot; s = c.next[s] {
+		n++
+	}
+	return n
+}

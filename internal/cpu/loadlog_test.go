@@ -244,7 +244,8 @@ func runLoadLog(tc loadLogCase, everyCycle bool) (digest uint64, ticks int) {
 }
 
 // loadLogGolden pins each case's digest, recorded before the deferred
-// loads were indexed by retry phase.
+// loads were indexed by retry phase; the every-load-dependent cases were
+// recorded before a load waited under its unissued producer.
 var loadLogGolden = []struct {
 	tc     loadLogCase
 	digest uint64
@@ -262,6 +263,16 @@ var loadLogGolden = []struct {
 	{loadLogCase{256, false, "stamped", 3, 2, 2, 11}, 0x16e2520bf4d7ec20},
 	{loadLogCase{256, true, "zero", 1, 8, 6, 12}, 0x1e2cc406a03786f2},
 	{loadLogCase{256, false, "none", 2, 4, 4, 13}, 0xa021d4a389abb8c2},
+	// Every load dependent: long chains of loads waiting on unissued
+	// producers.
+	{loadLogCase{64, false, "stamped", 1, 1, 4, 14}, 0x9569643551b3930f},
+	{loadLogCase{64, true, "stamped", 2, 1, 4, 15}, 0xe4a1bb0d48d68816},
+	{loadLogCase{64, false, "none", 1, 1, 6, 16}, 0x4c7c500e53cd83dc},
+	{loadLogCase{64, true, "none", 2, 1, 2, 17}, 0x0830dbcd13c53d75},
+	{loadLogCase{256, false, "stamped", 1, 1, 8, 18}, 0x80ce597baac57987},
+	{loadLogCase{256, true, "stamped", 1, 1, 4, 19}, 0x07cd75418dc3e092},
+	{loadLogCase{256, false, "none", 2, 1, 4, 20}, 0x6d1b3c99d0747ebd},
+	{loadLogCase{256, true, "none", 1, 1, 6, 21}, 0x519f3ff85a6e1759},
 }
 
 func TestLoadLogGolden(t *testing.T) {

@@ -435,3 +435,45 @@ func TestWaiterReopensParkedPhase(t *testing.T) {
 		}
 	}
 }
+
+// TestDependentChainParksUnderProducer pins the cost of a pointer chase:
+// with a full window of loads that each depend on the one before, behind
+// one pending miss, only the load whose producer has issued is on the
+// waiters list. The rest wait under their unissued producers, so a tick
+// visits at most one waiter however long the chain.
+func TestDependentChainParksUnderProducer(t *testing.T) {
+	for _, rob := range []int{16, 256, 512} {
+		m := newFakeMem()
+		m.pending[1] = true
+		g := trace.Gen{Pattern: pattern{ops: []trace.MemOp{{Line: 1, Dep: true}}}, MemEvery: 1}
+		c := New(0, Config{ROB: rob, Width: 4}, g, m)
+		for now := uint64(1); now <= uint64(rob); now++ {
+			if n := c.waiting(); n > 1 {
+				t.Fatalf("ROB %d: %d loads on the waiters list before Tick(%d), want at most 1", rob, n, now)
+			}
+			c.Tick(now)
+		}
+		if _, n, deferred := c.Window(); n != rob || deferred != rob-1 {
+			t.Fatalf("ROB %d: setup left %d entries, %d deferred; want a full window behind one miss", rob, n, deferred)
+		}
+		if n := c.waiting(); n != 1 {
+			t.Fatalf("ROB %d: %d loads on the waiters list behind one pending miss, want 1", rob, n)
+		}
+		if e := c.NextEvent(uint64(rob)); e != NeverEvent {
+			t.Fatalf("ROB %d: NextEvent = %d behind a pending miss, want NeverEvent", rob, e)
+		}
+		// The miss delivers: the chain drains one load per hit latency,
+		// and the list never grows past the load now waiting.
+		c.Complete(0, uint64(rob)+1)
+		m.pending[1] = false
+		for now := uint64(rob) + 1; now <= uint64(4*rob); now++ {
+			c.Tick(now)
+			if n := c.waiting(); n > 1 {
+				t.Fatalf("ROB %d: %d loads on the waiters list after Tick(%d), want at most 1", rob, n, now)
+			}
+		}
+		if c.Loads == 0 {
+			t.Fatalf("ROB %d: the chain never drained", rob)
+		}
+	}
+}

@@ -132,7 +132,7 @@ func (c Config) Validate() error {
 }
 
 // LinesPerRow returns the number of cache lines a row buffer caches.
-func (c Config) LinesPerRow() uint64 { return c.RowBytes / c.LineBytes }
+func (c *Config) LinesPerRow() uint64 { return c.RowBytes / c.LineBytes }
 
 // Address is a physical line address decomposed into DRAM coordinates.
 type Address struct {
@@ -146,7 +146,7 @@ type Address struct {
 // into channel, bank, row and column. Consecutive lines walk a row; rows
 // interleave across channels then banks, so streams exploit the row buffer
 // while independent streams spread over banks.
-func (c Config) Map(lineAddr uint64) Address {
+func (c *Config) Map(lineAddr uint64) Address {
 	lpr := c.LinesPerRow()
 	col := lineAddr % lpr
 	rest := lineAddr / lpr
@@ -166,7 +166,7 @@ func (c Config) Map(lineAddr uint64) Address {
 // DRAM coordinates. Map and Unmap form a bijection over line addresses —
 // including with Permutation enabled, since the XOR bank remap is
 // self-inverse given the row.
-func (c Config) Unmap(a Address) uint64 {
+func (c *Config) Unmap(a Address) uint64 {
 	bank := a.Bank
 	if c.Permutation {
 		bank = bank ^ int(a.Row%uint64(c.Banks))
